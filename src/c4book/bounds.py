@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
 
-from .errors import DomainError, NotPrimePower
-from .gf import prime_power_decompose
+from .errors import DomainError, InternalInconsistency
+from .gf import is_prime_power, prime_power_decompose
 
 # -- exact floors of sqrt(n) - c * n^alpha --
 
@@ -56,7 +56,7 @@ def _cmp_sqrt_expr(n: int, c: int, alpha: Fraction, v: int) -> int:
     if p_coef <= 0 and q_coef < 0:
         return -1
     if lhs_sq == rhs_sq:
-        raise AssertionError("sqrt(n) rational for non-square n")
+        raise InternalInconsistency(f"sqrt({n}) rational for non-square n")
     if q_coef > 0:
         return 1 if lhs_sq > rhs_sq else -1
     return 1 if lhs_sq < rhs_sq else -1
@@ -268,9 +268,7 @@ def theorem15_table(qmin: int, qmax: int, k: int, eps) -> list[dict]:
     """Predicted exact values r = q^2 + t over admissible (q, t) in range."""
     rows = []
     for q in range(max(2, qmin), qmax + 1):
-        try:
-            prime_power_decompose(q)
-        except NotPrimePower:
+        if not is_prime_power(q):
             continue
         for t in range(0, q + 1):
             adm = theorem15_admissible(k, q, t, eps)
@@ -347,14 +345,6 @@ KNOWN_EXACT = {
 }
 
 
-def _is_prime_power(q: int) -> bool:
-    try:
-        prime_power_decompose(q)
-        return True
-    except NotPrimePower:
-        return False
-
-
 def _k2_family(n: int):
     """(q, t) with n = (q-1)^2 + (t-2), 0 <= t <= q-1, q >= 4, if any."""
     s = isqrt(n + 2)
@@ -382,7 +372,7 @@ def _k_ge3_family(n: int, k: int):
     lo = max(2, isqrt(max(n, 1)) - k - 2)
     for q in range(lo, isqrt(max(n, 1)) + k + 3):
         t = n - q * q + k * q - a_k
-        if 0 <= t <= q and _is_prime_power(q):
+        if 0 <= t <= q and is_prime_power(q):
             out.append((q, t))
     return out
 
@@ -401,10 +391,10 @@ def bound_report(n: int, k: int) -> BoundReport:
     if k == 1 and n >= 2:
         uppers.append((parsons_upper(n), "star bound n + floor(sqrt(n-1)) + 2"))
         s = isqrt(n)
-        if s * s == n and _is_prime_power(s):
+        if s * s == n and is_prime_power(s):
             exacts.append((s * s + s + 1, f"polarity-graph family, n = q^2 with q = {s}"))
         s = isqrt(n - 1)
-        if s * s == n - 1 and _is_prime_power(s):
+        if s * s == n - 1 and is_prime_power(s):
             exacts.append((s * s + s + 2, f"polarity-graph family, n = q^2 + 1 with q = {s}"))
 
     if k == 2:
@@ -415,12 +405,12 @@ def bound_report(n: int, k: int) -> BoundReport:
         if fam is not None:
             q, t = fam
             uppers.append((q * q + t, f"induced polarity-subgraph bound (q={q}, t={t})"))
-            if _is_prime_power(q) and _k2_exact_window(q, t):
+            if is_prime_power(q) and _k2_exact_window(q, t):
                 exacts.append((q * q + t, f"exact family value q^2 + t (q={q}, t={t})"))
         # n = q^2 - q + 1 special family for prime powers q
         s = isqrt(n)
         for q in (s, s + 1):
-            if q >= 2 and q * q - q + 1 == n and _is_prime_power(q):
+            if q >= 2 and q * q - q + 1 == n and is_prime_power(q):
                 lowers.append((q * q + q + 2, f"polarity special case lower (q={q})"))
                 uppers.append((q * q + q + 4, f"polarity special case upper (q={q})"))
                 if q == 3:

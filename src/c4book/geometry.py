@@ -33,6 +33,18 @@ class ProjPoint:
         return not self.dot(self)
 
 
+def _point_coords(q: int) -> list[tuple[int, int, int]]:
+    """Element indices of the q^2+q+1 normalized points, in vertex order.
+
+    Index 0 is zero and 1 is one, so (1, y, z) is vertex y*q + z, (0, 1, z)
+    is vertex q^2 + z and (0, 0, 1) is vertex q^2 + q.
+    """
+    points = [(1, y, z) for y in range(q) for z in range(q)]
+    points += [(0, 1, z) for z in range(q)]
+    points.append((0, 0, 1))
+    return points
+
+
 def projective_points(field: Field) -> list[ProjPoint]:
     """All q^2+q+1 points, deterministically ordered.
 
@@ -40,18 +52,17 @@ def projective_points(field: Field) -> list[ProjPoint]:
     (0, 1, a), then (0, 0, 1).
     """
     elems = gf.elements(field)
-    one = field.one
-    zero = field.zero
-    points = [ProjPoint((one, a, b)) for a in elems for b in elems]
-    points += [ProjPoint((zero, one, a)) for a in elems]
-    points.append(ProjPoint((zero, zero, one)))
-    return points
+    return [ProjPoint(tuple(elems[c] for c in pt)) for pt in _point_coords(field.q)]
 
 
 def absolute_points(field: Field) -> list[int]:
     """Indices of self-orthogonal points; always exactly q+1 of them."""
-    pts = projective_points(field)
-    out = [i for i, pt in enumerate(pts) if pt.is_absolute()]
+    t = field.tables
+    out = [
+        i
+        for i, (x, y, z) in enumerate(_point_coords(field.q))
+        if not t.add(t.add(t.mul(x, x), t.mul(y, y)), t.mul(z, z))
+    ]
     if len(out) != field.q + 1:
         raise InternalInconsistency(
             f"expected {field.q + 1} absolute points in PG(2,{field.q}), found {len(out)}"
@@ -59,58 +70,57 @@ def absolute_points(field: Field) -> list[int]:
     return out
 
 
-def _normalize(coords):
-    first = next(c for c in coords if c)
-    if first == first.field.one:
-        return tuple(coords)
-    inv = gf.inv(first)
-    return tuple(inv * c for c in coords)
-
-
-def _polar_line_basis(u, field):
-    """Two independent solutions of u1*x + u2*y + u3*z = 0."""
-    zero, one = field.zero, field.one
-    u1, u2, u3 = u.coords
-    if u1:
-        inv = gf.inv(u1)
-        return (-(inv * u2), one, zero), (-(inv * u3), zero, one)
-    if u2:
-        inv = gf.inv(u2)
-        return (one, zero, zero), (zero, -(inv * u3), one)
-    return (one, zero, zero), (zero, one, zero)
+def _bitmask(positions, nbytes: int) -> int:
+    buf = bytearray(nbytes)
+    for j in positions:
+        buf[j >> 3] |= 1 << (j & 7)
+    return int.from_bytes(buf, "little")
 
 
 def er_graph(field_or_q, q_cap: int = DEFAULT_GRAPH_Q_CAP) -> Graph:
     """Orthogonal polarity graph on PG(2, q).
 
     Distinct points u, v are adjacent iff u.v = 0; absolute points carry no
-    loop.  Each vertex's neighborhood is read off its polar line (the q+1
-    points of u.x = 0), so construction is O(N*q) rather than all-pairs.
-    The degree dichotomy (q+1 everywhere except degree q at the q+1
-    absolute points) is checked at build time, not assumed.
+    loop.  Each vertex's neighborhood is its polar line u.x = 0, solved for
+    one coordinate on element indices, so construction is O(N*q) table
+    lookups rather than all-pairs.  The degree dichotomy (q+1 everywhere
+    except degree q at the q+1 absolute points) is checked at build time,
+    not assumed.
     """
     field = field_or_q if isinstance(field_or_q, Field) else field_new(*_pp(field_or_q))
     q = field.q
     if q > q_cap:
         raise CapExceeded(f"q={q} polarity graph would have {q * q + q + 1} vertices")
-    pts = projective_points(field)
-    n = len(pts)
-    index = {tuple(c.coeffs for c in pt.coords): i for i, pt in enumerate(pts)}
-    elems = gf.elements(field)
-    rows = [0] * n
+    t = field.tables
+    qq = q * q
+    n = qq + q + 1
+    nbytes = (n + 7) // 8
+    elems = range(q)
+    # plus[a][v] = a + v and times[b][y] = b * y, so a line costs one lookup of each per point
+    plus = [[t.add(a, v) for v in elems] for a in elems]
+    times = [[t.mul(b, y) for y in elems] for b in elems]
+    block = [y * q for y in elems]
+    rows = []
     absolutes = []
-    for i, u in enumerate(pts):
-        if u.is_absolute():
+    for i, (u1, u2, u3) in enumerate(_point_coords(q)):
+        if u3:
+            # x = 1 gives z = a + b*y with a = -u1/u3, b = -u2/u3; x = 0 gives (0, 1, b)
+            w = t.neg(t.inv(u3))
+            plus_a, b = plus[t.mul(u1, w)], t.mul(u2, w)
+            line = [yq + plus_a[by] for yq, by in zip(block, times[b])]
+            line.append(qq + b)
+            row = _bitmask(line, nbytes)
+        elif u2:
+            # u1 + u2*y = 0 fixes y for every z; (0, 0, 1) lies on the line too
+            y = t.mul(u1, t.neg(t.inv(u2)))
+            row = ((1 << q) - 1) << (y * q) | 1 << (qq + q)
+        else:
+            # u = (1, 0, 0): the line x = 0
+            row = ((1 << (q + 1)) - 1) << qq
+        if row >> i & 1:
             absolutes.append(i)
-        b1, b2 = _polar_line_basis(u, field)
-        line = [_normalize(b2)]
-        for t in elems:
-            line.append(_normalize(tuple(a + t * b for a, b in zip(b1, b2))))
-        for coords in line:
-            j = index[tuple(c.coeffs for c in coords)]
-            if j != i:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
+            row ^= 1 << i
+        rows.append(row)
     g = Graph(n, rows, _trusted=True)
     if len(absolutes) != q + 1:
         raise InternalInconsistency(f"{len(absolutes)} absolute points, expected {q + 1}")

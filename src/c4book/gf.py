@@ -1,8 +1,12 @@
 """Exact arithmetic in GF(p^e) for the prime powers the constructions need.
 
-Elements are polynomials of degree < e over Z_p, reduced modulo a fixed monic
-irreducible modulus.  Everything is a value type: two elements are equal iff
-their coefficient vectors are equal, and fields compare by (p, e, modulus).
+An element is an integer index in 0..q-1: the base-p value of its coefficient
+vector (constant term first), a polynomial of degree < e over Z_p reduced
+modulo a fixed monic irreducible modulus.  Arithmetic runs on exp/log tables
+with Zech logarithms for addition (Lidl & Niederreiter, *Finite Fields*,
+ch. 9), built once per field on first use.  FieldElement is a thin value view
+over an index for callers that want operators.  Fields compare by
+(p, e, modulus).
 """
 
 from __future__ import annotations
@@ -14,7 +18,9 @@ from .errors import (
     DivisionByZero,
     DomainError,
     FieldMismatch,
+    InternalInconsistency,
     NonPrimeCharacteristic,
+    NotPrimePower,
 )
 
 DEFAULT_ORDER_CAP = 1 << 20
@@ -35,18 +41,8 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def next_prime(n: int) -> int:
-    """Smallest prime >= n."""
-    c = max(n, 2)
-    while not is_prime(c):
-        c += 1
-    return c
-
-
 def prime_power_decompose(q: int) -> tuple[int, int]:
     """Write q = p^e for prime p, or raise NotPrimePower."""
-    from .errors import NotPrimePower
-
     if q < 2:
         raise NotPrimePower(f"{q} is not a prime power")
     p = q
@@ -66,7 +62,16 @@ def prime_power_decompose(q: int) -> tuple[int, int]:
     return p, e
 
 
+def is_prime_power(q: int) -> bool:
+    try:
+        prime_power_decompose(q)
+    except NotPrimePower:
+        return False
+    return True
+
+
 # -- polynomial helpers (coefficient tuples, constant term first) --
+# Used only to choose the modulus and to build the tables.
 
 
 def _poly_trim(c):
@@ -74,13 +79,6 @@ def _poly_trim(c):
     while i > 0 and c[i - 1] == 0:
         i -= 1
     return tuple(c[:i])
-
-
-def _poly_add(a, b, p):
-    n = max(len(a), len(b))
-    a = tuple(a) + (0,) * (n - len(a))
-    b = tuple(b) + (0,) * (n - len(b))
-    return _poly_trim([(x + y) % p for x, y in zip(a, b)])
 
 
 def _poly_mul(a, b, p):
@@ -123,6 +121,85 @@ def _is_irreducible(poly, p):
     return True
 
 
+class FieldTables:
+    """Integer arithmetic of one field on its exp/log/Zech tables.
+
+    With g the smallest-index primitive element and N = q - 1:
+    ``exp[i] = g^i`` for 0 <= i < 2N (stored twice over, so a sum of two
+    logarithms needs no reduction), ``log[a]`` inverts it on nonzero a
+    (``log[0]`` is None), ``zech[n] = log(1 + g^n)`` with None where
+    1 + g^n = 0, and ``minus_one = log(-1)``.  Results are element indices,
+    so they do not depend on which primitive element was chosen.
+    """
+
+    __slots__ = ("q", "exp", "log", "zech", "minus_one")
+
+    def __init__(self, field: "Field"):
+        p, q = field.p, field.q
+        exp = _primitive_powers(field)
+        log = [None] * q
+        for i, a in enumerate(exp):
+            log[a] = i
+        zech = []
+        for a in exp:
+            c0 = a % p
+            one_plus = a - c0 + (c0 + 1) % p  # add 1 to the constant coefficient
+            zech.append(log[one_plus])
+        self.q = q
+        self.exp = exp + exp
+        self.log = log
+        self.zech = zech
+        self.minus_one = log[p - 1]
+
+    def add(self, a: int, b: int) -> int:
+        if not a:
+            return b
+        if not b:
+            return a
+        la = self.log[a]
+        # a + b = a * (1 + b/a); a negative list index wraps mod N
+        z = self.zech[self.log[b] - la]
+        return 0 if z is None else self.exp[la + z]
+
+    def mul(self, a: int, b: int) -> int:
+        if not a or not b:
+            return 0
+        return self.exp[self.log[a] + self.log[b]]
+
+    def neg(self, a: int) -> int:
+        return self.exp[self.log[a] + self.minus_one] if a else 0
+
+    def inv(self, a: int) -> int:
+        if not a:
+            raise DivisionByZero("inverse of zero")
+        return self.exp[self.q - 1 - self.log[a]]
+
+    def pow(self, a: int, k: int) -> int:
+        if not a:
+            if k < 0:
+                raise DivisionByZero("inverse of zero")
+            return 0 if k else 1
+        return self.exp[self.log[a] * k % (self.q - 1)]
+
+
+def _primitive_powers(field: "Field") -> list[int]:
+    """[g^0, ..., g^(q-2)] as indices, for the smallest-index primitive g."""
+    p, q = field.p, field.q
+    for g in range(2 if q > 2 else 1, q):
+        g_poly = _poly_trim(field._digits(g))
+        powers = [1]
+        cur = (1,)
+        for _ in range(q - 1):
+            cur = _poly_mod(_poly_mul(cur, g_poly, p), field.modulus, p)
+            idx = field._index(cur)
+            if idx == 1:
+                if len(powers) == q - 1:
+                    return powers
+                break
+            powers.append(idx)
+    raise InternalInconsistency(f"no primitive element found in GF({q})")
+
+
 class Field:
     """GF(p^e) with the lexicographically smallest monic irreducible modulus.
 
@@ -130,7 +207,7 @@ class Field:
     constant term upward, so the choice is deterministic across runs.
     """
 
-    __slots__ = ("p", "e", "q", "modulus", "_elements")
+    __slots__ = ("p", "e", "q", "modulus", "_elements", "_tables")
 
     def __init__(self, p: int, e: int, modulus):
         self.p = p
@@ -138,6 +215,7 @@ class Field:
         self.q = p**e
         self.modulus = tuple(modulus)
         self._elements = None
+        self._tables = None
 
     def __eq__(self, other):
         return (
@@ -151,16 +229,29 @@ class Field:
     def __repr__(self):
         return f"Field(p={self.p}, e={self.e})"
 
+    @property
+    def tables(self) -> FieldTables:
+        """The arithmetic tables, built on first use."""
+        if self._tables is None:
+            self._tables = FieldTables(self)
+        return self._tables
+
     # -- element construction --
 
     def element(self, coeffs) -> "FieldElement":
         if isinstance(coeffs, int):
-            coeffs = self._digits(coeffs)
+            return FieldElement(self, coeffs % self.q)
         coeffs = tuple(c % self.p for c in coeffs)
         if len(coeffs) != self.e:
             coeffs = _poly_mod(coeffs, self.modulus, self.p)
-            coeffs = coeffs + (0,) * (self.e - len(coeffs))
-        return FieldElement(self, coeffs)
+        return FieldElement(self, self._index(coeffs))
+
+    def _index(self, coeffs) -> int:
+        """Base-p value of reduced coefficients, constant term first."""
+        idx = 0
+        for c in reversed(coeffs):
+            idx = idx * self.p + c
+        return idx
 
     def _digits(self, i: int):
         digits = []
@@ -171,53 +262,43 @@ class Field:
 
     @property
     def zero(self) -> "FieldElement":
-        return FieldElement(self, (0,) * self.e)
+        return FieldElement(self, 0)
 
     @property
     def one(self) -> "FieldElement":
-        return FieldElement(self, (1,) + (0,) * (self.e - 1))
+        return FieldElement(self, 1)
 
     def index(self, a: "FieldElement") -> int:
         """Position of a in elements(); the base-p value of its coefficients."""
-        v = 0
-        for c in reversed(a.coeffs):
-            v = v * self.p + c
-        return v
-
-    def add(self, a, b):
-        return add(a, b)
-
-    def mul(self, a, b):
-        return mul(a, b)
-
-    def neg(self, a):
-        return neg(a)
-
-    def inv(self, a):
-        return inv(a)
+        return a.index
 
 
 class FieldElement:
-    """Immutable element of a Field; supports +, -, *, unary -, **."""
+    """Immutable view of the element with the given index; +, -, *, unary -, **."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "index")
 
-    def __init__(self, field: Field, coeffs):
+    def __init__(self, field: Field, index: int):
         self.field = field
-        self.coeffs = tuple(coeffs)
+        self.index = index
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """Coefficients over Z_p, constant term first."""
+        return self.field._digits(self.index)
 
     def __eq__(self, other):
         return (
             isinstance(other, FieldElement)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
+            and self.index == other.index
+            and (self.field is other.field or self.field == other.field)
         )
 
     def __hash__(self):
-        return hash((self.field.p, self.field.e, self.coeffs))
+        return hash((self.field.p, self.field.e, self.index))
 
     def __bool__(self):
-        return any(self.coeffs)
+        return self.index != 0
 
     def __add__(self, other):
         return add(self, other)
@@ -232,23 +313,14 @@ class FieldElement:
         return neg(self)
 
     def __pow__(self, k: int):
-        if k < 0:
-            return inv(self) ** (-k)
-        result = self.field.one
-        base = self
-        while k:
-            if k & 1:
-                result = mul(result, base)
-            base = mul(base, base)
-            k >>= 1
-        return result
+        return FieldElement(self.field, self.field.tables.pow(self.index, k))
 
     def __repr__(self):
         return f"FieldElement({self.coeffs} over GF({self.field.q}))"
 
 
 def _check_same_field(a: FieldElement, b: FieldElement) -> Field:
-    if a.field != b.field:
+    if a.field is not b.field and a.field != b.field:
         raise FieldMismatch(f"operands from {a.field!r} and {b.field!r}")
     return a.field
 
@@ -267,42 +339,33 @@ def field_new(p: int, e: int, cap: int = DEFAULT_ORDER_CAP) -> Field:
         candidate = low + (1,)
         if _is_irreducible(candidate, p):
             return Field(p, e, candidate)
-    raise AssertionError("no irreducible polynomial found")  # unreachable
+    raise InternalInconsistency(f"no monic irreducible polynomial of degree {e} over Z_{p}")
 
 
 def add(a: FieldElement, b: FieldElement) -> FieldElement:
     f = _check_same_field(a, b)
-    coeffs = tuple((x + y) % f.p for x, y in zip(a.coeffs, b.coeffs))
-    return FieldElement(f, coeffs)
+    return FieldElement(f, f.tables.add(a.index, b.index))
 
 
 def neg(a: FieldElement) -> FieldElement:
-    f = a.field
-    return FieldElement(f, tuple((-x) % f.p for x in a.coeffs))
+    return FieldElement(a.field, a.field.tables.neg(a.index))
 
 
 def mul(a: FieldElement, b: FieldElement) -> FieldElement:
     f = _check_same_field(a, b)
-    prod_ = _poly_mul(a.coeffs, b.coeffs, f.p)
-    red = _poly_mod(prod_, f.modulus, f.p) if len(prod_) > f.e else prod_
-    return FieldElement(f, red + (0,) * (f.e - len(red)))
+    return FieldElement(f, f.tables.mul(a.index, b.index))
 
 
 def inv(a: FieldElement) -> FieldElement:
-    """Inverse via a^(q-2); exact for every nonzero element."""
-    if not a:
-        raise DivisionByZero("inverse of zero")
-    return a ** (a.field.q - 2)
+    return FieldElement(a.field, a.field.tables.inv(a.index))
 
 
 def elements(field: Field) -> list[FieldElement]:
-    """All q elements, ordered by base-p coefficient value: 0, 1, 2, ..., x, ...
+    """All q elements, ordered by index: 0, 1, 2, ..., x, ...
 
     The order is deterministic across runs; index i has the base-p digits of i
     as coefficients (constant term first).
     """
     if field._elements is None:
-        field._elements = [
-            FieldElement(field, field._digits(i)) for i in range(field.q)
-        ]
+        field._elements = [FieldElement(field, i) for i in range(field.q)]
     return list(field._elements)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .canon import graph_digest
-from .errors import DomainError, NotC4Free
+from .errors import DomainError, InternalInconsistency, NotC4Free
 from .graphcore import Graph, _bits, is_c4_free
 
 
@@ -153,7 +153,7 @@ def certify_lower_bound(g: Graph, k: int, note: str = "") -> LowerBoundCertifica
     if g.n <= 80 and k <= g.n:
         nmax, _ = complement_book_number(g, k)
         if n_star - 1 < nmax:
-            raise AssertionError(
+            raise InternalInconsistency(
                 f"certificate unsound: n*-1 = {n_star - 1} < book number {nmax}"
             )
     return cert

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import random
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
@@ -27,16 +28,17 @@ from fractions import Fraction
 from functools import partial
 
 from .bounds import floor_sqrt_minus_power, min_n_default_regime
-from .canon import canonical_form, canonical_key, graph_digest
+from .canon import canonical_form, canonical_key
 from .errors import (
     AsymptoticRegimeNotReached,
     AttemptsExhausted,
     BudgetExhausted,
     CapExceeded,
     DomainError,
+    InternalInconsistency,
 )
 from .geometry import er_graph
-from .gf import field_new, is_prime
+from .gf import field_new, is_prime, is_prime_power
 from .graphcore import Graph, _bits, g6_decode, g6_encode, is_c4_free
 from .ramsey import LowerBoundCertificate, certify_lower_bound, complement_book_number, is_ramsey_witness
 
@@ -112,7 +114,10 @@ def greedy_min_degree_subgraph(g: Graph, target_order: int, min_deg: int, budget
         return None
     verts = tuple(_bits(result))
     sub = g.induced_mask(result)
-    assert sub.n == target_order and (target_order == 0 or min(sub.degrees()) >= min_deg)
+    if sub.n != target_order or (target_order and min(sub.degrees()) < min_deg):
+        raise InternalInconsistency(
+            f"deletion search returned order {sub.n}, wanted {target_order} with min degree {min_deg}"
+        )
     return verts
 
 
@@ -216,6 +221,16 @@ def random_delete_construction(
             mask ^= 1 << v
         sub = base.induced_mask(mask)
         if survivors == 0 or min(sub.degrees()) >= m:
+            note = (
+                f"random deletion of {d} vertices from ER_{p} (seed={seed}, "
+                f"attempt={attempt}); targets B_{n}^({k})-free complement"
+            )
+            cert = certify_lower_bound(sub, k, note=note)
+            # the certificate is at least as strong as the target claim
+            if cert.guaranteed_book_free_n > n:
+                raise InternalInconsistency(
+                    f"certificate n* = {cert.guaranteed_book_free_n} exceeds target {n}"
+                )
             run = DeletionRun(
                 n=n,
                 k=k,
@@ -227,18 +242,8 @@ def random_delete_construction(
                 d=d,
                 seed=seed,
                 attempts=attempt,
-                result_digest=graph_digest(sub),
+                result_digest=cert.graph_hash,
             )
-            note = (
-                f"random deletion of {d} vertices from ER_{p} (seed={seed}, "
-                f"attempt={attempt}); targets B_{n}^({k})-free complement"
-            )
-            cert = certify_lower_bound(sub, k, note=note)
-            # the certificate is at least as strong as the target claim
-            if cert.guaranteed_book_free_n > n:
-                raise AssertionError(
-                    f"certificate n* = {cert.guaranteed_book_free_n} exceeds target {n}"
-                )
             return sub, run, cert
     raise AttemptsExhausted(f"no degree->{m} subgraph found in {max_attempts} attempts")
 
@@ -367,11 +372,18 @@ def _worker(payload):
     return None, None, stats.examined
 
 
+def _pool_size(jobs: int, chunks: int) -> int:
+    """Worker processes to start: never more than the CPUs or the work chunks."""
+    return min(jobs, os.cpu_count() or 1, chunks)
+
+
 def _enumerate(order, c4, pruner, visitor, jobs, meta_k=None, meta_n=None):
     cap = ENUMERATION_ORDER_CAP if c4 else ALL_GRAPHS_ORDER_CAP
     if not 1 <= order <= cap:
         raise CapExceeded(f"order must be in [1, {cap}], got {order}")
-    if jobs <= 1 or order <= 2:
+    if jobs < 1:
+        raise DomainError(f"jobs must be >= 1, got {jobs}")
+    if jobs == 1 or order <= 2:
         stats = _Budget()
         g, key = _seed_graph()
         found = _dfs_enumerate(g, key, order, c4, pruner, visitor, stats)
@@ -391,7 +403,7 @@ def _enumerate(order, c4, pruner, visitor, jobs, meta_k=None, meta_n=None):
     examined = 0
     best_idx = None
     best_g6 = None
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=_pool_size(jobs, len(payloads))) as pool:
         pending = {pool.submit(_worker, pl): pl[0] for pl in payloads}
         while pending:
             done, _ = wait(pending, return_when=FIRST_COMPLETED)
@@ -517,7 +529,7 @@ def probe_script_Gq(q: int, budget: int = 10**6, seed: int = 0):
     def polarity_seed():
         # smallest prime-power plane with at least n points, thinned to n
         base_q = 2
-        while base_q * base_q + base_q + 1 < n or not _is_prime_power_int(base_q):
+        while base_q * base_q + base_q + 1 < n or not is_prime_power(base_q):
             base_q += 1
         base = er_graph(base_q)
         keep = list(range(base.n))
@@ -581,13 +593,3 @@ def probe_script_Gq(q: int, budget: int = 10**6, seed: int = 0):
 def _accept(old, new, temperature):
     return math.exp((old - new) / max(temperature, 1e-9))
 
-
-def _is_prime_power_int(q: int) -> bool:
-    from .errors import NotPrimePower
-    from .gf import prime_power_decompose
-
-    try:
-        prime_power_decompose(q)
-        return True
-    except NotPrimePower:
-        return False

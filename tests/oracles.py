@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the package's bitset kernels and
 canonical machinery: C4 detection enumerates vertex quadruples, book
-numbers use plain set arithmetic over combinations, and isomorphism
-classes come from minimizing over all vertex permutations.
+numbers use plain set arithmetic over combinations, isomorphism classes
+come from minimizing over all vertex permutations, and GF(p^e) arithmetic
+is polynomial multiplication and long division on coefficient tuples.
 """
 
 from itertools import combinations, permutations
@@ -214,6 +215,68 @@ def oracle_ramsey_value(k: int, n: int, max_order: int = 10) -> int:
         if not witness:
             return order
     raise AssertionError(f"no exhaustion up to order {max_order}")
+
+
+# -- naive GF(p^e) arithmetic on coefficient tuples (constant term first) --
+
+
+def poly_trim(c):
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def poly_add(a, b, p):
+    n = max(len(a), len(b))
+    a = tuple(a) + (0,) * (n - len(a))
+    b = tuple(b) + (0,) * (n - len(b))
+    return poly_trim([(x + y) % p for x, y in zip(a, b)])
+
+
+def poly_mul(a, b, p):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return poly_trim(out)
+
+
+def poly_mod(a, m, p):
+    """Remainder of a modulo the monic polynomial m, by long division."""
+    a = list(a)
+    dm = len(m) - 1
+    while len(a) > dm:
+        lead = a[-1]
+        shift = len(a) - 1 - dm
+        for i in range(dm + 1):
+            a[shift + i] = (a[shift + i] - lead * m[i]) % p
+        a.pop()
+    return poly_trim(a)
+
+
+def coeffs_of(index: int, p: int, e: int):
+    """Base-p digits of an element index: its coefficients, constant term first."""
+    out = []
+    for _ in range(e):
+        index, r = divmod(index, p)
+        out.append(r)
+    return tuple(out)
+
+
+def index_of(coeffs, p: int) -> int:
+    return sum(c * p**i for i, c in enumerate(coeffs))
+
+
+def naive_field_add(a: int, b: int, p: int, e: int) -> int:
+    return index_of(poly_add(coeffs_of(a, p, e), coeffs_of(b, p, e), p), p)
+
+
+def naive_field_mul(a: int, b: int, p: int, e: int, modulus) -> int:
+    prod = poly_mul(coeffs_of(a, p, e), coeffs_of(b, p, e), p)
+    return index_of(poly_mod(prod, modulus, p), p)
 
 
 # -- small named graphs --

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import c4book as cb
+from c4book import ramsey
 from c4book.cli import main
 from c4book.graphcore import Graph, g6_encode
 
@@ -29,13 +30,40 @@ def run_json(capsys, *argv):
     return code, json.loads(out) if out.strip() else None
 
 
+GF9_TABLE_ARTIFACT = {
+    "p": 3,
+    "e": 2,
+    "q": 9,
+    "modulus_coefficients_constant_first": [1, 0, 1],
+    "add_table": [
+        [0, 1, 2, 3, 4, 5, 6, 7, 8],
+        [1, 2, 0, 4, 5, 3, 7, 8, 6],
+        [2, 0, 1, 5, 3, 4, 8, 6, 7],
+        [3, 4, 5, 6, 7, 8, 0, 1, 2],
+        [4, 5, 3, 7, 8, 6, 1, 2, 0],
+        [5, 3, 4, 8, 6, 7, 2, 0, 1],
+        [6, 7, 8, 0, 1, 2, 3, 4, 5],
+        [7, 8, 6, 1, 2, 0, 4, 5, 3],
+        [8, 6, 7, 2, 0, 1, 5, 3, 4],
+    ],
+    "mul_table": [
+        [0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 1, 2, 3, 4, 5, 6, 7, 8],
+        [0, 2, 1, 6, 8, 7, 3, 5, 4],
+        [0, 3, 6, 2, 5, 8, 1, 4, 7],
+        [0, 4, 8, 5, 6, 1, 7, 2, 3],
+        [0, 5, 7, 8, 1, 3, 4, 6, 2],
+        [0, 6, 3, 1, 7, 4, 2, 8, 5],
+        [0, 7, 5, 4, 2, 6, 8, 3, 1],
+        [0, 8, 4, 7, 3, 2, 5, 1, 6],
+    ],
+}
+
+
 def test_field_table(capsys):
     code, doc = run_json(capsys, "field", "3", "2", "--table")
     assert code == 0
-    art = doc["artifact"]
-    assert art["q"] == 9
-    assert art["modulus_coefficients_constant_first"] == [1, 0, 1]
-    assert len(art["mul_table"]) == 9
+    assert doc["artifact"] == GF9_TABLE_ARTIFACT
 
 
 def test_field_table_cap(capsys):
@@ -180,6 +208,21 @@ def test_missing_file_exit_2(capsys):
 
 def test_usage_error_exit_2(capsys):
     assert main(["bounds"]) == 2  # missing --n/--k and no --table
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exit_2(capsys, jobs):
+    code = main(["--jobs", jobs, "search", "exact", "--k", "2", "--n", "3", "--N", "8"])
+    assert code == 2
+    assert "jobs must be >= 1" in capsys.readouterr().err
+
+
+def test_internal_inconsistency_exit_2(capsys, monkeypatch, c6_file):
+    # a book number above n* - 1 contradicts the counting lemma
+    monkeypatch.setattr(ramsey, "complement_book_number", lambda g, k: (g.n, None))
+    code = main(["certify", c6_file, "--k", "1"])
+    assert code == 2
+    assert "certificate unsound" in capsys.readouterr().err
 
 
 def test_er_cache_env(capsys, tmp_path, monkeypatch):

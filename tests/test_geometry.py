@@ -1,5 +1,7 @@
 """Projective planes and polarity graphs."""
 
+import hashlib
+
 import pytest
 
 import c4book as cb
@@ -7,6 +9,38 @@ from c4book import geometry, gf
 from c4book.errors import CapExceeded
 
 STANDARD_Q = [2, 3, 4, 5, 7, 8, 9, 11, 13]
+
+# sha256 of g6_encode(er_graph(q)) for every prime power q <= 64, computed with
+# the earlier polynomial-arithmetic build, which shares no code with the tables
+ER_G6_SHA256 = {
+    2: "671c4cff9e058575de853b4b3ad9bf05d1108dcc920ff7a5bf4deeee8b9f4b73",
+    3: "fce854a3c483447e118eafeb713fae086034764234a91f74837de9128f9a9789",
+    4: "f9d014a433119fa86f144ff70a9a88782043552cd71f2843a7cd207c037f101e",
+    5: "d9c55a4d1566e06142aa39527a387bdd1010d64b1c3875df94bd8b4bcf234619",
+    7: "4a7c5fa197b4faee9c10af1947e647f30d1bee3f964960d69966e990104defc2",
+    8: "cf2172b810f8d16c8861ad334ac927711771047a2c0077b20cb4acc4696048f9",
+    9: "65275bcf0e753c7c6f644c5dcb451b7558c627393efa927fe36ca793c8823667",
+    11: "a5dc84060e199e5f8a3300b77e9e29b8b0bb78206612441e06f43bb9ee824cce",
+    13: "779d7d1c08dc89c7a850d311aa3cf9a5b4c41e872c01486f8938615018eddc72",
+    16: "0b79aa1ab967cc372f1fac4f224d00354a50bbecd81b9e4089b92a291dd13e8c",
+    17: "c90333bd37c91891b38462d940bd689cfba1463f8576704bd7b56cb01d210b63",
+    19: "41913625dccd30001ab4888155b6bfafaa31a178d440245064d08ae34df69da3",
+    23: "4e134af53c2111e8e6edae3077f8838669181546ce2d591c2a43b1df508d42cc",
+    25: "c24110a61c5f1f6d454067d0b949be1303759502a1f2735d1859b3a7879e3dda",
+    27: "8d8c9551896a6d5245b1a49e857d950cec9925ef1ff402c17c03ab412c9903f9",
+    29: "1494972666cd1c287c7698a30593963a861eea73b48143a340e5878424ca9af5",
+    31: "ccd993e2b1c09a1b66c2737bd6267eebfac007a26fda76a55da3073be2ff235c",
+    32: "197d5afdab1ab019c92a0f6572bcc33cc317c517d0751686cfa51104949ffb64",
+    37: "d860e09045d8a16ab7774f796c7f080730d41765e5f774a6dbe2ee10b3814764",
+    41: "7a170d48999e4a09ed9b57dea986167c63f66e4c501faaec421fddb140039eba",
+    43: "e86142c472af436a77c0f571a9f11a359dbe8bba3864eb63eb76bd8cf4172806",
+    47: "f41c5d744b7eb1799dd0e5d01ecbc074f6ccad295663de26577548466069adf0",
+    49: "5ca6a928018a3aed298b9cbbd6df8c3ccd0fd69d398e83459f5453cbe3574c8b",
+    53: "9510e66b3e21c9079b78e464cb17990ed219789114e47e16b6b09d7010713541",
+    59: "fbc46f114c5547478eb80018f0a7ab1277971643d6d8b418f5b7907dbf07a961",
+    61: "527626dd1b1daff40888643f1f6e3a865f8f07a4693c75ae97c7320e14d8aea3",
+    64: "ef637097e7d99fa97a28ef97f1a27e44f93ad722f9d2c6f10c60fdac02fb1ba6",
+}
 
 
 def field_for(q):
@@ -102,6 +136,11 @@ def test_er_graph_reproducible_bytes():
     assert a == b
     # frozen golden: deterministic vertex order means stable graph6 output
     assert a == cb.g6_encode(cb.g6_decode(a))
+
+
+@pytest.mark.parametrize("q", sorted(ER_G6_SHA256))
+def test_er_graph_pinned_digest(q):
+    assert hashlib.sha256(cb.g6_encode(cb.er_graph(q))).hexdigest() == ER_G6_SHA256[q]
 
 
 def test_er_graph_accepts_field_or_prime_power():

@@ -1,5 +1,6 @@
 """Finite field construction and arithmetic."""
 
+import random
 from itertools import product
 
 import numpy as np
@@ -13,6 +14,8 @@ from c4book.errors import (
     FieldMismatch,
     NonPrimeCharacteristic,
 )
+
+from oracles import naive_field_add, naive_field_mul, poly_mod
 
 PRIME_POWERS_64 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32,
                    37, 41, 43, 47, 49, 53, 59, 61, 64]
@@ -55,7 +58,7 @@ def test_modulus_is_irreducible_by_trial_division():
         for d in range(1, e // 2 + 1):
             for low in product(range(p), repeat=d):
                 divisor = low + (1,)
-                assert gf._poly_mod(field.modulus, divisor, p), (q, divisor)
+                assert poly_mod(field.modulus, divisor, p), (q, divisor)
 
 
 # -- arithmetic examples --
@@ -106,8 +109,36 @@ def test_error_cases():
     field = field_new(5, 1)
     with pytest.raises(DivisionByZero):
         gf.inv(field.zero)
+    with pytest.raises(DivisionByZero):
+        field.zero ** -1
     with pytest.raises(FieldMismatch):
         gf.add(field.one, field_new(7, 1).one)
+
+
+# -- table arithmetic against naive polynomial arithmetic --
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_64 + [81, 125, 128, 243, 256, 512])
+def test_table_arithmetic_matches_polynomial_oracle(q):
+    """Every a against every b for q <= 64; against a seeded sample above."""
+    field = field_for(q)
+    p, e, t = field.p, field.e, field.tables
+    if q <= 64:
+        sample = range(q)
+    else:
+        sample = sorted({0, 1, p, q - 1} | set(random.Random(q).sample(range(q), 24)))
+    for a in range(q):
+        for b in sample:
+            assert t.add(a, b) == naive_field_add(a, b, p, e), (q, a, b)
+            assert t.mul(a, b) == naive_field_mul(a, b, p, e, field.modulus), (q, a, b)
+        assert naive_field_add(a, t.neg(a), p, e) == 0
+        if a:
+            assert naive_field_mul(a, t.inv(a), p, e, field.modulus) == 1
+    a, power = q - 1, 1
+    for k in range(6):
+        assert t.pow(a, k) == power
+        power = naive_field_mul(power, a, p, e, field.modulus)
+    assert t.pow(a, q - 1) == 1 and t.pow(a, -1) == t.inv(a)
 
 
 # -- field axioms, exhaustively --
@@ -177,6 +208,8 @@ def test_inverse_definition(q):
 
 
 def test_prime_power_decompose():
+    assert [q for q in range(2, 65) if gf.is_prime_power(q)] == PRIME_POWERS_64
+    assert not gf.is_prime_power(0) and not gf.is_prime_power(1)
     assert gf.prime_power_decompose(8) == (2, 3)
     assert gf.prime_power_decompose(121) == (11, 2)
     assert gf.prime_power_decompose(13) == (13, 1)

@@ -205,6 +205,22 @@ def test_jobs_parallel_matches_sequential():
     assert search.count_c4_free_classes(7, jobs=2) == 117
 
 
+def test_pool_size_clamp(monkeypatch):
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
+    assert search._pool_size(1, 50) == 1
+    assert search._pool_size(3, 50) == 3
+    assert search._pool_size(100_000, 50) == 4
+    assert search._pool_size(100_000, 2) == 2
+    monkeypatch.setattr(search.os, "cpu_count", lambda: None)
+    assert search._pool_size(8, 50) == 1
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_jobs_below_one_rejected(jobs):
+    with pytest.raises(DomainError):
+        search.exhaust_ramsey(5, 2, 3, jobs=jobs)
+
+
 def test_oracle_ramsey_values_match_enumeration():
     # labeled-graph oracle and the canonical enumeration agree on both
     # decidable star cases
