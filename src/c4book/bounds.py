@@ -326,17 +326,6 @@ class BoundReport:
     upper_provenance: str | None
     exact: int | None
 
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "lower": self.lower,
-            "lower_provenance": self.lower_provenance,
-            "upper": self.upper,
-            "upper_provenance": self.upper_provenance,
-            "exact": self.exact,
-        }
-
 
 # Exact small values with their published-source tags.
 KNOWN_EXACT = {

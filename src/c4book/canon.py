@@ -28,8 +28,6 @@ def _refine(rows, cells):
     sub-cells keeps the ordered partition isomorphism-equivariant, and the
     worklist avoids rescanning settled cells on large graphs.
     """
-    from collections import deque
-
     cells = [list(c) for c in cells]
     live = {id(c) for c in cells}
     queue = deque(cells)

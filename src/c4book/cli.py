@@ -12,9 +12,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import __version__, bounds, geometry, gf, graphcore, ramsey, search
@@ -23,12 +23,18 @@ from .errors import (
     AttemptsExhausted,
     BudgetExhausted,
     C4BookError,
-    MalformedGraph6,
     NotC4Free,
 )
 from .graphcore import Graph
 
 JSON_SCHEMA_VERSION = 1
+
+
+def _json_default(obj):
+    """Exact rationals (DeletionRun.alpha) serialise as "p/q" strings."""
+    if isinstance(obj, Fraction):
+        return str(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serialisable")
 
 
 class _Run:
@@ -47,12 +53,18 @@ class _Run:
         self.inputs[path] = hashlib.sha256(data).hexdigest()
         return graphcore.g6_decode(data.strip())
 
-    def write_bytes(self, path: str, data: bytes):
-        with open(path, "wb") as fh:
-            fh.write(data)
-        self.outputs[path] = hashlib.sha256(data).hexdigest()
+    def attach_graph(self, artifact: dict, g: Graph, out: str | None = None) -> None:
+        """Embed g in the artifact as graph6 and, given `out`, write it there too."""
+        data = graphcore.g6_encode(g)
+        artifact["graph6"] = data.decode("ascii")
+        if out:
+            data += b"\n"
+            with open(out, "wb") as fh:
+                fh.write(data)
+            self.outputs[out] = hashlib.sha256(data).hexdigest()
+            artifact["out"] = out
 
-    def emit(self, artifact: dict, fmt: str, table_lines=None) -> None:
+    def emit(self, artifact: dict, fmt: str, lines: list[str]) -> None:
         manifest = {
             "schema_version": JSON_SCHEMA_VERSION,
             "command": " ".join(self.argv),
@@ -67,41 +79,27 @@ class _Run:
                 "manifest": manifest,
                 "timing": {"wall_time_ms": round(1000 * (time.monotonic() - self.start), 3)},
             }
-            print(json.dumps(doc, indent=2, sort_keys=True))
+            print(json.dumps(doc, indent=2, sort_keys=True, default=_json_default))
         else:
-            for line in table_lines or _default_table(artifact):
-                print(line)
-
-
-def _default_table(artifact: dict, prefix: str = "") -> list[str]:
-    lines = []
-    for key in sorted(artifact):
-        value = artifact[key]
-        if isinstance(value, dict):
-            lines.append(f"{prefix}{key}:")
-            lines.extend(_default_table(value, prefix + "  "))
-        else:
-            lines.append(f"{prefix}{key}: {value}")
-    return lines
-
-
-def _cached_er_graph(q: int) -> Graph:
-    cache = os.environ.get("RAMSEY_BOOK_CACHE")
-    if not cache:
-        return geometry.er_graph(q)
-    os.makedirs(cache, exist_ok=True)
-    path = os.path.join(cache, f"er_{q}.g6")
-    if os.path.exists(path):
-        with open(path, "rb") as fh:
-            return graphcore.g6_decode(fh.read().strip())
-    g = geometry.er_graph(q)
-    with open(path, "wb") as fh:
-        fh.write(graphcore.g6_encode(g) + b"\n")
-    return g
+            print("\n".join(lines))
 
 
 def _budget_int(text: str) -> int:
-    return int(float(text))
+    try:
+        return int(float(text))
+    except (OverflowError, ValueError):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}") from None
+
+
+class _TableArgs(argparse.Action):
+    """--table QMIN QMAX K EPS as three ints and an exact Fraction."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        *ints, eps = values
+        try:
+            setattr(namespace, self.dest, (*map(int, ints), Fraction(eps)))
+        except ValueError as exc:
+            parser.error(f"argument {option_string}: {exc}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -114,39 +112,46 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("field", help="finite field info and operation tables")
+    p.set_defaults(handler=_cmd_field)
     p.add_argument("p", type=int)
     p.add_argument("e", type=int)
     p.add_argument("--table", action="store_true", help="print add/mul tables (q <= 64)")
 
     p = sub.add_parser("er", help="polarity graph of PG(2, q)")
+    p.set_defaults(handler=_cmd_er)
     p.add_argument("q", type=int)
     p.add_argument("--stats", action="store_true")
     p.add_argument("--out", metavar="FILE.g6")
 
     p = sub.add_parser("check", help="structural checks on a graph6 file")
+    p.set_defaults(handler=_cmd_check)
     p.add_argument("file")
     p.add_argument("--c4", action="store_true")
     p.add_argument("--kst", action="store_true")
     p.add_argument("--friendship", action="store_true")
 
     p = sub.add_parser("verify", help="is FILE a (C4, B_n^(k))-Ramsey witness?")
+    p.set_defaults(handler=_cmd_verify)
     p.add_argument("file")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("certify", help="lower-bound certificate for FILE")
+    p.set_defaults(handler=_cmd_certify)
     p.add_argument("file")
     p.add_argument("--k", type=int, required=True)
 
     p = sub.add_parser("bounds", help="bound report / admissible-(q,t) table")
+    p.set_defaults(handler=_cmd_bounds)
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--q", type=int)
     p.add_argument("--t", type=int)
-    p.add_argument("--eps", default="1/2")
+    p.add_argument("--eps", type=Fraction, default="1/2")
     p.add_argument(
         "--table",
         nargs=4,
+        action=_TableArgs,
         metavar=("QMIN", "QMAX", "K", "EPS"),
         help="predicted exact values r = q^2 + t over admissible (q, t)",
     )
@@ -155,6 +160,7 @@ def _build_parser() -> argparse.ArgumentParser:
     csub = p.add_subparsers(dest="construct_command", required=True)
 
     c = csub.add_parser("er-subgraph", help="induced subgraph of ER_q with a degree floor")
+    c.set_defaults(handler=_cmd_er_subgraph)
     c.add_argument("--q", type=int, required=True)
     c.add_argument("--order", type=int, required=True)
     c.add_argument("--min-deg", type=int, required=True)
@@ -162,12 +168,13 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--out", metavar="FILE.g6")
 
     c = csub.add_parser("random-delete", help="randomized thinning of ER_p")
+    c.set_defaults(handler=_cmd_random_delete)
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--k", type=int, required=True)
     c.add_argument("--m", type=int)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--c", dest="c_const", type=int, default=6)
-    c.add_argument("--alpha", default="21/80")
+    c.add_argument("--alpha", type=Fraction, default="21/80")
     c.add_argument("--max-attempts", type=int, default=1000)
     c.add_argument("--out", metavar="FILE.g6")
 
@@ -175,6 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ssub = p.add_subparsers(dest="search_command", required=True)
 
     s = ssub.add_parser("exact", help="decide r(C4, B_n^(k)) vs a given order")
+    s.set_defaults(handler=_cmd_search_exact)
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--N", dest="order", type=int, required=True)
@@ -182,6 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", metavar="FILE.g6")
 
     s = ssub.add_parser("gq", help="hunt for a member of the q^2+q+3 witness family")
+    s.set_defaults(handler=_cmd_search_gq)
     s.add_argument("--q", type=int, required=True)
     s.add_argument("--budget", type=_budget_int, default=10**6)
     s.add_argument("--seed", type=int, default=0)
@@ -215,7 +224,7 @@ def _cmd_field(args, run) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_er(args, run) -> tuple[int, dict, list[str]]:
-    g = _cached_er_graph(args.q)
+    g = geometry.er_graph(args.q)
     field = gf.field_new(*gf.prime_power_decompose(args.q))
     absolutes = geometry.absolute_points(field)
     histogram: dict[int, int] = {}
@@ -227,11 +236,8 @@ def _cmd_er(args, run) -> tuple[int, dict, list[str]]:
         "size": g.edge_count(),
         "degree_histogram": {str(k): v for k, v in sorted(histogram.items())},
         "absolute_points": absolutes,
-        "graph6": graphcore.g6_encode(g).decode("ascii"),
     }
-    if args.out:
-        run.write_bytes(args.out, graphcore.g6_encode(g) + b"\n")
-        artifact["out"] = args.out
+    run.attach_graph(artifact, g, args.out)
     lines = [
         f"ER_{args.q}: order {g.n}, size {g.edge_count()}",
         "degrees: " + ", ".join(f"{k}x{v}" for k, v in sorted(histogram.items())),
@@ -254,14 +260,7 @@ def _cmd_check(args, run) -> tuple[int, dict, list[str]]:
         lines.append(f"C4-free: {ok}" + (f" (witness {witness})" if witness else ""))
     if args.kst or do_all:
         chk = graphcore.kst_check(g)
-        artifact["kst"] = {
-            "lhs": chk.lhs,
-            "rhs_basic": chk.rhs_basic,
-            "p": chk.p,
-            "rhs_refined": chk.rhs_refined,
-            "holds_basic": chk.holds_basic,
-            "holds_refined": chk.holds_refined,
-        }
+        artifact["kst"] = asdict(chk)
         lines.append(
             f"pair counts: lhs={chk.lhs} rhs={chk.rhs_basic} p={chk.p} "
             f"refined={chk.rhs_refined} holds={chk.holds_basic}/{chk.holds_refined}"
@@ -276,14 +275,8 @@ def _cmd_check(args, run) -> tuple[int, dict, list[str]]:
 def _cmd_verify(args, run) -> tuple[int, dict, list[str]]:
     g = run.read_graph(args.file)
     ok = ramsey.is_ramsey_witness(g, args.k, args.n)
-    artifact = {
-        "file": args.file,
-        "order": g.n,
-        "k": args.k,
-        "n": args.n,
-        "witness": ok,
-        "graph6": graphcore.g6_encode(g).decode("ascii"),
-    }
+    artifact = {"file": args.file, "order": g.n, "k": args.k, "n": args.n, "witness": ok}
+    run.attach_graph(artifact, g)
     if ok:
         artifact["implied_bound"] = f"r(C4, B_{args.n}^({args.k})) >= {g.n + 1}"
         lines = [f"witness: r(C4, B_{args.n}^({args.k})) >= {g.n + 1}"]
@@ -297,15 +290,14 @@ def _cmd_certify(args, run) -> tuple[int, dict, list[str]]:
         cert = ramsey.certify_lower_bound(g, args.k, note=f"input file {args.file}")
     except NotC4Free as exc:
         return 1, {"file": args.file, "certified": False, "reason": str(exc)}, [f"refused: {exc}"]
-    artifact = cert.as_dict()
-    artifact["graph6"] = graphcore.g6_encode(g).decode("ascii")
+    artifact = asdict(cert)
+    run.attach_graph(artifact, g)
     return 0, artifact, [cert.implied_bound]
 
 
 def _cmd_bounds(args, run) -> tuple[int, dict, list[str]]:
     if args.table:
-        qmin, qmax, k = int(args.table[0]), int(args.table[1]), int(args.table[2])
-        eps = Fraction(args.table[3])
+        qmin, qmax, k, eps = args.table
         rows = bounds.theorem15_table(qmin, qmax, k, eps)
         artifact = {"table": rows, "k": k, "eps": str(eps)}
         lines = [f"q^2+t family, k={k}, eps={eps}:"] + [
@@ -316,7 +308,7 @@ def _cmd_bounds(args, run) -> tuple[int, dict, list[str]]:
     if args.n is None or args.k is None:
         raise C4BookError("bounds needs --n and --k (or --table)")
     report = bounds.bound_report(args.n, args.k)
-    artifact = report.as_dict()
+    artifact = asdict(report)
     lines = [
         f"r(C4, B_{args.n}^({args.k})): lower {report.lower} ({report.lower_provenance})",
         f"  upper {report.upper} ({report.upper_provenance})",
@@ -324,7 +316,7 @@ def _cmd_bounds(args, run) -> tuple[int, dict, list[str]]:
     if report.exact is not None:
         lines.append(f"  exact: {report.exact}")
     if args.q is not None and args.t is not None:
-        params = bounds.bounds_params(args.k, args.q, args.t, Fraction(args.eps))
+        params = bounds.bounds_params(args.k, args.q, args.t, args.eps)
         artifact["params"] = {
             "a_k": params.a_k,
             "b_k": params.b_k,
@@ -338,31 +330,29 @@ def _cmd_bounds(args, run) -> tuple[int, dict, list[str]]:
     return 0, artifact, lines
 
 
-def _cmd_construct(args, run) -> tuple[int, dict, list[str]]:
-    if args.construct_command == "er-subgraph":
-        g = _cached_er_graph(args.q)
-        try:
-            verts = search.greedy_min_degree_subgraph(g, args.order, args.min_deg, args.budget)
-        except BudgetExhausted as exc:
-            return 1, {"found": False, "reason": str(exc), "budget": args.budget}, [str(exc)]
-        if verts is None:
-            return 1, {"found": False, "reason": "search space exhausted; no such subgraph"}, [
-                "no qualifying induced subgraph exists"
-            ]
-        sub = graphcore.induced_subgraph(g, verts)
-        artifact = {
-            "found": True,
-            "q": args.q,
-            "order": sub.n,
-            "min_degree": min(sub.degrees()),
-            "vertices": list(verts),
-            "graph6": graphcore.g6_encode(sub).decode("ascii"),
-        }
-        if args.out:
-            run.write_bytes(args.out, graphcore.g6_encode(sub) + b"\n")
-            artifact["out"] = args.out
-        return 0, artifact, [f"found induced subgraph: order {sub.n}, min degree {min(sub.degrees())}"]
+def _cmd_er_subgraph(args, run) -> tuple[int, dict, list[str]]:
+    g = geometry.er_graph(args.q)
+    try:
+        verts = search.greedy_min_degree_subgraph(g, args.order, args.min_deg, args.budget)
+    except BudgetExhausted as exc:
+        return 1, {"found": False, "reason": str(exc), "budget": args.budget}, [str(exc)]
+    if verts is None:
+        return 1, {"found": False, "reason": "search space exhausted; no such subgraph"}, [
+            "no qualifying induced subgraph exists"
+        ]
+    sub = graphcore.induced_subgraph(g, verts)
+    artifact = {
+        "found": True,
+        "q": args.q,
+        "order": sub.n,
+        "min_degree": min(sub.degrees()),
+        "vertices": list(verts),
+    }
+    run.attach_graph(artifact, sub, args.out)
+    return 0, artifact, [f"found induced subgraph: order {sub.n}, min degree {min(sub.degrees())}"]
 
+
+def _cmd_random_delete(args, run) -> tuple[int, dict, list[str]]:
     run.seeds["construction"] = args.seed
     try:
         sub, record, cert = search.random_delete_construction(
@@ -371,7 +361,7 @@ def _cmd_construct(args, run) -> tuple[int, dict, list[str]]:
             seed=args.seed,
             m=args.m,
             c=args.c_const,
-            alpha=Fraction(args.alpha),
+            alpha=args.alpha,
             max_attempts=args.max_attempts,
         )
     except (AsymptoticRegimeNotReached, AttemptsExhausted) as exc:
@@ -379,45 +369,36 @@ def _cmd_construct(args, run) -> tuple[int, dict, list[str]]:
         if isinstance(exc, AsymptoticRegimeNotReached) and exc.min_n is not None:
             artifact["min_n_for_defaults"] = exc.min_n
         return 1, artifact, [str(exc)]
-    artifact = {
-        "found": True,
-        "run": record.as_dict(),
-        "certificate": cert.as_dict(),
-        "graph6": graphcore.g6_encode(sub).decode("ascii"),
-    }
-    if args.out:
-        run.write_bytes(args.out, graphcore.g6_encode(sub) + b"\n")
-        artifact["out"] = args.out
+    artifact = {"found": True, "run": asdict(record), "certificate": asdict(cert)}
+    run.attach_graph(artifact, sub, args.out)
     return 0, artifact, [
         f"order {sub.n}, min degree {min(sub.degrees())}, attempts {record.attempts}",
         cert.implied_bound,
     ]
 
 
-def _cmd_search(args, run, jobs: int) -> tuple[int, dict, list[str]]:
-    if args.search_command == "exact":
-        result = search.exhaust_ramsey(
-            args.order, args.k, args.n, jobs=jobs, use_pruner=not args.no_prune
-        )
-        if isinstance(result, Graph):
-            artifact = {
-                "witness_found": True,
-                "order": result.n,
-                "k": args.k,
-                "n": args.n,
-                "implied_bound": f"r(C4, B_{args.n}^({args.k})) >= {result.n + 1}",
-                "graph6": graphcore.g6_encode(result).decode("ascii"),
-            }
-            if args.out:
-                run.write_bytes(args.out, graphcore.g6_encode(result) + b"\n")
-                artifact["out"] = args.out
-            return 0, artifact, [artifact["implied_bound"]]
-        artifact = {"witness_found": False, "exhaustion_proof": result.as_dict()}
-        artifact["implied_bound"] = f"r(C4, B_{args.n}^({args.k})) <= {args.order}"
-        return 1, artifact, [
-            f"exhausted {result.graphs_examined} graphs: {artifact['implied_bound']}"
-        ]
+def _cmd_search_exact(args, run) -> tuple[int, dict, list[str]]:
+    result = search.exhaust_ramsey(
+        args.order, args.k, args.n, jobs=args.jobs, use_pruner=not args.no_prune
+    )
+    if isinstance(result, Graph):
+        artifact = {
+            "witness_found": True,
+            "order": result.n,
+            "k": args.k,
+            "n": args.n,
+            "implied_bound": f"r(C4, B_{args.n}^({args.k})) >= {result.n + 1}",
+        }
+        run.attach_graph(artifact, result, args.out)
+        return 0, artifact, [artifact["implied_bound"]]
+    artifact = {"witness_found": False, "exhaustion_proof": asdict(result)}
+    artifact["implied_bound"] = f"r(C4, B_{args.n}^({args.k})) <= {args.order}"
+    return 1, artifact, [
+        f"exhausted {result.graphs_examined} graphs: {artifact['implied_bound']}"
+    ]
 
+
+def _cmd_search_gq(args, run) -> tuple[int, dict, list[str]]:
     run.seeds["probe"] = args.seed
     found = search.probe_script_Gq(args.q, budget=args.budget, seed=args.seed)
     if found is None:
@@ -433,11 +414,8 @@ def _cmd_search(args, run, jobs: int) -> tuple[int, dict, list[str]]:
         "q": args.q,
         "order": found.n,
         "pages": args.q * args.q - args.q + 1,
-        "graph6": graphcore.g6_encode(found).decode("ascii"),
     }
-    if args.out:
-        run.write_bytes(args.out, graphcore.g6_encode(found) + b"\n")
-        artifact["out"] = args.out
+    run.attach_graph(artifact, found, args.out)
     return 0, artifact, [f"witness on {found.n} vertices found and re-verified"]
 
 
@@ -450,31 +428,8 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     run = _Run(argv)
     try:
-        if args.command == "field":
-            code, artifact, lines = _cmd_field(args, run)
-        elif args.command == "er":
-            code, artifact, lines = _cmd_er(args, run)
-        elif args.command == "check":
-            code, artifact, lines = _cmd_check(args, run)
-        elif args.command == "verify":
-            code, artifact, lines = _cmd_verify(args, run)
-        elif args.command == "certify":
-            code, artifact, lines = _cmd_certify(args, run)
-        elif args.command == "bounds":
-            code, artifact, lines = _cmd_bounds(args, run)
-        elif args.command == "construct":
-            code, artifact, lines = _cmd_construct(args, run)
-        elif args.command == "search":
-            code, artifact, lines = _cmd_search(args, run, args.jobs)
-        else:  # pragma: no cover
-            raise C4BookError(f"unknown command {args.command}")
-    except MalformedGraph6 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except C4BookError as exc:
+        code, artifact, lines = args.handler(args, run)
+    except (C4BookError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     run.emit(artifact, args.format, lines)

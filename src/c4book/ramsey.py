@@ -38,18 +38,6 @@ class LowerBoundCertificate:
     implied_bound: str             # "r(C4, B_{n*}^(k)) >= N+1"
     construction_note: str = ""
 
-    def as_dict(self) -> dict:
-        return {
-            "graph_hash": self.graph_hash,
-            "order": self.order,
-            "spine": self.spine,
-            "min_degree": self.min_degree,
-            "c4_free": self.c4_free,
-            "guaranteed_book_free_n": self.guaranteed_book_free_n,
-            "implied_bound": self.implied_bound,
-            "construction_note": self.construction_note,
-        }
-
 
 def complement_book_number(g: Graph, k: int, stop_at: int | None = None):
     """Largest n with B_n^(k) embedded in the complement of g.

@@ -138,21 +138,6 @@ class DeletionRun:
     attempts: int
     result_digest: str
 
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "alpha": str(self.alpha),
-            "c": self.c,
-            "p": self.p,
-            "order": self.order,
-            "m": self.m,
-            "d": self.d,
-            "seed": self.seed,
-            "attempts": self.attempts,
-            "result_digest": self.result_digest,
-        }
-
 
 def _attempt_rng(seed: int, attempt: int) -> random.Random:
     """Independent stream per attempt index, reproducible across schedulers."""
@@ -259,16 +244,6 @@ class ExhaustionProof:
     generator_version: str
     k: int | None = None
     n: int | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "graphs_examined": self.graphs_examined,
-            "all_rejected": self.all_rejected,
-            "generator_version": self.generator_version,
-            "k": self.k,
-            "n": self.n,
-        }
 
 
 def _c4_extension_masks(g: Graph) -> list[int]:
@@ -445,10 +420,6 @@ def count_c4_free_classes(order: int, jobs: int = 1) -> int:
     return proof.graphs_examined
 
 
-def _ramsey_visitor(g: Graph, k: int, n: int) -> bool:
-    return is_ramsey_witness(g, k, n)
-
-
 def _book_pruner(g: Graph, k: int, n: int) -> bool:
     """Keep a partial graph only while its complement is still B_n^(k)-free.
 
@@ -467,7 +438,7 @@ def exhaust_ramsey(order: int, k: int, n: int, jobs: int = 1, use_pruner: bool =
     A witness on `order` vertices proves r >= order + 1; an ExhaustionProof
     with all_rejected proves r <= order.
     """
-    visitor = partial(_ramsey_visitor, k=k, n=n)
+    visitor = partial(is_ramsey_witness, k=k, n=n)
     pruner = partial(_book_pruner, k=k, n=n) if use_pruner else None
     return _enumerate(order, True, pruner, visitor, jobs, meta_k=k, meta_n=n)
 

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: exit codes, JSON artifacts, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -58,6 +59,114 @@ GF9_TABLE_ARTIFACT = {
         [0, 8, 4, 7, 3, 2, 5, 1, 6],
     ],
 }
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# Each command's exit code and the sha256 of its JSON artifact+manifest and of
+# its table-format stdout, run in a fresh directory with relative file names.
+PINNED = [
+    pytest.param(
+        ("field", "3", "2", "--table"), 0,
+        "c1513c30bc1c980023db6d0c8191f40620a53121192aad46bfc7b69bbeb55475",
+        "cea3d8d79dc86fec6f881e2430a59daa8d1bbe82f59ac46689ff93d5c95125fb",
+        id="field",
+    ),
+    pytest.param(
+        ("er", "5", "--out", "er5.g6"), 0,
+        "ad49cc05bf7ecb97e553f4eec1ccebd6d2904635fbd98c41de7d39059b769562",
+        "e0e614437deab50de4dd990320119015976177a4161bb1cfcfa4a97c95556370",
+        id="er",
+    ),
+    pytest.param(
+        ("check", "er5.g6"), 0,
+        "0daf71e87bba53c70a0470ca782e1bb8bf191452de13f6190443691588a859b3",
+        "d6c8c630cdb78b1d1c76cbeb299570c3b5119e1994275477dca66b78ce2c67ef",
+        id="check",
+    ),
+    pytest.param(
+        ("verify", "er5.g6", "--k", "2", "--n", "20"), 1,
+        "ed834547b6ed0917f06ba37834771843ea0a3049de2f55b65def779f55f224e9",
+        "6f37560461ce19a2aa69b4896f1c212441ac5de0ad6d10cb0a4d4128b8439147",
+        id="verify",
+    ),
+    pytest.param(
+        ("certify", "er5.g6", "--k", "3"), 0,
+        "52569bc020eb1437dde7d67540750895e2f9fcf506b6d3f883b726263951a2d2",
+        "c331abfd1abacf7b73166e83d1d84c7515fc26ac6d56a2c6f7f5dd31c8f11970",
+        id="certify",
+    ),
+    pytest.param(
+        ("certify", "c4.g6", "--k", "1"), 1,
+        "321999ed44ec6b19e329f555bf3f441fb45677f34cfbb45c09f709066e1fc580",
+        "56e262cf7c33b1b0c7ed19c0d6e78cc70ff6beb588e001f38d0c9205b27d3a40",
+        id="certify-c4",
+    ),
+    pytest.param(
+        ("bounds", "--n", "46", "--k", "3", "--q", "8", "--t", "6", "--eps", "1/4"), 0,
+        "f63761af23f3e0a6da2e13329dec1c34e3b585726d6d31e89501d56282738416",
+        "f086c4950f2979fb120f03ef2d4542e2907a902f1b06f3faab6adb533cf02d19",
+        id="bounds-params",
+    ),
+    pytest.param(
+        ("bounds", "--table", "7", "9", "3", "0.25"), 0,
+        "a7811232c697fe769722313581a490a3d33cd4af93ac5438b39d4781fe5a0a29",
+        "ca68958822c078f461e32d959d52243f42b4ce90109d0ef13bc93380e0f2ad9b",
+        id="bounds-table",
+    ),
+    pytest.param(
+        ("construct", "er-subgraph", "--q", "4", "--order", "18", "--min-deg",
+         "4", "--budget", "1e6", "--out", "sub.g6"), 0,
+        "24d030abf6549a68c5bb63edb45d84c2ac4aa1888c933aa0e0ad9fb94fd5251d",
+        "e2398060e0fb11d9ccbb305928995dab8200e651563cfc3738d0e320679086c8",
+        id="er-subgraph",
+    ),
+    pytest.param(
+        ("construct", "random-delete", "--n", "100", "--k", "2", "--m",
+         "7", "--seed", "5", "--out", "rd.g6"), 0,
+        "05bdaa6826e9ec4b39b29483c67bd7b45e4b11177a197b1f966fe55f08357ad3",
+        "aa8e2d4273f9d9c0422f7beafa8a559cb602c1cba1b7dc8308103d3dd8f0c746",
+        id="random-delete",
+    ),
+    pytest.param(
+        ("construct", "random-delete", "--n", "100", "--k", "2"), 1,
+        "de332e16fa6b4ef0e6b5ba69f8ed0a5943d6a7516e470277968ac570689db01f",
+        "229bfa730f44989dd8c5f85b1072dea6e714902f1aa9e03f1d4f97495fcc5743",
+        id="random-delete-regime",
+    ),
+    pytest.param(
+        ("search", "exact", "--k", "2", "--n", "3", "--N", "8", "--out", "w.g6"), 0,
+        "6860c05f1fb7480bb15c356e099cc6653f1e1d58149bff6aa5c53cbd83450596",
+        "8d53e3e30cc3f51b6509310778c27db103d0279819cddecde81faf92d4b93482",
+        id="exact-witness",
+    ),
+    pytest.param(
+        ("search", "exact", "--k", "2", "--n", "3", "--N", "9"), 1,
+        "a4aaec9d0b5128a4283412a4c52da8f08a9a1cc22fb6dd91881406a659a6847b",
+        "c761eda1fe7e4b95f74053ebc8c0e0a528aaf1e77fc6ea3681eb656f2956572f",
+        id="exact-proof",
+    ),
+    pytest.param(
+        ("search", "gq", "--q", "2", "--budget", "2e4", "--seed", "1"), 1,
+        "9c9ec4cf2444be2e545e2b5a175a59e4e91200113b5996db94c3d8f97430615f",
+        "5acd4d80ec65bc2d75f56dc2c1b9dea2c44463f69c05b1138791a0fb8f0d75f7",
+        id="gq",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, code, json_sha, table_sha", PINNED)
+def test_pinned_output(capsys, tmp_path, monkeypatch, argv, code, json_sha, table_sha):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "er5.g6").write_bytes(g6_encode(cb.er_graph(5)) + b"\n")
+    (tmp_path / "c4.g6").write_bytes(g6_encode(cycle_graph(4)) + b"\n")
+    got_code, out = run_cli(capsys, *argv)
+    assert (got_code, _sha(out)) == (code, table_sha)
+    got_code, doc = run_json(capsys, *argv)
+    pinned = json.dumps({"artifact": doc["artifact"], "manifest": doc["manifest"]}, sort_keys=True)
+    assert (got_code, _sha(pinned)) == (code, json_sha)
 
 
 def test_field_table(capsys):
@@ -202,8 +311,35 @@ def test_malformed_graph6_exit_2(capsys, tmp_path):
     assert "byte offset" in err
 
 
-def test_missing_file_exit_2(capsys):
-    assert main(["check", "/nonexistent/path.g6"]) == 2
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "missing.g6"],
+        ["check", "."],
+        ["er", "3", "--out", "."],
+    ],
+    ids=["missing", "dir-input", "dir-out"],
+)
+def test_missing_file_exit_2(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--n", "5", "--k", "3", "--q", "8", "--t", "2", "--eps", "abc"],
+        ["bounds", "--table", "7", "x", "3", "0.25"],
+        ["construct", "random-delete", "--n", "100", "--k", "2", "--m", "7", "--alpha", "bad"],
+        ["construct", "er-subgraph", "--q", "4", "--order", "18", "--min-deg", "4", "--budget", "1e400"],
+    ],
+    ids=["eps", "table", "alpha", "budget-overflow"],
+)
+def test_bad_number_exit_2(capsys, argv):
+    assert main(argv) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_usage_error_exit_2(capsys):
@@ -223,19 +359,6 @@ def test_internal_inconsistency_exit_2(capsys, monkeypatch, c6_file):
     code = main(["certify", c6_file, "--k", "1"])
     assert code == 2
     assert "certificate unsound" in capsys.readouterr().err
-
-
-def test_er_cache_env(capsys, tmp_path, monkeypatch):
-    cache = tmp_path / "cache"
-    monkeypatch.setenv("RAMSEY_BOOK_CACHE", str(cache))
-    code, _ = run_json(capsys, "er", "5", "--stats")
-    assert code == 0
-    cached = cache / "er_5.g6"
-    assert cached.exists()
-    assert cb.g6_decode(cached.read_bytes().strip()) == cb.er_graph(5)
-    # second run loads from the cache file
-    code, doc = run_json(capsys, "er", "5", "--stats")
-    assert code == 0 and doc["artifact"]["order"] == 31
 
 
 def test_table_format_output(capsys):
