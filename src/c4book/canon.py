@@ -1,13 +1,23 @@
 """Canonical forms via iterated degree refinement with backtracking.
 
 Self-contained: equitable partition refinement, individualization on the
-first smallest non-singleton cell, and a search over the refinement tree
+first largest non-singleton cell, and a search over the refinement tree
 keeping the lexicographically largest adjacency encoding.  Automorphisms
 discovered from equal leaves prune sibling branches; pruning only skips
 subtrees that a known automorphism maps onto an explored one, so the
 canonical form itself is exact.
 
-Intended for the small orders the exhaustive searches need (n <= ~16).
+Refinement only visits the cells a splitter's neighborhood reaches, so a
+splitter costs in proportion to its neighborhood, not to the number of
+cells; that is what makes polarity graphs with hundreds of vertices
+affordable, not only the exhaustive searches' tiny graphs.
+
+The ordered partition that ``_refine`` returns, down to the order inside
+each cell, is frozen: it fixes the search tree, hence every canonical
+labeling, and through it the ``graph_hash`` in each certificate and every
+canonical witness.  A faster refinement is admissible only if it returns
+the same cells in the same order; rules that reorder cells, such as
+queueing all but the largest part of a split, change every canonical form.
 """
 
 from __future__ import annotations
@@ -22,46 +32,104 @@ from .graphcore import Graph, g6_encode
 def _refine(rows, cells):
     """Equitable refinement via a worklist of splitter cells.
 
-    Each splitter partitions every other cell by neighbor count into it;
-    sub-cells replace their cell in position, ordered by count, and are
-    queued as new splitters.  Position-stable splice plus count-ordered
-    sub-cells keeps the ordered partition isomorphism-equivariant, and the
-    worklist avoids rescanning settled cells on large graphs.
+    The ordered partition lives in one flat list ``perm``; a cell is the
+    slice ``perm[s:end[s]]`` and is named by its start ``s``, with
+    ``cell_of[v]`` the start of the cell holding ``v`` and ``cmask[s]`` the
+    vertex mask of a non-singleton cell.  Each splitter S partitions the
+    non-singleton cells that meet N(S), the union of its rows, by neighbor
+    count into S: sub-cells replace their cell in position, ordered by
+    count, stable inside each count, and are queued as new splitters.  A
+    cell outside N(S) has count 0 throughout and cannot split, so skipping
+    it leaves the result unchanged.  A queued ``(start, stamp)`` entry goes
+    stale once the cell at that start splits (its parts are queued
+    themselves).
     """
-    cells = [list(c) for c in cells]
-    live = {id(c) for c in cells}
-    queue = deque(cells)
-    queued = {id(c) for c in cells}
+    n = len(rows)
+    perm = []
+    cell_of = [0] * n
+    end = {}
+    cmask = {}  # start -> vertex mask, for non-singleton cells only
+    active = 0  # vertices in non-singleton cells, the only ones that can split
+    for c in cells:
+        if not c:
+            continue
+        s = len(perm)
+        perm.extend(c)
+        end[s] = len(perm)
+        for v in c:
+            cell_of[v] = s
+        if len(c) > 1:
+            m = 0
+            for v in c:
+                m |= 1 << v
+            cmask[s] = m
+            active |= m
+    stamp = dict.fromkeys(end, 0)
+    queue = deque((s, 0) for s in end)
     while queue:
-        splitter = queue.popleft()
-        queued.discard(id(splitter))
-        if id(splitter) not in live:
+        s, st = queue.popleft()
+        if stamp[s] != st:
             continue  # already split; its parts are (or were) queued
-        smask = 0
-        for v in splitter:
+        seg = perm[s : end[s]]
+        smask = nbhd = 0
+        for v in seg:
             smask |= 1 << v
-        i = 0
-        while i < len(cells):
-            cell = cells[i]
-            if len(cell) == 1:
-                i += 1
-                continue
-            groups: dict = {}
-            for v in cell:
-                groups.setdefault((rows[v] & smask).bit_count(), []).append(v)
-            if len(groups) == 1:
-                i += 1
-                continue
-            parts = [groups[key] for key in sorted(groups)]
-            cells[i : i + 1] = parts
-            live.discard(id(cell))
-            queued.discard(id(cell))
-            for part in parts:
-                live.add(id(part))
-                queue.append(part)
-                queued.add(id(part))
-            i += len(parts)
-    return cells
+            nbhd |= rows[v]
+        hit = []
+        touched = nbhd & active
+        while touched:
+            t = cell_of[(touched & -touched).bit_length() - 1]
+            hit.append(t)
+            touched &= ~cmask[t]
+        hit.sort()
+        for t in hit:
+            cell = perm[t : end[t]]
+            m = cmask[t]
+            if len(seg) == 1:
+                # counts are 0 or 1: non-neighbors first, then neighbors
+                inside = m & nbhd
+                if inside == m:
+                    continue
+                parts = [
+                    ([v for v in cell if not nbhd >> v & 1], m ^ inside),
+                    ([v for v in cell if nbhd >> v & 1], inside),
+                ]
+            else:
+                groups: dict = {}
+                for v in cell:
+                    groups.setdefault((rows[v] & smask).bit_count(), []).append(v)
+                if len(groups) == 1:
+                    continue
+                parts = []
+                for key in sorted(groups):
+                    part = groups[key]
+                    pm = 0
+                    for v in part:
+                        pm |= 1 << v
+                    parts.append((part, pm))
+            stamp[t] += 1
+            del cmask[t]
+            pos = t
+            for part, pm in parts:
+                nxt = pos + len(part)
+                perm[pos:nxt] = part
+                end[pos] = nxt
+                if pos != t:
+                    stamp[pos] = 0
+                    for v in part:
+                        cell_of[v] = pos
+                if nxt - pos == 1:
+                    active ^= pm
+                else:
+                    cmask[pos] = pm
+                queue.append((pos, stamp[pos]))
+                pos = nxt
+    out = []
+    s = 0
+    while s < len(perm):
+        out.append(perm[s : end[s]])
+        s = end[s]
+    return out
 
 
 def _pack_chunks(chunks):
@@ -92,19 +160,18 @@ def _leaf_key(rows, order):
     order, so the first C(t,2) bits depend only on the first t positions.
     That is what lets partial labelings be compared against the incumbent.
     """
-    t = len(order)
-    pos = [-1] * len(rows)
+    pos = [0] * len(rows)
     for i, v in enumerate(order):
         pos[v] = i
     chunks = []
-    for j in range(1, t):
-        row = rows[order[j]]
+    before = 0  # the vertices at positions < j
+    for j in range(1, len(order)):
+        before |= 1 << order[j - 1]
+        row = rows[order[j]] & before
         chunk = 0
         while row:
             low = row & -row
-            w = pos[low.bit_length() - 1]
-            if 0 <= w < j:
-                chunk |= 1 << w
+            chunk |= 1 << pos[low.bit_length() - 1]
             row ^= low
         chunks.append((chunk, j))
     return _pack_chunks(chunks)
@@ -162,14 +229,33 @@ class _Search:
             key=lambda i: (len(cells[i]), -i),
         )
         cell = cells[idx]
+        # Orbit pruning: skip v when a known automorphism fixing the
+        # individualized prefix pointwise maps a tried sibling onto it.
+        # Generators accumulate while the cell is scanned, so each new one
+        # is folded into this frame's union-find before the next candidate.
+        parent = {v: v for v in cell}
+
+        def find(v):
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            return v
+
+        folded = 0
         tried = []
         for v in cell:
-            # Orbit pruning: skip v when a known automorphism fixing the
-            # individualized prefix pointwise maps a tried sibling onto it.
-            # The lookup is rebuilt per candidate because generators
-            # accumulate while the cell is being scanned.
-            orbit = self._orbit_lookup(cell, prefix)
-            if any(orbit[v] == orbit[u] for u in tried):
+            for g in self.gens[folded:]:
+                if any(g[x] != x for x in prefix):
+                    continue
+                for u in cell:
+                    w = g[u]
+                    if w in parent:
+                        ru, rw = find(u), find(w)
+                        if ru != rw:
+                            parent[ru] = rw
+            folded = len(self.gens)
+            rv = find(v)
+            if any(find(u) == rv for u in tried):
                 continue
             branched = cells[:idx] + [[v], [w for w in cell if w != v]] + cells[idx + 1 :]
             self.descend(_refine(self.rows, branched), prefix + [v])
@@ -190,28 +276,6 @@ class _Search:
         nbits = t * (t - 1) // 2
         best_prefix = self.best_key >> (self.n * (self.n - 1) // 2 - nbits)
         return partial < best_prefix
-
-    def _orbit_lookup(self, cell, prefix):
-        """Map each cell vertex to its orbit root under prefix-fixing generators."""
-        parent = {v: v for v in cell}
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        pref = set(prefix)
-        for g in self.gens:
-            if any(g[x] != x for x in pref):
-                continue
-            for v in cell:
-                w = g[v]
-                if w in parent:
-                    ra, rb = find(v), find(w)
-                    if ra != rb:
-                        parent[ra] = rb
-        return {v: find(v) for v in cell}
 
 
 def canonical_form(g: Graph) -> CanonicalForm:

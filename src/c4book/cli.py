@@ -85,10 +85,14 @@ class _Run:
 
 
 def _budget_int(text: str) -> int:
+    """A search limit: a positive count, scientific notation allowed."""
     try:
-        return int(float(text))
+        value = int(float(text))
     except (OverflowError, ValueError):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
+    return value
 
 
 class _TableArgs(argparse.Action):
@@ -175,7 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--c", dest="c_const", type=int, default=6)
     c.add_argument("--alpha", type=Fraction, default="21/80")
-    c.add_argument("--max-attempts", type=int, default=1000)
+    c.add_argument("--max-attempts", type=_budget_int, default=1000)
     c.add_argument("--out", metavar="FILE.g6")
 
     p = sub.add_parser("search", help="exhaustive or heuristic witness search")

@@ -7,6 +7,8 @@ immutable after construction; all queries are read-only.
 
 from __future__ import annotations
 
+import binascii
+import re
 from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Optional
@@ -277,24 +279,42 @@ def _g6_order_bytes(n: int) -> bytes:
     )
 
 
+# graph6 packs 6 bits per byte as 63 + value; base64 packs the same bit
+# stream 6 bits per character, so translating its alphabet gives graph6.
+# The codec works on '0'/'1' strings one piece at a time, so its working
+# memory stays near the piece size rather than eight times the output.
+_B64_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_B64_TO_G6 = bytes.maketrans(_B64_ALPHABET, bytes(range(63, 127)))
+_G6_TO_B64 = bytes.maketrans(bytes(range(63, 127)), _B64_ALPHABET)
+_G6_BAD_BYTE = re.compile(rb"[^\x3f-\x7e]")
+_G6_PIECE = 1 << 14  # graph6 bytes per piece; a multiple of 4 (= 24 bits)
+
+
+def _g6_pack(bits: str) -> bytes:
+    """graph6 bytes of a '0'/'1' string whose length is a multiple of 24."""
+    if not bits:
+        return b""
+    raw = int(bits, 2).to_bytes(len(bits) // 8, "big")
+    return binascii.b2a_base64(raw, newline=False).translate(_B64_TO_G6)
+
+
 def g6_encode(g: Graph) -> bytes:
     if g.n > GRAPH6_MAX_ORDER:
         raise ValueError(f"order {g.n} exceeds graph6 limit")
-    out = bytearray(_g6_order_bytes(g.n))
-    acc = 0
-    nbits = 0
+    out = [_g6_order_bytes(g.n)]
+    # bit order: column v = 1..n-1, row u = 0..v-1, each column low bit first
+    cols, width = [], 0
     for v in range(1, g.n):
-        col = g.rows[v]
-        for u in range(v):
-            acc = acc << 1 | (col >> u & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(acc + 63)
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append((acc << (6 - nbits)) + 63)
-    return bytes(out)
+        cols.append(format(g.rows[v] & ((1 << v) - 1), f"0{v}b")[::-1])
+        width += v
+        if width >= 6 * _G6_PIECE:
+            bits = "".join(cols)
+            cut = width - width % 24
+            out.append(_g6_pack(bits[:cut]))
+            cols, width = [bits[cut:]], width - cut
+    cols.append("0" * (-width % 24))
+    out.append(_g6_pack("".join(cols))[: (width + 5) // 6])
+    return b"".join(out)
 
 
 def g6_decode(data: bytes) -> Graph:
@@ -303,9 +323,9 @@ def g6_decode(data: bytes) -> Graph:
     data = data.rstrip(b"\r\n")
     if not data:
         raise MalformedGraph6("empty input", 0)
-    for i, byte in enumerate(data):
-        if not 63 <= byte <= 126:
-            raise MalformedGraph6(f"byte {byte} outside graph6 range", i)
+    bad = _G6_BAD_BYTE.search(data)
+    if bad:
+        raise MalformedGraph6(f"byte {data[bad.start()]} outside graph6 range", bad.start())
     pos = 0
     if data[0] != 126:
         n = data[0] - 63
@@ -330,18 +350,18 @@ def g6_decode(data: bytes) -> Graph:
             min(pos + need, len(data)),
         )
     rows = [0] * n
-
-    def bit_stream():
-        for byte in data[pos:]:
-            group = byte - 63
-            for shift in range(5, -1, -1):
-                yield group >> shift & 1
-
-    stream = bit_stream()
-    # bit order: column v = 1..n-1, row u = 0..v-1
-    for v in range(1, n):
-        for u in range(v):
-            if next(stream):
+    bits, off, v = "", 0, 1
+    for start in range(pos, len(data), _G6_PIECE):
+        piece = data[start : start + _G6_PIECE].translate(_G6_TO_B64)
+        raw = binascii.a2b_base64(piece + b"A" * (-len(piece) % 4))
+        bits = bits[off:] + format(int.from_bytes(raw, "big"), f"0{len(raw) * 8}b")
+        off = 0
+        # pad bits after the last column are never read
+        while v < n and off + v <= len(bits):
+            col = int(bits[off : off + v][::-1], 2)
+            off += v
+            rows[v] |= col
+            for u in _bits(col):
                 rows[u] |= 1 << v
-                rows[v] |= 1 << u
+            v += 1
     return Graph(n, rows, _trusted=True)

@@ -64,6 +64,8 @@ def greedy_min_degree_subgraph(g: Graph, target_order: int, min_deg: int, budget
         raise DomainError(f"target_order must be in [0, {n}]")
     if min_deg < 0:
         raise DomainError("min_deg must be >= 0")
+    if budget < 1:
+        raise DomainError(f"budget must be >= 1, got {budget}")
     rows = g.rows
     full = (1 << n) - 1
     nodes = 0
@@ -176,6 +178,8 @@ def random_delete_construction(
         raise DomainError(f"k must be >= 1, got {k}")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
+    if max_attempts < 1:
+        raise DomainError(f"max_attempts must be >= 1, got {max_attempts}")
     alpha = Fraction(alpha)
     if m is None:
         m = floor_sqrt_minus_power(n, c, alpha)
@@ -483,6 +487,8 @@ def probe_script_Gq(q: int, budget: int = 10**6, seed: int = 0):
     C4-free graphs and from thinned polarity graphs.  A returned graph is
     re-verified; exhausting the budget returns None and proves nothing.
     """
+    if budget < 1:
+        raise DomainError(f"budget must be >= 1, got {budget}")
     n = q * q + q + 3
     pages = q * q - q + 1
     rng = random.Random(seed)

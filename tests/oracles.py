@@ -3,10 +3,12 @@
 Everything here deliberately avoids the package's bitset kernels and
 canonical machinery: C4 detection enumerates vertex quadruples, book
 numbers use plain set arithmetic over combinations, isomorphism classes
-come from minimizing over all vertex permutations, and GF(p^e) arithmetic
-is polynomial multiplication and long division on coefficient tuples.
+come from minimizing over all vertex permutations, GF(p^e) arithmetic
+is polynomial multiplication and long division on coefficient tuples, and
+equitable refinement rescans every cell for every splitter.
 """
 
+from collections import deque
 from itertools import combinations, permutations
 import random
 
@@ -314,3 +316,44 @@ def line_graph_of_petersen() -> Graph:
             if set(e) & set(edges[j]):
                 adj.append((i, j))
     return Graph.from_edges(len(edges), adj)
+
+
+def refine_reference(rows, cells):
+    """Equitable refinement that rescans every cell for every splitter.
+
+    Splitters come off a FIFO worklist; each one partitions every
+    non-singleton cell by neighbor count into it, sub-cells replace their
+    cell in position ordered by count (stable inside a count) and are
+    queued.  A splitter split before its turn is skipped, its parts being
+    queued.  ``canon._refine`` must return exactly this ordered partition.
+    """
+    cells = [list(c) for c in cells]
+    live = {id(c) for c in cells}
+    queue = deque(cells)
+    while queue:
+        splitter = queue.popleft()
+        if id(splitter) not in live:
+            continue
+        smask = 0
+        for v in splitter:
+            smask |= 1 << v
+        i = 0
+        while i < len(cells):
+            cell = cells[i]
+            if len(cell) == 1:
+                i += 1
+                continue
+            groups: dict = {}
+            for v in cell:
+                groups.setdefault((rows[v] & smask).bit_count(), []).append(v)
+            if len(groups) == 1:
+                i += 1
+                continue
+            parts = [groups[key] for key in sorted(groups)]
+            cells[i : i + 1] = parts
+            live.discard(id(cell))
+            for part in parts:
+                live.add(id(part))
+                queue.append(part)
+            i += len(parts)
+    return cells

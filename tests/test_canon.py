@@ -2,18 +2,25 @@
 
 import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 import c4book as cb
-from c4book.canon import canonical_form, canonical_graph, canonical_key, graph_digest
+from c4book.canon import _refine, canonical_form, canonical_graph, canonical_key, graph_digest
+from c4book.geometry import er_graph
 from c4book.graphcore import Graph
 
-from oracles import cycle_graph, path_graph, perm_canonical_mask, random_graph
+from oracles import cycle_graph, path_graph, perm_canonical_mask, random_graph, refine_reference
+
+
+def relabeled(g: Graph, perm) -> Graph:
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 def shuffled_copy(g: Graph, rng: random.Random) -> Graph:
     perm = list(range(g.n))
     rng.shuffle(perm)
-    edges = [(perm[u], perm[v]) for u, v in g.edges()]
-    return Graph.from_edges(g.n, edges)
+    return relabeled(g, perm)
 
 
 def test_key_invariant_under_relabeling():
@@ -74,3 +81,85 @@ def test_empty_and_complete_graphs():
         full = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
         assert canonical_key(empty) != canonical_key(full) or n == 1
         assert canonical_graph(empty) == empty
+
+
+# -- refinement: the exact ordered partition of the reference --
+
+
+def random_partition(rng: random.Random, n: int) -> list:
+    order = list(range(n))
+    rng.shuffle(order)
+    labels = [rng.randrange(rng.randint(1, 4)) for _ in range(n)]
+    return [c for c in ([v for v in order if labels[v] == i] for i in range(4)) if c]
+
+
+def test_refine_matches_reference_on_random_graphs():
+    rng = random.Random(15)
+    for _ in range(400):
+        n = rng.randint(1, 18)
+        g = random_graph(rng, n, rng.random())
+        for cells in ([list(range(n))], random_partition(rng, n)):
+            assert _refine(g.rows, cells) == refine_reference(g.rows, cells)
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+def test_refine_matches_reference_on_polarity_graphs(q):
+    rows = er_graph(q).rows
+    unit = [list(range(len(rows)))]
+    equitable = _refine(rows, unit)
+    assert equitable == refine_reference(rows, unit)
+    # one vertex individualized in the first largest cell, as the search does
+    idx = max(range(len(equitable)), key=lambda i: (len(equitable[i]), -i))
+    cell = equitable[idx]
+    for v in cell:
+        cells = equitable[:idx] + [[v], [w for w in cell if w != v]] + equitable[idx + 1 :]
+        assert _refine(rows, cells) == refine_reference(rows, cells)
+
+
+# Certificates carry these digests as graph_hash, so a faster refinement or
+# search must leave them, and the search tree behind them, unchanged.
+@pytest.mark.parametrize(
+    "q, digest",
+    [
+        (9, "847d428a3f9a3428fc89bf7ecfdd182414f006d7c9856cc14e4f242639ceef18"),
+        (16, "f554bf44729e6709ab0dd79fe8adf8da0500085835658320ec102a1333365243"),
+        (17, "08626797df62df93a9445dd0f1d05aa5ec54ae6ff1af543affb53e5fac8a4110"),
+    ],
+)
+def test_polarity_graph_pinned_digest(q, digest):
+    assert graph_digest(er_graph(q)) == digest
+
+
+def test_polarity_graph_pinned_generator_count():
+    assert len(canonical_form(er_graph(17)).generators) == 35
+
+
+# -- properties over random graphs and relabelings --
+
+
+@st.composite
+def graphs_with_permutation(draw, max_n=14):
+    n = draw(st.integers(1, max_n))
+    bits = draw(st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    g = Graph.from_edges(n, [e for e, b in zip(pairs, bits) if b])
+    return g, draw(st.permutations(range(n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_with_permutation())
+def test_key_invariant_under_random_relabeling(case):
+    g, perm = case
+    assert canonical_key(relabeled(g, perm)) == canonical_key(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_with_permutation(), st.data())
+def test_refine_is_equivariant(case, data):
+    g, perm = case
+    labels = data.draw(st.lists(st.integers(0, 3), min_size=g.n, max_size=g.n))
+    order = data.draw(st.permutations(range(g.n)))
+    cells = [c for c in ([v for v in order if labels[v] == i] for i in range(4)) if c]
+    moved = [[perm[v] for v in c] for c in cells]
+    expected = [[perm[v] for v in c] for c in _refine(g.rows, cells)]
+    assert _refine(relabeled(g, perm).rows, moved) == expected

@@ -334,8 +334,13 @@ def test_missing_file_exit_2(capsys, tmp_path, monkeypatch, argv):
         ["bounds", "--table", "7", "x", "3", "0.25"],
         ["construct", "random-delete", "--n", "100", "--k", "2", "--m", "7", "--alpha", "bad"],
         ["construct", "er-subgraph", "--q", "4", "--order", "18", "--min-deg", "4", "--budget", "1e400"],
+        ["construct", "er-subgraph", "--q", "4", "--order", "18", "--min-deg", "4", "--budget", "-1"],
+        ["construct", "random-delete", "--n", "100", "--k", "2", "--m", "7", "--max-attempts", "0"],
+        ["search", "gq", "--q", "2", "--budget", "-5"],
+        ["search", "gq", "--q", "2", "--budget", "0.5"],
     ],
-    ids=["eps", "table", "alpha", "budget-overflow"],
+    ids=["eps", "table", "alpha", "budget-overflow", "budget-negative", "max-attempts-zero",
+         "gq-budget-negative", "gq-budget-fraction"],
 )
 def test_bad_number_exit_2(capsys, argv):
     assert main(argv) == 2

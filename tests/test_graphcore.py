@@ -198,24 +198,29 @@ def test_degree_profile_er3():
 def test_g6_fixed_values():
     assert cb.g6_encode(complete_graph(3)) == b"Bw"
     assert cb.g6_encode(Graph.empty(1)) == b"@"
+    assert cb.g6_decode(b"B~") == complete_graph(3)  # set pad bits are ignored
 
 
-def test_g6_against_networkx():
+def test_g6_against_networkx(monkeypatch):
     rng = random.Random(5)
-    for _ in range(200):
-        n = rng.randint(1, 30)
-        g = random_graph(rng, n, rng.random())
-        mine = cb.g6_encode(g)
-        nxg = nx.Graph()
-        nxg.add_nodes_from(range(n))
-        nxg.add_edges_from(g.edges())
-        theirs = nx.to_graph6_bytes(nxg, header=False).strip()
-        assert mine == theirs
-        # and decode agrees with networkx's decoder on our bytes
-        back = nx.from_graph6_bytes(mine)
-        assert set(back.edges()) == set(g.edges()) or set(
-            (min(e), max(e)) for e in back.edges()
-        ) == set(g.edges())
+    # a 4-byte piece (24 bits) makes columns straddle the codec's piece borders
+    for piece in (graphcore._G6_PIECE, 4):
+        monkeypatch.setattr(graphcore, "_G6_PIECE", piece)
+        for _ in range(200):
+            n = rng.randint(1, 30)
+            g = random_graph(rng, n, rng.random())
+            mine = cb.g6_encode(g)
+            nxg = nx.Graph()
+            nxg.add_nodes_from(range(n))
+            nxg.add_edges_from(g.edges())
+            theirs = nx.to_graph6_bytes(nxg, header=False).strip()
+            assert mine == theirs
+            # and decode agrees with networkx's decoder on our bytes
+            back = nx.from_graph6_bytes(mine)
+            assert set(back.edges()) == set(g.edges()) or set(
+                (min(e), max(e)) for e in back.edges()
+            ) == set(g.edges())
+            assert cb.g6_decode(mine) == g
 
 
 def test_g6_roundtrip():

@@ -61,6 +61,12 @@ def test_greedy_budget_exhausted():
         cb.greedy_min_degree_subgraph(er5, 20, 5, budget=1)
 
 
+@pytest.mark.parametrize("budget", [0, -1])
+def test_greedy_budget_below_one_rejected(budget):
+    with pytest.raises(DomainError):
+        cb.greedy_min_degree_subgraph(cb.er_graph(4), 18, 4, budget=budget)
+
+
 def test_greedy_postconditions_er8():
     er8 = cb.er_graph(8)
     for t in (0, 6, 7):
@@ -104,6 +110,9 @@ def test_random_delete_validation():
     assert err.value.min_n == 2075
     with pytest.raises(DomainError):
         cb.random_delete_construction(100, 2, seed=1, m=0)
+    for attempts in (0, -2):
+        with pytest.raises(DomainError):
+            cb.random_delete_construction(100, 2, seed=1, m=7, max_attempts=attempts)
 
 
 def test_random_delete_default_regime_boundary():
@@ -262,6 +271,12 @@ def test_probe_gq3_finds_witness():
 def test_probe_gq2_and_gq4_fail():
     assert cb.probe_script_Gq(2, budget=40_000, seed=2) is None
     assert cb.probe_script_Gq(4, budget=40_000, seed=2) is None
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_probe_budget_below_one_rejected(budget):
+    with pytest.raises(DomainError):
+        cb.probe_script_Gq(2, budget=budget)
 
 
 def test_probe_deterministic():
