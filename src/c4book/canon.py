@@ -84,29 +84,18 @@ def _refine(rows, cells):
         hit.sort()
         for t in hit:
             cell = perm[t : end[t]]
-            m = cmask[t]
-            if len(seg) == 1:
-                # counts are 0 or 1: non-neighbors first, then neighbors
-                inside = m & nbhd
-                if inside == m:
-                    continue
-                parts = [
-                    ([v for v in cell if not nbhd >> v & 1], m ^ inside),
-                    ([v for v in cell if nbhd >> v & 1], inside),
-                ]
-            else:
-                groups: dict = {}
-                for v in cell:
-                    groups.setdefault((rows[v] & smask).bit_count(), []).append(v)
-                if len(groups) == 1:
-                    continue
-                parts = []
-                for key in sorted(groups):
-                    part = groups[key]
-                    pm = 0
-                    for v in part:
-                        pm |= 1 << v
-                    parts.append((part, pm))
+            groups: dict = {}
+            for v in cell:
+                groups.setdefault((rows[v] & smask).bit_count(), []).append(v)
+            if len(groups) == 1:
+                continue
+            parts = []
+            for key in sorted(groups):
+                part = groups[key]
+                pm = 0
+                for v in part:
+                    pm |= 1 << v
+                parts.append((part, pm))
             stamp[t] += 1
             del cmask[t]
             pos = t

@@ -85,11 +85,14 @@ class _Run:
 
 
 def _budget_int(text: str) -> int:
-    """A search limit: a positive count, scientific notation allowed."""
+    """A search limit: a positive whole count, scientific notation allowed."""
     try:
-        value = int(float(text))
+        number = float(text)
+        value = int(number)
     except (OverflowError, ValueError):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}") from None
+    if value != number:
+        raise argparse.ArgumentTypeError(f"not a whole number: {text!r}")
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
     return value

@@ -338,9 +338,12 @@ def test_missing_file_exit_2(capsys, tmp_path, monkeypatch, argv):
         ["construct", "random-delete", "--n", "100", "--k", "2", "--m", "7", "--max-attempts", "0"],
         ["search", "gq", "--q", "2", "--budget", "-5"],
         ["search", "gq", "--q", "2", "--budget", "0.5"],
+        ["search", "gq", "--q", "2", "--budget", "1.9"],
+        ["construct", "random-delete", "--n", "100", "--k", "2", "--m", "7", "--max-attempts", "1.5"],
     ],
     ids=["eps", "table", "alpha", "budget-overflow", "budget-negative", "max-attempts-zero",
-         "gq-budget-negative", "gq-budget-fraction"],
+         "gq-budget-negative", "gq-budget-fraction", "gq-budget-not-whole",
+         "max-attempts-not-whole"],
 )
 def test_bad_number_exit_2(capsys, argv):
     assert main(argv) == 2
