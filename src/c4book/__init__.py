@@ -19,7 +19,7 @@ from .bounds import (
     theorem16_lower,
 )
 from .geometry import absolute_points, er_graph, projective_points
-from .gf import Field, FieldElement, elements, field_new
+from .gf import Field, field_new
 from .graphcore import (
     Graph,
     common_neighbors,
@@ -60,7 +60,6 @@ __all__ = [
     "DeletionRun",
     "ExhaustionProof",
     "Field",
-    "FieldElement",
     "Graph",
     "LowerBoundCertificate",
     "absolute_points",
@@ -71,7 +70,6 @@ __all__ = [
     "complement",
     "complement_book_number",
     "degree_profile",
-    "elements",
     "enumerate_c4_free",
     "enumerate_graphs",
     "er_graph",

@@ -218,9 +218,9 @@ def _cmd_field(args, run) -> tuple[int, dict, list[str]]:
     if args.table:
         if field.q > 64:
             raise C4BookError("operation tables are printed only for q <= 64")
-        elems = gf.elements(field)
-        add_table = [[field.index(a + b) for b in elems] for a in elems]
-        mul_table = [[field.index(a * b) for b in elems] for a in elems]
+        t, elems = field.tables, range(field.q)
+        add_table = [[t.add(a, b) for b in elems] for a in elems]
+        mul_table = [[t.mul(a, b) for b in elems] for a in elems]
         artifact["add_table"] = add_table
         artifact["mul_table"] = mul_table
         lines.append("add:")
@@ -231,8 +231,8 @@ def _cmd_field(args, run) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_er(args, run) -> tuple[int, dict, list[str]]:
-    g = geometry.er_graph(args.q)
     field = gf.field_new(*gf.prime_power_decompose(args.q))
+    g = geometry.er_graph(field)
     absolutes = geometry.absolute_points(field)
     histogram: dict[int, int] = {}
     for d in g.degrees():

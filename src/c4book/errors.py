@@ -21,10 +21,6 @@ class DivisionByZero(C4BookError):
     """Multiplicative inverse of zero requested."""
 
 
-class FieldMismatch(C4BookError):
-    """Operands belong to different fields."""
-
-
 class EmptyQuerySet(DomainError):
     """A nonempty vertex set was required."""
 

@@ -1,58 +1,35 @@
 """The projective plane PG(2, q) and the orthogonal polarity graph on it.
 
-Vertices are the q^2+q+1 normalized points; two distinct points are adjacent
-when their standard dot product vanishes.  The bilinear form is fixed as
+Vertices are the q^2+q+1 normalized points, each an (x, y, z) triple of
+field element indices; two distinct points are adjacent when their standard
+dot product vanishes.  The bilinear form is fixed as
 x1*y1 + x2*y2 + x3*y3: any non-degenerate symmetric form gives an isomorphic
 graph, and fixing one keeps every output reproducible byte-for-byte.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from . import gf
 from .errors import CapExceeded, InternalInconsistency
-from .gf import Field, FieldElement, field_new
+from .gf import Field, field_new, prime_power_decompose
 from .graphcore import Graph
 
 # Order guard: the graph needs (q^2+q+1)^2 adjacency bits.
 DEFAULT_GRAPH_Q_CAP = 128
 
 
-@dataclass(frozen=True)
-class ProjPoint:
-    """Normalized homogeneous coordinates: first nonzero entry is 1."""
+def projective_points(field: Field) -> list[tuple[int, int, int]]:
+    """The q^2+q+1 normalized points as element-index triples, in vertex order.
 
-    coords: tuple[FieldElement, FieldElement, FieldElement]
-
-    def dot(self, other: "ProjPoint") -> FieldElement:
-        a, b = self.coords, other.coords
-        return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-    def is_absolute(self) -> bool:
-        return not self.dot(self)
-
-
-def _point_coords(q: int) -> list[tuple[int, int, int]]:
-    """Element indices of the q^2+q+1 normalized points, in vertex order.
-
-    Index 0 is zero and 1 is one, so (1, y, z) is vertex y*q + z, (0, 1, z)
-    is vertex q^2 + z and (0, 0, 1) is vertex q^2 + q.
+    The first nonzero coordinate is 1.  Points with x = 1 come first in
+    lexicographic order, then (0, 1, z), then (0, 0, 1): since index 0 is zero
+    and 1 is one, (1, y, z) is vertex y*q + z, (0, 1, z) is vertex q^2 + z and
+    (0, 0, 1) is vertex q^2 + q.
     """
+    q = field.q
     points = [(1, y, z) for y in range(q) for z in range(q)]
     points += [(0, 1, z) for z in range(q)]
     points.append((0, 0, 1))
     return points
-
-
-def projective_points(field: Field) -> list[ProjPoint]:
-    """All q^2+q+1 points, deterministically ordered.
-
-    Points with x1 = 1 come first in lexicographic coordinate order, then
-    (0, 1, a), then (0, 0, 1).
-    """
-    elems = gf.elements(field)
-    return [ProjPoint(tuple(elems[c] for c in pt)) for pt in _point_coords(field.q)]
 
 
 def absolute_points(field: Field) -> list[int]:
@@ -60,7 +37,7 @@ def absolute_points(field: Field) -> list[int]:
     t = field.tables
     out = [
         i
-        for i, (x, y, z) in enumerate(_point_coords(field.q))
+        for i, (x, y, z) in enumerate(projective_points(field))
         if not t.add(t.add(t.mul(x, x), t.mul(y, y)), t.mul(z, z))
     ]
     if len(out) != field.q + 1:
@@ -87,7 +64,7 @@ def er_graph(field_or_q, q_cap: int = DEFAULT_GRAPH_Q_CAP) -> Graph:
     except degree q at the q+1 absolute points) is checked at build time,
     not assumed.
     """
-    field = field_or_q if isinstance(field_or_q, Field) else field_new(*_pp(field_or_q))
+    field = field_or_q if isinstance(field_or_q, Field) else field_new(*prime_power_decompose(field_or_q))
     q = field.q
     if q > q_cap:
         raise CapExceeded(f"q={q} polarity graph would have {q * q + q + 1} vertices")
@@ -102,7 +79,7 @@ def er_graph(field_or_q, q_cap: int = DEFAULT_GRAPH_Q_CAP) -> Graph:
     block = [y * q for y in elems]
     rows = []
     absolutes = []
-    for i, (u1, u2, u3) in enumerate(_point_coords(q)):
+    for i, (u1, u2, u3) in enumerate(projective_points(field)):
         if u3:
             # x = 1 gives z = a + b*y with a = -u1/u3, b = -u2/u3; x = 0 gives (0, 1, b)
             w = t.neg(t.inv(u3))
@@ -131,7 +108,3 @@ def er_graph(field_or_q, q_cap: int = DEFAULT_GRAPH_Q_CAP) -> Graph:
             raise InternalInconsistency(f"vertex {v} has degree {g.degree(v)}, expected {want}")
     return g
 
-
-def _pp(q: int) -> tuple[int, int]:
-    """Decompose a prime power q = p^e; raises if q is not one."""
-    return gf.prime_power_decompose(q)

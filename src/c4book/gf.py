@@ -4,9 +4,8 @@ An element is an integer index in 0..q-1: the base-p value of its coefficient
 vector (constant term first), a polynomial of degree < e over Z_p reduced
 modulo a fixed monic irreducible modulus.  Arithmetic runs on exp/log tables
 with Zech logarithms for addition (Lidl & Niederreiter, *Finite Fields*,
-ch. 9), built once per field on first use.  FieldElement is a thin value view
-over an index for callers that want operators.  Fields compare by
-(p, e, modulus).
+ch. 9), built once per field on first use; ``field.tables`` is the only
+arithmetic.  Fields compare by (p, e, modulus).
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from .errors import (
     CapExceeded,
     DivisionByZero,
     DomainError,
-    FieldMismatch,
     InternalInconsistency,
     NonPrimeCharacteristic,
     NotPrimePower,
@@ -207,14 +205,13 @@ class Field:
     constant term upward, so the choice is deterministic across runs.
     """
 
-    __slots__ = ("p", "e", "q", "modulus", "_elements", "_tables")
+    __slots__ = ("p", "e", "q", "modulus", "_tables")
 
     def __init__(self, p: int, e: int, modulus):
         self.p = p
         self.e = e
         self.q = p**e
         self.modulus = tuple(modulus)
-        self._elements = None
         self._tables = None
 
     def __eq__(self, other):
@@ -236,16 +233,6 @@ class Field:
             self._tables = FieldTables(self)
         return self._tables
 
-    # -- element construction --
-
-    def element(self, coeffs) -> "FieldElement":
-        if isinstance(coeffs, int):
-            return FieldElement(self, coeffs % self.q)
-        coeffs = tuple(c % self.p for c in coeffs)
-        if len(coeffs) != self.e:
-            coeffs = _poly_mod(coeffs, self.modulus, self.p)
-        return FieldElement(self, self._index(coeffs))
-
     def _index(self, coeffs) -> int:
         """Base-p value of reduced coefficients, constant term first."""
         idx = 0
@@ -259,70 +246,6 @@ class Field:
             i, r = divmod(i, self.p)
             digits.append(r)
         return tuple(digits)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    def index(self, a: "FieldElement") -> int:
-        """Position of a in elements(); the base-p value of its coefficients."""
-        return a.index
-
-
-class FieldElement:
-    """Immutable view of the element with the given index; +, -, *, unary -, **."""
-
-    __slots__ = ("field", "index")
-
-    def __init__(self, field: Field, index: int):
-        self.field = field
-        self.index = index
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        """Coefficients over Z_p, constant term first."""
-        return self.field._digits(self.index)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElement)
-            and self.index == other.index
-            and (self.field is other.field or self.field == other.field)
-        )
-
-    def __hash__(self):
-        return hash((self.field.p, self.field.e, self.index))
-
-    def __bool__(self):
-        return self.index != 0
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, neg(other))
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, k: int):
-        return FieldElement(self.field, self.field.tables.pow(self.index, k))
-
-    def __repr__(self):
-        return f"FieldElement({self.coeffs} over GF({self.field.q}))"
-
-
-def _check_same_field(a: FieldElement, b: FieldElement) -> Field:
-    if a.field is not b.field and a.field != b.field:
-        raise FieldMismatch(f"operands from {a.field!r} and {b.field!r}")
-    return a.field
 
 
 def field_new(p: int, e: int, cap: int = DEFAULT_ORDER_CAP) -> Field:
@@ -341,31 +264,3 @@ def field_new(p: int, e: int, cap: int = DEFAULT_ORDER_CAP) -> Field:
             return Field(p, e, candidate)
     raise InternalInconsistency(f"no monic irreducible polynomial of degree {e} over Z_{p}")
 
-
-def add(a: FieldElement, b: FieldElement) -> FieldElement:
-    f = _check_same_field(a, b)
-    return FieldElement(f, f.tables.add(a.index, b.index))
-
-
-def neg(a: FieldElement) -> FieldElement:
-    return FieldElement(a.field, a.field.tables.neg(a.index))
-
-
-def mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    f = _check_same_field(a, b)
-    return FieldElement(f, f.tables.mul(a.index, b.index))
-
-
-def inv(a: FieldElement) -> FieldElement:
-    return FieldElement(a.field, a.field.tables.inv(a.index))
-
-
-def elements(field: Field) -> list[FieldElement]:
-    """All q elements, ordered by index: 0, 1, 2, ..., x, ...
-
-    The order is deterministic across runs; index i has the base-p digits of i
-    as coefficients (constant term first).
-    """
-    if field._elements is None:
-        field._elements = [FieldElement(field, i) for i in range(field.q)]
-    return list(field._elements)

@@ -343,9 +343,9 @@ def _expand_frontier(level, c4, pruner):
 def _worker(payload):
     start_idx, items, target, c4, pruner, visitor = payload
     stats = _Budget()
-    for offset, (n_, rows) in enumerate(items):
+    for offset, (n_, rows, key) in enumerate(items):
         g = Graph(n_, rows, _trusted=True)
-        found = _dfs_enumerate(g, canonical_key(g), target, c4, pruner, visitor, stats)
+        found = _dfs_enumerate(g, key, target, c4, pruner, visitor, stats)
         if found is not None:
             return start_idx + offset, g6_encode(found), stats.examined
     return None, None, stats.examined
@@ -377,7 +377,7 @@ def _enumerate(order, c4, pruner, visitor, jobs, meta_k=None, meta_n=None):
     chunk = max(1, (len(frontier) + 4 * jobs - 1) // (4 * jobs))
     payloads = []
     for start in range(0, len(frontier), chunk):
-        items = [(g.n, g.rows) for g, _ in frontier[start : start + chunk]]
+        items = [(g.n, g.rows, key) for g, key in frontier[start : start + chunk]]
         payloads.append((start, items, order, c4, pruner, visitor))
     examined = 0
     best_idx = None
@@ -483,9 +483,9 @@ def probe_script_Gq(q: int, budget: int = 10**6, seed: int = 0):
     """Heuristic hunt for a (C4, B_{q^2-q+1}^(2))-Ramsey graph on q^2+q+3 vertices.
 
     Simulated annealing over C4-free graphs: edge toggles that preserve
-    C4-freeness, occasional vertex rebuilds, restarts from random maximal
-    C4-free graphs and from thinned polarity graphs.  A returned graph is
-    re-verified; exhausting the budget returns None and proves nothing.
+    C4-freeness, with restarts from random maximal C4-free graphs and from
+    thinned polarity graphs.  A returned graph is re-verified; exhausting the
+    budget returns None and proves nothing.
     """
     if budget < 1:
         raise DomainError(f"budget must be >= 1, got {budget}")
@@ -539,26 +539,16 @@ def probe_script_Gq(q: int, budget: int = 10**6, seed: int = 0):
             v = rng.randrange(n)
             if u == v:
                 continue
-            if rows[u] >> v & 1:
+            if not rows[u] >> v & 1 and not _can_add_edge(rows, u, v):
+                continue
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+            new_energy = _violating_pairs(rows, n, pages)
+            if new_energy <= energy or rng.random() < _accept(energy, new_energy, temperature):
+                energy = new_energy
+            else:
                 rows[u] ^= 1 << v
                 rows[v] ^= 1 << u
-                new_energy = _violating_pairs(rows, n, pages)
-                if new_energy <= energy or rng.random() < _accept(energy, new_energy, temperature):
-                    energy = new_energy
-                else:
-                    rows[u] |= 1 << v
-                    rows[v] |= 1 << u
-            else:
-                if not _can_add_edge(rows, u, v):
-                    continue
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-                new_energy = _violating_pairs(rows, n, pages)
-                if new_energy <= energy or rng.random() < _accept(energy, new_energy, temperature):
-                    energy = new_energy
-                else:
-                    rows[u] ^= 1 << v
-                    rows[v] ^= 1 << u
             if best_energy is None or energy < best_energy:
                 best_energy = energy
                 stall = 0

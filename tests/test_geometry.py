@@ -8,6 +8,8 @@ import c4book as cb
 from c4book import geometry, gf
 from c4book.errors import CapExceeded
 
+from oracles import coeffs_of, naive_field_add, naive_field_mul
+
 STANDARD_Q = [2, 3, 4, 5, 7, 8, 9, 11, 13]
 
 # sha256 of g6_encode(er_graph(q)) for every prime power q <= 64, computed with
@@ -55,29 +57,29 @@ def test_point_counts():
 
 def test_points_normalized_and_pairwise_nonproportional():
     field = field_for(4)
+    p, e, modulus = field.p, field.e, field.modulus
     pts = cb.projective_points(field)
-    zero = field.zero
-    one = field.one
     for pt in pts:
-        first = next(c for c in pt.coords if c != zero)
-        assert first == one
+        first = next(c for c in pt if c != 0)
+        assert first == 1  # index 1 is the field's one
     # exhaustive proportionality check: no two points are scalar multiples
-    els = [e for e in gf.elements(field) if e != zero]
     seen = set()
     for pt in pts:
-        for lam in els:
-            scaled = tuple((lam * c).coeffs for c in pt.coords)
+        for lam in range(1, field.q):
+            scaled = tuple(naive_field_mul(lam, c, p, e, modulus) for c in pt)
             assert scaled not in seen
             seen.add(scaled)
-    assert len(seen) == len(pts) * len(els)
+    assert len(seen) == len(pts) * (field.q - 1)
 
 
 def test_point_order_deterministic():
     field = field_for(3)
-    a = [tuple(c.coeffs for c in p.coords) for p in cb.projective_points(field)]
-    b = [tuple(c.coeffs for c in p.coords) for p in cb.projective_points(field)]
+    a = cb.projective_points(field)
+    b = cb.projective_points(field)
     assert a == b
-    assert a[0] == ((1,), (0,), (0,))  # x1=1 block first, lexicographic
+    assert [coeffs_of(c, 3, 1) for c in a[0]] == [(1,), (0,), (0,)]
+    assert a[:9] == sorted(a[:9])  # x1=1 block first, lexicographic
+    assert a[9:] == [(0, 1, 0), (0, 1, 1), (0, 1, 2), (0, 0, 1)]
 
 
 @pytest.mark.parametrize("q", STANDARD_Q)
@@ -104,12 +106,23 @@ def test_pairwise_common_neighbors_at_most_one(q):
             assert (g.rows[u] & g.rows[v]).bit_count() <= 1
 
 
-def test_adjacency_symmetric_by_dot_product():
-    field = field_for(5)
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_er_graph_adjacency_by_dot_product(q):
+    """Distinct points u, v are adjacent exactly when u.v = 0 (polynomial oracle)."""
+    field = field_for(q)
+    p, e, modulus = field.p, field.e, field.modulus
     pts = cb.projective_points(field)
-    for i in range(0, len(pts), 7):
-        for j in range(0, len(pts), 5):
-            assert (not pts[i].dot(pts[j])) == (not pts[j].dot(pts[i]))
+    g = cb.er_graph(q)
+
+    def dot(u, v):
+        total = 0
+        for a, b in zip(u, v):
+            total = naive_field_add(total, naive_field_mul(a, b, p, e, modulus), p, e)
+        return total
+
+    for i, u in enumerate(pts):
+        for j in range(i + 1, len(pts)):
+            assert g.has_edge(i, j) == (dot(u, pts[j]) == 0), (q, u, pts[j])
 
 
 def test_er2_edge_count_and_absolute_coordinates():
@@ -119,9 +132,7 @@ def test_er2_edge_count_and_absolute_coordinates():
     field = field_for(2)
     pts = cb.projective_points(field)
     absolutes = cb.absolute_points(field)
-    coords = {
-        tuple(c.coeffs[0] for c in pts[i].coords) for i in absolutes
-    }
+    coords = {tuple(coeffs_of(c, 2, 1)[0] for c in pts[i]) for i in absolutes}
     assert coords == {(1, 1, 0), (1, 0, 1), (0, 1, 1)}
 
 

@@ -6,16 +6,15 @@ from itertools import product
 import numpy as np
 import pytest
 
-from c4book import elements, field_new, gf
+from c4book import field_new, gf
 from c4book.errors import (
     CapExceeded,
     DivisionByZero,
     DomainError,
-    FieldMismatch,
     NonPrimeCharacteristic,
 )
 
-from oracles import naive_field_add, naive_field_mul, poly_mod
+from oracles import coeffs_of, index_of, naive_field_add, naive_field_mul, poly_mod
 
 PRIME_POWERS_64 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32,
                    37, 41, 43, 47, 49, 53, 59, 61, 64]
@@ -65,35 +64,34 @@ def test_modulus_is_irreducible_by_trial_division():
 
 
 def test_gf2_add():
-    field = field_new(2, 1)
-    one = field.one
-    assert one + one == field.zero
+    t = field_new(2, 1).tables
+    assert t.add(1, 1) == 0
 
 
 def test_gf4_x_squared():
-    field = field_new(2, 2)
-    x = field.element((0, 1))
-    assert (x * x).coeffs == (1, 1)  # x^2 = x + 1
+    t = field_new(2, 2).tables
+    x = index_of((0, 1), 2)
+    assert coeffs_of(t.mul(x, x), 2, 2) == (1, 1)  # x^2 = x + 1
 
 
 def test_gf9_x_squared():
-    field = field_new(3, 2)
-    x = field.element((0, 1))
-    assert (x * x).coeffs == (2, 0)  # x^2 = -1 = 2
+    t = field_new(3, 2).tables
+    x = index_of((0, 1), 3)
+    assert coeffs_of(t.mul(x, x), 3, 2) == (2, 0)  # x^2 = -1 = 2
 
 
 def test_elements_order_and_closure():
-    assert [e.coeffs for e in elements(field_new(2, 1))] == [(0,), (1,)]
-    assert [e.coeffs for e in elements(field_new(3, 1))] == [(0,), (1,), (2,)]
+    # index i has the base-p digits of i as coefficients, constant term first
+    assert [coeffs_of(i, 2, 1) for i in range(2)] == [(0,), (1,)]
+    assert [coeffs_of(i, 3, 1) for i in range(3)] == [(0,), (1,), (2,)]
     field = field_new(2, 2)
-    els = elements(field)
-    assert len(els) == 4
-    assert els[0] == field.zero and els[1] == field.one
-    pool = set(els)
-    for a in els:
-        for b in els:
-            assert a + b in pool
-            assert a * b in pool
+    t = field.tables
+    assert field.q == 4
+    for a in range(4):
+        assert t.add(0, a) == a and t.mul(1, a) == a  # index 0 is zero, 1 is one
+        for b in range(4):
+            assert 0 <= t.add(a, b) < 4
+            assert 0 <= t.mul(a, b) < 4
 
 
 # -- errors --
@@ -106,13 +104,11 @@ def test_error_cases():
         field_new(2, 30)
     with pytest.raises(DomainError):
         field_new(2, 0)
-    field = field_new(5, 1)
+    t = field_new(5, 1).tables
     with pytest.raises(DivisionByZero):
-        gf.inv(field.zero)
+        t.inv(0)
     with pytest.raises(DivisionByZero):
-        field.zero ** -1
-    with pytest.raises(FieldMismatch):
-        gf.add(field.one, field_new(7, 1).one)
+        t.pow(0, -1)
 
 
 # -- table arithmetic against naive polynomial arithmetic --
@@ -146,9 +142,9 @@ def test_table_arithmetic_matches_polynomial_oracle(q):
 
 def _tables(q):
     field = field_for(q)
-    els = elements(field)
-    add = np.array([[field.index(a + b) for b in els] for a in els], dtype=np.int32)
-    mul = np.array([[field.index(a * b) for b in els] for a in els], dtype=np.int32)
+    t, els = field.tables, range(q)
+    add = np.array([[t.add(a, b) for b in els] for a in els], dtype=np.int32)
+    mul = np.array([[t.mul(a, b) for b in els] for a in els], dtype=np.int32)
     return field, add, mul
 
 
@@ -183,28 +179,26 @@ def test_field_axioms_exhaustive(q):
 
 @pytest.mark.parametrize("q", PRIME_POWERS_64)
 def test_inverse_product_rule(q):
-    field = field_for(q)
-    els = elements(field)[1:]
-    for a in els:
-        for b in els:
-            assert gf.inv(a * b) == gf.inv(a) * gf.inv(b)
+    t = field_for(q).tables
+    for a in range(1, q):
+        for b in range(1, q):
+            assert t.inv(t.mul(a, b)) == t.mul(t.inv(a), t.inv(b))
 
 
 @pytest.mark.parametrize("q", PRIME_POWERS_64)
 def test_frobenius(q):
     field = field_for(q)
-    p = field.p
-    els = elements(field)
-    for a in els:
-        for b in els:
-            assert (a + b) ** p == a**p + b**p
+    p, t = field.p, field.tables
+    for a in range(q):
+        for b in range(q):
+            assert t.pow(t.add(a, b), p) == t.add(t.pow(a, p), t.pow(b, p))
 
 
 @pytest.mark.parametrize("q", PRIME_POWERS_64)
 def test_inverse_definition(q):
-    field = field_for(q)
-    for a in elements(field)[1:]:
-        assert a * gf.inv(a) == field.one
+    t = field_for(q).tables
+    for a in range(1, q):
+        assert t.mul(a, t.inv(a)) == 1
 
 
 def test_prime_power_decompose():
