@@ -288,6 +288,7 @@ _B64_TO_G6 = bytes.maketrans(_B64_ALPHABET, bytes(range(63, 127)))
 _G6_TO_B64 = bytes.maketrans(bytes(range(63, 127)), _B64_ALPHABET)
 _G6_BAD_BYTE = re.compile(rb"[^\x3f-\x7e]")
 _G6_PIECE = 1 << 14  # graph6 bytes per piece; a multiple of 4 (= 24 bits)
+_G6_MIRROR_COLS = 256  # columns mirrored at a time; the grid is this many times n chars
 
 
 def _g6_pack(bits: str) -> bytes:
@@ -350,6 +351,7 @@ def g6_decode(data: bytes) -> Graph:
             min(pos + need, len(data)),
         )
     rows = [0] * n
+    cols, first = [], 1  # columns first.. read but not yet mirrored
     bits, off, v = "", 0, 1
     for start in range(pos, len(data), _G6_PIECE):
         piece = data[start : start + _G6_PIECE].translate(_G6_TO_B64)
@@ -358,10 +360,31 @@ def g6_decode(data: bytes) -> Graph:
         off = 0
         # pad bits after the last column are never read
         while v < n and off + v <= len(bits):
-            col = int(bits[off : off + v][::-1], 2)
+            col = bits[off : off + v]
             off += v
-            rows[v] |= col
-            for u in _bits(col):
-                rows[u] |= 1 << v
+            rows[v] = int(col[::-1], 2)
+            cols.append(col)
             v += 1
+            if len(cols) == _G6_MIRROR_COLS:
+                _g6_mirror(rows, cols, first)
+                cols, first = [], v
+    _g6_mirror(rows, cols, first)
     return Graph(n, rows, _trusted=True)
+
+
+def _g6_mirror(rows, cols, first):
+    """Set bit v of rows[u] for every u in column v, for columns first, first + 1, ...
+
+    cols holds the columns' '0'/'1' strings.  Each is padded to the longest and
+    they are laid out last column first, so the characters at u, u + width, ...
+    are row u's bits for these columns, highest column first: one int() per
+    row and block instead of one row update per edge.
+    """
+    if not cols:
+        return
+    width = first + len(cols) - 1
+    grid = "".join(col.ljust(width, "0") for col in reversed(cols))
+    for u in range(width):
+        part = grid[u::width]
+        if "1" in part:
+            rows[u] |= int(part, 2) << first

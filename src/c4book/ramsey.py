@@ -47,8 +47,12 @@ def complement_book_number(g: Graph, k: int, stop_at: int | None = None):
     recursive bitset intersection, pruned by the remaining-count bound; the
     returned witness has the lexicographically smallest maximizing spine.
 
-    With stop_at set, returns as soon as some spine reaches stop_at pages
-    (the reported value is then a lower bound on the true maximum).
+    With stop_at set, returns as soon as some spine is known to reach stop_at
+    pages: the greedy warm-start spine, or the spine that just set a record.
+    The count is then a lower bound on the true maximum, but the witness is
+    always consistent (its spine is independent, its pages are exactly the
+    spine's common non-neighbors and page_count equals the count), and
+    count >= stop_at holds exactly when the true maximum reaches stop_at.
     """
     n = g.n
     if not 1 <= k <= n:
@@ -60,40 +64,57 @@ def complement_book_number(g: Graph, k: int, stop_at: int | None = None):
     # the beginning; starting one below it keeps the lexicographically
     # smallest maximizer as the reported witness.
     greedy_mask = full
-    picked = 0
+    greedy_spine = []
     for v in sorted(range(n), key=lambda u: (g.rows[u].bit_count(), u)):
         if greedy_mask >> v & 1:
             greedy_mask &= comp[v]
-            picked += 1
-            if picked == k:
+            greedy_spine.append(v)
+            if len(greedy_spine) == k:
                 break
-    warm = greedy_mask.bit_count() if picked == k else 0
+    warm = greedy_mask.bit_count() if len(greedy_spine) == k else 0
+    target = n + 1 if stop_at is None else stop_at  # no spine has n + 1 pages
+    if len(greedy_spine) == k and warm >= target:
+        return warm, BookWitness(tuple(sorted(greedy_spine)), tuple(_bits(greedy_mask)), warm)
 
     best_count = warm - 1
     best_spine: tuple[int, ...] = ()
     best_pages = 0
+    last = k - 1
 
-    def extend(spine, mask, depth):
+    def extend(spine, mask, start, depth):
+        # mask: common non-neighbors of spine; candidates are its bits >= start.
+        # Returns True once a record reaches target.
         nonlocal best_count, best_spine, best_pages
-        if depth == k:
-            count = mask.bit_count()
-            if count > best_count:
-                best_count = count
-                best_spine = tuple(spine)
-                best_pages = mask
-            return best_count >= stop_at if stop_at is not None else False
-        remaining = k - depth
-        if mask.bit_count() - remaining <= best_count:
+        cap = mask.bit_count() - (k - depth)  # most pages any completion can have
+        if cap <= best_count:
             return False
-        start = spine[-1] + 1 if spine else 0
-        for v in _bits(mask >> start << start):
-            if mask.bit_count() - remaining <= best_count:
-                return False
-            if extend(spine + [v], mask & comp[v], depth + 1):
+        m = mask >> start << start
+        if depth == last:
+            # count the last spine vertex in place
+            while m:
+                low = m & -m
+                m ^= low
+                v = low.bit_length() - 1
+                pages = mask & comp[v]
+                count = pages.bit_count()
+                if count > best_count:
+                    best_count, best_spine, best_pages = count, (*spine, v), pages
+                    if count >= target:
+                        return True
+                    if cap <= best_count:
+                        return False
+            return False
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
+            if extend((*spine, v), mask & comp[v], v + 1, depth + 1):
                 return True
+            if cap <= best_count:
+                return False
         return False
 
-    extend([], full, 0)
+    extend((), full, 0, 0)
     if best_count < 0:
         return 0, BookWitness((), (), 0)
     return best_count, BookWitness(best_spine, tuple(_bits(best_pages)), best_count)

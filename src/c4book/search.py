@@ -479,6 +479,25 @@ def _violating_pairs(rows, n, pages_needed):
     return count
 
 
+def _violations_touching(rows, full, limit, u, v):
+    """The pairs _violating_pairs counts that contain u or v, {u, v} once.
+
+    These are the only pairs whose count a toggle of uv can change.  For an
+    independent pair {x, w} the union of the two neighborhoods avoids x and w,
+    so a pair violates exactly when that union has at most limit vertices.
+    """
+    count = 0
+    for x, skip in ((u, 0), (v, 1 << u)):
+        rx = rows[x]
+        m = full & ~(rx | 1 << x | skip)
+        while m:
+            low = m & -m
+            m ^= low
+            if (rx | rows[low.bit_length() - 1]).bit_count() <= limit:
+                count += 1
+    return count
+
+
 def probe_script_Gq(q: int, budget: int = 10**6, seed: int = 0):
     """Heuristic hunt for a (C4, B_{q^2-q+1}^(2))-Ramsey graph on q^2+q+3 vertices.
 
@@ -491,6 +510,8 @@ def probe_script_Gq(q: int, budget: int = 10**6, seed: int = 0):
         raise DomainError(f"budget must be >= 1, got {budget}")
     n = q * q + q + 3
     pages = q * q - q + 1
+    full = (1 << n) - 1
+    limit = n - 2 - pages  # a violating pair's neighborhoods cover at most this
     rng = random.Random(seed)
     steps = 0
 
@@ -541,9 +562,10 @@ def probe_script_Gq(q: int, budget: int = 10**6, seed: int = 0):
                 continue
             if not rows[u] >> v & 1 and not _can_add_edge(rows, u, v):
                 continue
+            before = _violations_touching(rows, full, limit, u, v)
             rows[u] ^= 1 << v
             rows[v] ^= 1 << u
-            new_energy = _violating_pairs(rows, n, pages)
+            new_energy = energy - before + _violations_touching(rows, full, limit, u, v)
             if new_energy <= energy or rng.random() < _accept(energy, new_energy, temperature):
                 energy = new_energy
             else:

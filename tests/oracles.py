@@ -33,9 +33,14 @@ def naive_is_c4_free(g: Graph) -> bool:
 
 def naive_complement_book_number(g: Graph, k: int) -> int:
     """Enumerate all k-subsets; sets and lists only, no bitsets."""
+    return naive_book_witness(g, k)[0]
+
+
+def naive_book_witness(g: Graph, k: int):
+    """(book number, lexicographically smallest maximizing spine or ())."""
     n = g.n
     nbrs = {v: set(g.neighbors(v)) for v in range(n)}
-    best = None
+    best, best_spine = None, ()
     for spine in combinations(range(n), k):
         if any(u in nbrs[v] for u, v in combinations(spine, 2)):
             continue  # not independent in g
@@ -45,8 +50,8 @@ def naive_complement_book_number(g: Graph, k: int) -> int:
             if w not in spine and all(w not in nbrs[u] for u in spine)
         ]
         if best is None or len(pages) > best:
-            best = len(pages)
-    return 0 if best is None else best
+            best, best_spine = len(pages), spine
+    return (0, ()) if best is None else (best, best_spine)
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

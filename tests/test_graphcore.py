@@ -2,9 +2,11 @@
 
 import random
 from math import comb
+from unittest import mock
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import c4book as cb
 from c4book import graphcore
@@ -231,6 +233,20 @@ def test_g6_roundtrip():
         assert cb.g6_decode(cb.g6_encode(g)) == g
     er5 = cb.er_graph(5)
     assert cb.g6_decode(cb.g6_encode(er5)) == er5
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 200),
+    st.floats(0, 1),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 2, 7, graphcore._G6_MIRROR_COLS]),
+)
+def test_g6_roundtrip_random(n, p, seed, mirror_cols):
+    # small mirror blocks put block borders inside graphs of every size
+    g = random_graph(random.Random(seed), n, p)
+    with mock.patch.object(graphcore, "_G6_MIRROR_COLS", mirror_cols):
+        assert cb.g6_decode(cb.g6_encode(g)) == g
 
 
 def test_g6_long_order_form():

@@ -5,6 +5,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import c4book as cb
 from c4book import ramsey
@@ -14,6 +15,7 @@ from c4book.graphcore import Graph
 from oracles import (
     complete_graph,
     cycle_graph,
+    naive_book_witness,
     naive_complement_book_number,
     random_c4_free,
     random_graph,
@@ -85,6 +87,73 @@ def test_book_number_domain():
 def test_book_number_stop_at_short_circuit():
     count, _ = cb.complement_book_number(Graph.empty(9), 2, stop_at=3)
     assert count >= 3
+
+
+def _assert_consistent_witness(g, k, count, witness):
+    assert len(witness.spine) == k
+    assert list(witness.spine) == sorted(set(witness.spine))
+    for u, v in combinations(witness.spine, 2):
+        assert not g.has_edge(u, v)
+    common = [
+        w
+        for w in range(g.n)
+        if w not in witness.spine and all(not g.has_edge(w, u) for u in witness.spine)
+    ]
+    assert list(witness.pages) == common
+    assert witness.page_count == len(witness.pages) == count
+
+
+def test_book_number_stop_at_witness_is_consistent():
+    # the greedy warm start alone reaches stop_at here; the witness must
+    # still be that spine and its pages, not an empty spine
+    g = Graph(11, (64, 916, 850, 304, 78, 1864, 565, 2, 46, 102, 32))
+    count, witness = cb.complement_book_number(g, 3, stop_at=3)
+    assert count >= 3
+    _assert_consistent_witness(g, 3, count, witness)
+    rng = random.Random(24)
+    for _ in range(1500):
+        n = rng.randint(1, 12)
+        g = random_graph(rng, n, rng.choice([0.1, 0.3, 0.5, 0.8]))
+        k = rng.randint(1, min(4, n))
+        stop_at = rng.randint(0, n)
+        count, witness = cb.complement_book_number(g, k, stop_at=stop_at)
+        if count > 0:
+            _assert_consistent_witness(g, k, count, witness)
+        assert (count >= stop_at) == (naive_complement_book_number(g, k) >= stop_at)
+
+
+@st.composite
+def graphs_with_k(draw, max_n=14, max_k=4):
+    n = draw(st.integers(1, max_n))
+    bits = draw(st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    g = Graph.from_edges(n, [e for e, b in zip(pairs, bits) if b])
+    return g, draw(st.integers(1, min(max_k, n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_k())
+def test_book_number_matches_oracle_exactly(case):
+    g, k = case
+    count, witness = cb.complement_book_number(g, k)
+    assert (count, witness.spine) == naive_book_witness(g, k)
+    if witness.spine:
+        _assert_consistent_witness(g, k, count, witness)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_k(), st.data())
+def test_book_number_stop_at_matches_oracle_verdict(case, data):
+    g, k = case
+    stop_at = data.draw(st.integers(0, g.n + 1))
+    true_count = naive_complement_book_number(g, k)
+    count, witness = cb.complement_book_number(g, k, stop_at=stop_at)
+    assert (count >= stop_at) == (true_count >= stop_at)
+    assert count <= true_count
+    if count < stop_at:  # no early exit: the exact answer
+        assert (count, witness.spine) == naive_book_witness(g, k)
+    if count > 0:
+        _assert_consistent_witness(g, k, count, witness)
 
 
 # -- witnesses --

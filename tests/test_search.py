@@ -22,6 +22,7 @@ from oracles import (
     classify_c4_free,
     line_graph_of_petersen,
     naive_complement_book_number,
+    random_c4_free,
     star_graph,
 )
 
@@ -266,6 +267,25 @@ def test_probe_gq3_finds_witness():
     assert found is not None
     assert found.n == 15
     assert cb.is_ramsey_witness(found, 2, 7)
+
+
+def test_annealing_energy_delta_matches_full_count():
+    # the probe updates its energy by recounting only the pairs through the
+    # toggled edge's endpoints; that must equal a full recount after any toggle
+    rng = random.Random(31)
+    for _ in range(150):
+        n = rng.randint(2, 25)
+        rows = list(random_c4_free(rng, n, rng.choice([0.1, 0.2, 0.4])).rows)
+        pages = rng.randint(0, n)
+        full, limit = (1 << n) - 1, n - 2 - pages
+        energy = search._violating_pairs(rows, n, pages)
+        for _ in range(20):
+            u, v = rng.sample(range(n), 2)
+            before = search._violations_touching(rows, full, limit, u, v)
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+            energy += search._violations_touching(rows, full, limit, u, v) - before
+            assert energy == search._violating_pairs(rows, n, pages), (rows, u, v, pages)
 
 
 def test_probe_gq2_and_gq4_fail():
