@@ -153,17 +153,29 @@ def is_c4_free(g: Graph) -> tuple[bool, Optional[tuple[int, int, int, int]]]:
     Returns (True, None) or (False, witness) where the witness (a, b, c, d)
     has edges ab, bc, cd, da.  The witness is the lexicographically first
     violating pair together with its first two common neighbors.
+
+    For each u, the rows of u's neighbors are ORed together; a vertex seen in
+    two of them shares two neighbors with u.  The lowest such v above u is
+    u's first violating partner, so this takes O(|E|) bitset operations
+    rather than one per vertex pair.
     """
     rows = g.rows
-    for u in range(g.n):
-        ru = rows[u]
-        for v in range(u + 1, g.n):
-            common = ru & rows[v]
-            if common.bit_count() >= 2:
-                it = _bits(common)
-                a = next(it)
-                b = next(it)
-                return False, (u, a, v, b)
+    for u, ru in enumerate(rows):
+        seen = twice = 0
+        m = ru
+        while m:
+            low = m & -m
+            m ^= low
+            row = rows[low.bit_length() - 1]
+            twice |= seen & row
+            seen |= row
+        twice >>= u + 1
+        if twice:
+            v = u + (twice & -twice).bit_length()
+            it = _bits(ru & rows[v])
+            a = next(it)
+            b = next(it)
+            return False, (u, a, v, b)
     return True, None
 
 

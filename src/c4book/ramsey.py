@@ -6,6 +6,13 @@ for every independent k-set, at most N - k(d+1) + C(k,2) common non-neighbors
 the union of the k neighborhoods below by k*d - C(k,2)).  That makes the
 complement book-free at n* = N - k(d+1) + C(k,2) + 1 pages and proves
 r(C4, B_{n*}^(k)) >= N + 1.
+
+The same inclusion-exclusion, applied to the spine vertices not yet chosen,
+is the pruning bound of the exact book-number search: since it never
+undercuts a spine, the search returns what an unpruned one would.  At the
+root of a C4-free graph the bound is n* - 1, so a certificate that is tight
+(an odd-q polarity graph, say) is confirmed as soon as the first spine with
+n* - 1 pages is found.
 """
 
 from __future__ import annotations
@@ -44,8 +51,21 @@ def complement_book_number(g: Graph, k: int, stop_at: int | None = None):
 
     Equals the maximum, over k-sets independent in g, of the number of common
     non-neighbors.  Spines are enumerated as cliques of the complement via
-    recursive bitset intersection, pruned by the remaining-count bound; the
+    recursive bitset intersection, pruned by the counting-lemma bound; the
     returned witness has the lexicographically smallest maximizing spine.
+
+    The bound: let lam bound the common neighbors of any two vertices (1 when
+    g is C4-free, n always) and delta be the minimum degree.  At depth j, mask
+    holds the common non-neighbors of the j chosen vertices.  Each of the
+    r = k - j vertices still to choose lies in mask, so its >= delta neighbors
+    avoid the spine and at most j*lam of them leave mask (at most lam per
+    chosen vertex): it removes >= a = max(0, delta - j*lam) vertices of mask.
+    Any two of them share <= lam neighbors, so by inclusion-exclusion they
+    remove >= r*a - C(r, 2)*lam besides themselves, and no completion has
+    more than |mask| - r - max(0, r*a - C(r, 2)*lam) pages.  At the root of
+    a C4-free graph that is n* - 1.  The bound never undercuts a completion,
+    so the same spines set records as with no pruning: the count, the
+    witness and the stop_at result do not depend on it.
 
     With stop_at set, returns as soon as some spine is known to reach stop_at
     pages: the greedy warm-start spine, or the spine that just set a record.
@@ -80,12 +100,18 @@ def complement_book_number(g: Graph, k: int, stop_at: int | None = None):
     best_spine: tuple[int, ...] = ()
     best_pages = 0
     last = k - 1
+    lam = 1 if is_c4_free(g)[0] else n
+    delta = min(g.degrees())
+    drop = []  # |mask| - drop[depth] bounds the pages of any completion
+    for depth in range(k):
+        r = k - depth
+        drop.append(r + max(0, r * max(0, delta - depth * lam) - comb(r, 2) * lam))
 
     def extend(spine, mask, start, depth):
         # mask: common non-neighbors of spine; candidates are its bits >= start.
         # Returns True once a record reaches target.
         nonlocal best_count, best_spine, best_pages
-        cap = mask.bit_count() - (k - depth)  # most pages any completion can have
+        cap = mask.bit_count() - drop[depth]  # most pages any completion can have
         if cap <= best_count:
             return False
         m = mask >> start << start

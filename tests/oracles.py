@@ -59,7 +59,18 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def relabeled(g: Graph, perm) -> Graph:
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def shuffled_copy(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return relabeled(g, perm)
+
+
 def _first_c4(g: Graph):
+    """The pair scan: first pair u < v with two common neighbors, and the first two."""
     for u in range(g.n):
         for v in range(u + 1, g.n):
             common = g.rows[u] & g.rows[v]

@@ -10,17 +10,15 @@ from c4book.canon import _refine, canonical_form, canonical_graph, canonical_key
 from c4book.geometry import er_graph
 from c4book.graphcore import Graph
 
-from oracles import cycle_graph, path_graph, perm_canonical_mask, random_graph, refine_reference
-
-
-def relabeled(g: Graph, perm) -> Graph:
-    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-
-
-def shuffled_copy(g: Graph, rng: random.Random) -> Graph:
-    perm = list(range(g.n))
-    rng.shuffle(perm)
-    return relabeled(g, perm)
+from oracles import (
+    cycle_graph,
+    path_graph,
+    perm_canonical_mask,
+    random_graph,
+    refine_reference,
+    relabeled,
+    shuffled_copy,
+)
 
 
 def test_key_invariant_under_relabeling():

@@ -1,6 +1,7 @@
 """Graph container, counting kernels, and graph6 round-trips."""
 
 import random
+from itertools import combinations
 from math import comb
 from unittest import mock
 
@@ -14,6 +15,7 @@ from c4book.errors import EmptyQuerySet, MalformedGraph6
 from c4book.graphcore import Graph, fan_graph
 
 from oracles import (
+    _first_c4,
     complete_graph,
     cycle_graph,
     naive_is_c4_free,
@@ -21,6 +23,7 @@ from oracles import (
     petersen_graph,
     random_c4_free,
     random_graph,
+    shuffled_copy,
     star_graph,
 )
 
@@ -67,6 +70,26 @@ def test_c4_agrees_with_naive_oracle():
         n = rng.randint(1, 12)
         g = random_graph(rng, n, rng.choice([0.1, 0.2, 0.3, 0.5, 0.7]))
         assert cb.is_c4_free(g)[0] == naive_is_c4_free(g)
+
+
+def test_c4_witness_matches_pair_scan_exactly():
+    # the witness is the pair scan's: first violating pair, first two common neighbors
+    rng = random.Random(5)
+    graphs = []
+    for _ in range(2400):
+        n = rng.randint(1, 30)
+        graphs.append(random_graph(rng, n, rng.choice([0.03, 0.08, 0.15, 0.3, 0.6, 0.9])))
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for _ in range(3):
+            g = shuffled_copy(cb.er_graph(q), rng)
+            u, v = rng.choice([e for e in combinations(range(g.n), 2) if not g.has_edge(*e)])
+            graphs += [g, Graph.from_edges(g.n, [*g.edges(), (u, v)])]  # the edge closes a C4
+    verdicts = set()
+    for g in graphs:
+        w = _first_c4(g)
+        assert cb.is_c4_free(g) == (w is None, w), g.rows
+        verdicts.add(w is None)
+    assert verdicts == {True, False}
 
 
 # -- common neighborhoods --

@@ -156,6 +156,49 @@ def test_book_number_stop_at_matches_oracle_verdict(case, data):
         _assert_consistent_witness(g, k, count, witness)
 
 
+def test_book_number_counting_bound_on_c4_free_graphs():
+    # The counting-lemma bound prunes hardest on C4-free graphs (pairs share
+    # at most one neighbor); one added edge usually makes a C4, and the bound
+    # must then fall back to lam = n.
+    rng = random.Random(25)
+    for _ in range(150):
+        n = rng.randint(1, 14)
+        g = random_c4_free(rng, n, rng.choice([0.2, 0.4, 0.7]))
+        graphs = [g]
+        if g.edge_count() < comb(n, 2):
+            e = rng.choice([e for e in combinations(range(n), 2) if not g.has_edge(*e)])
+            graphs.append(Graph.from_edges(n, [*g.edges(), e]))
+        for h in graphs:
+            for k in range(1, min(4, n) + 1):
+                expected = naive_book_witness(h, k)
+                count, witness = cb.complement_book_number(h, k)
+                assert (count, witness.spine) == expected, (h.rows, k)
+                stop_at = rng.randint(0, n + 1)
+                count, witness = cb.complement_book_number(h, k, stop_at=stop_at)
+                assert (count >= stop_at) == (expected[0] >= stop_at), (h.rows, k, stop_at)
+                if count < stop_at:
+                    assert (count, witness.spine) == expected, (h.rows, k, stop_at)
+                if count > 0:
+                    _assert_consistent_witness(h, k, count, witness)
+
+
+@pytest.mark.parametrize(
+    "q, k, book, cap",
+    [
+        (7, 3, 36, 36), (9, 3, 64, 64), (11, 3, 100, 100), (17, 3, 256, 256),
+        (23, 3, 484, 484), (29, 3, 784, 784), (9, 4, 57, 57), (17, 4, 241, 241),
+        (9, 5, 51, 51),
+        (8, 3, 48, 49), (16, 3, 224, 225), (32, 3, 960, 961), (8, 4, 41, 43),
+    ],
+)
+def test_book_number_tightness_split_on_polarity_graphs(q, k, book, cap):
+    # The certificate's n* - 1 (cap) is the exact book number of ER_q at odd
+    # q and exceeds it at even q, where the absolute points are collinear.
+    g = cb.er_graph(q)
+    assert g.n - k * (min(g.degrees()) + 1) + comb(k, 2) == cap
+    assert cb.complement_book_number(g, k)[0] == book
+
+
 # -- witnesses --
 
 
