@@ -238,30 +238,27 @@ def theorem15_admissible(k: int, q: int, t: int, eps) -> Admissibility:
     if k < 3:
         raise DomainError(f"k must be >= 3, got {k}")
     eps = _as_eps(eps)
-    p, _ = prime_power_decompose(q)  # raises NotPrimePower
+    cls, lo, excl = _parity_window(q)
     hi = (1 - eps) * q
-    if p == 2:
-        cls = "even"
-        if t < 0:
-            return Admissibility(False, f"t={t} < 0", cls)
-        if Fraction(t) > hi:
-            return Admissibility(False, f"t={t} > (1-eps)q = {hi}", cls)
-        if t == 1:
-            return Admissibility(False, "t=1 excluded for even q", cls)
-        return Admissibility(True, "even prime power, 0 <= t <= (1-eps)q, t != 1", cls)
-    if q % 4 == 3:
-        cls = "3 mod 4"
-        lo, excl = (q + 1) // 2, (q + 3) // 2
-    else:
-        cls = "1 mod 4"
-        lo, excl = (q - 1) // 2, (q + 1) // 2
     if t < lo:
         return Admissibility(False, f"t={t} < {lo}", cls)
     if Fraction(t) > hi:
         return Admissibility(False, f"t={t} > (1-eps)q = {hi}", cls)
+    even = cls == "even"
     if t == excl:
-        return Admissibility(False, f"t={excl} excluded for q = {cls}", cls)
-    return Admissibility(True, f"odd prime power ({cls}), {lo} <= t <= (1-eps)q, t != {excl}", cls)
+        return Admissibility(False, f"t={excl} excluded for {'even q' if even else 'q = ' + cls}", cls)
+    kind = "even prime power" if even else f"odd prime power ({cls})"
+    return Admissibility(True, f"{kind}, {lo} <= t <= (1-eps)q, t != {excl}", cls)
+
+
+def _parity_window(q: int) -> tuple[str, int, int]:
+    """(parity class, least t, excluded t) of the exact-value family at prime power q."""
+    p, _ = prime_power_decompose(q)  # raises NotPrimePower
+    if p == 2:
+        return "even", 0, 1
+    if q % 4 == 3:
+        return "3 mod 4", (q + 1) // 2, (q + 3) // 2
+    return "1 mod 4", (q - 1) // 2, (q + 1) // 2
 
 
 def theorem15_table(qmin: int, qmax: int, k: int, eps) -> list[dict]:
@@ -345,15 +342,6 @@ def _k2_family(n: int):
     return q, t
 
 
-def _k2_exact_window(q: int, t: int) -> bool:
-    p, _ = prime_power_decompose(q)
-    if p == 2:
-        return q >= 4 and 0 <= t <= q - 1 and t != 1
-    if q % 4 == 3:
-        return q >= 5 and (q + 1) // 2 <= t <= q - 1 and t != (q + 3) // 2
-    return q >= 5 and (q - 1) // 2 <= t <= q - 1 and t != (q + 1) // 2
-
-
 def _k_ge3_family(n: int, k: int):
     """Prime powers q with n = q^2 - kq + t + a_k and 0 <= t <= q."""
     a_k = book_order_offset(k)
@@ -394,8 +382,11 @@ def bound_report(n: int, k: int) -> BoundReport:
         if fam is not None:
             q, t = fam
             uppers.append((q * q + t, f"induced polarity-subgraph bound (q={q}, t={t})"))
-            if is_prime_power(q) and _k2_exact_window(q, t):
-                exacts.append((q * q + t, f"exact family value q^2 + t (q={q}, t={t})"))
+            if is_prime_power(q):
+                # _k2_family already gives q >= 4 and t <= q - 1
+                _, lo, excl = _parity_window(q)
+                if lo <= t != excl:
+                    exacts.append((q * q + t, f"exact family value q^2 + t (q={q}, t={t})"))
         # n = q^2 - q + 1 special family for prime powers q
         s = isqrt(n)
         for q in (s, s + 1):

@@ -127,7 +127,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("er", help="polarity graph of PG(2, q)")
     p.set_defaults(handler=_cmd_er)
     p.add_argument("q", type=int)
-    p.add_argument("--stats", action="store_true")
     p.add_argument("--out", metavar="FILE.g6")
 
     p = sub.add_parser("check", help="structural checks on a graph6 file")

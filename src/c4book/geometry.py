@@ -54,7 +54,7 @@ def _bitmask(positions, nbytes: int) -> int:
     return int.from_bytes(buf, "little")
 
 
-def er_graph(field_or_q, q_cap: int = DEFAULT_GRAPH_Q_CAP) -> Graph:
+def er_graph(field_or_q) -> Graph:
     """Orthogonal polarity graph on PG(2, q).
 
     Distinct points u, v are adjacent iff u.v = 0; absolute points carry no
@@ -66,7 +66,7 @@ def er_graph(field_or_q, q_cap: int = DEFAULT_GRAPH_Q_CAP) -> Graph:
     """
     field = field_or_q if isinstance(field_or_q, Field) else field_new(*prime_power_decompose(field_or_q))
     q = field.q
-    if q > q_cap:
+    if q > DEFAULT_GRAPH_Q_CAP:
         raise CapExceeded(f"q={q} polarity graph would have {q * q + q + 1} vertices")
     t = field.tables
     qq = q * q

@@ -248,14 +248,14 @@ class Field:
         return tuple(digits)
 
 
-def field_new(p: int, e: int, cap: int = DEFAULT_ORDER_CAP) -> Field:
+def field_new(p: int, e: int) -> Field:
     """Build GF(p^e), selecting the smallest monic irreducible modulus."""
     if not is_prime(p):
         raise NonPrimeCharacteristic(f"{p} is not prime")
     if e < 1:
         raise DomainError(f"extension degree must be >= 1, got {e}")
-    if p**e > cap:
-        raise CapExceeded(f"p^e = {p**e} exceeds cap {cap}")
+    if p**e > DEFAULT_ORDER_CAP:
+        raise CapExceeded(f"p^e = {p**e} exceeds cap {DEFAULT_ORDER_CAP}")
     if e == 1:
         return Field(p, 1, (0, 1))  # modulus x
     for low in product(range(p), repeat=e):

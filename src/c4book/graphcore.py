@@ -1,7 +1,8 @@
 """Bitset graph container and the counting kernels the certificates rely on.
 
 Adjacency is stored as one Python int per vertex (bit j of row i set iff
-i ~ j), so common-neighbor queries are a single AND + popcount.  Graphs are
+i ~ j), so common-neighbor queries are a single AND + popcount; every
+pair count rests on one O(|E|) two-step kernel, _two_step.  Graphs are
 immutable after construction; all queries are read-only.
 """
 
@@ -152,31 +153,36 @@ def is_c4_free(g: Graph) -> tuple[bool, Optional[tuple[int, int, int, int]]]:
 
     Returns (True, None) or (False, witness) where the witness (a, b, c, d)
     has edges ab, bc, cd, da.  The witness is the lexicographically first
-    violating pair together with its first two common neighbors.
-
-    For each u, the rows of u's neighbors are ORed together; a vertex seen in
-    two of them shares two neighbors with u.  The lowest such v above u is
-    u's first violating partner, so this takes O(|E|) bitset operations
-    rather than one per vertex pair.
+    violating pair together with its first two common neighbors: the lowest
+    v above u in u's `twice` set (see _two_step).
     """
     rows = g.rows
-    for u, ru in enumerate(rows):
-        seen = twice = 0
-        m = ru
-        while m:
-            low = m & -m
-            m ^= low
-            row = rows[low.bit_length() - 1]
-            twice |= seen & row
-            seen |= row
-        twice >>= u + 1
+    for u in range(g.n):
+        twice = _two_step(rows, u)[1] >> (u + 1)
         if twice:
             v = u + (twice & -twice).bit_length()
-            it = _bits(ru & rows[v])
+            it = _bits(rows[u] & rows[v])
             a = next(it)
             b = next(it)
             return False, (u, a, v, b)
     return True, None
+
+
+def _two_step(rows, u: int) -> tuple[int, int]:
+    """(once, twice): the vertices sharing at least one / at least two neighbors with u.
+
+    ORs the rows of u's neighbors, deg(u) bitset operations, so a pass over
+    every u is O(|E|).  Bit u is in once (twice) when u has one (two) neighbors.
+    """
+    once = twice = 0
+    m = rows[u]
+    while m:
+        low = m & -m
+        m ^= low
+        row = rows[low.bit_length() - 1]
+        twice |= once & row
+        once |= row
+    return once, twice
 
 
 def common_neighbors(g: Graph, vertices) -> set[int]:
@@ -192,14 +198,8 @@ def common_neighbors(g: Graph, vertices) -> set[int]:
 
 def non_two_path_pairs(g: Graph) -> int:
     """Number of unordered vertex pairs with no common neighbor."""
-    rows = g.rows
-    count = 0
-    for u in range(g.n):
-        ru = rows[u]
-        for v in range(u + 1, g.n):
-            if not ru & rows[v]:
-                count += 1
-    return count
+    n = g.n
+    return sum(n - 1 - u - (_two_step(g.rows, u)[0] >> (u + 1)).bit_count() for u in range(n))
 
 
 @dataclass(frozen=True)
@@ -238,11 +238,12 @@ def is_friendship(g: Graph) -> Optional[int]:
     rows = g.rows
     if n == 0:
         return None
+    full = (1 << n) - 1
     for u in range(n):
-        ru = rows[u]
-        for v in range(u + 1, n):
-            if (ru & rows[v]).bit_count() != 1:
-                return None
+        once, twice = _two_step(rows, u)
+        others = full ^ (1 << u)
+        if others & ~once or others & twice:
+            return None
     # Pair condition holds; the graph must be a fan: odd order, one hub
     # adjacent to everything, the rest a perfect matching.
     if n == 1:

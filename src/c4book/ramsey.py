@@ -22,7 +22,9 @@ from math import comb
 
 from .canon import graph_digest
 from .errors import DomainError, InternalInconsistency, NotC4Free
-from .graphcore import Graph, _bits, is_c4_free
+from .graphcore import Graph, _bits, _two_step, is_c4_free
+
+GOOD_PAIRS_SAMPLE = 64  # pairs good_pairs lists; its count covers them all
 
 
 @dataclass(frozen=True)
@@ -200,24 +202,24 @@ class GoodPairs:
     sample: tuple[tuple[int, int], ...]
 
 
-def good_pairs(g: Graph, deg_cap: int, sample_limit: int = 64) -> GoodPairs:
+def good_pairs(g: Graph, deg_cap: int) -> GoodPairs:
     """Pairs with disjoint neighborhoods, both endpoints of degree <= deg_cap.
 
     These are exactly the low-degree pairs joined by no 2-path, so the count
-    never exceeds non_two_path_pairs(g).
+    never exceeds non_two_path_pairs(g).  The sample holds the first
+    GOOD_PAIRS_SAMPLE of them in lexicographic order.
     """
     rows = g.rows
-    degs = g.degrees()
-    low = [v for v in range(g.n) if degs[v] <= deg_cap]
+    low_mask = sum(1 << v for v, row in enumerate(rows) if row.bit_count() <= deg_cap)
     count = 0
     sample = []
-    for i, u in enumerate(low):
-        ru = rows[u]
-        for v in low[i + 1 :]:
-            if not ru & rows[v]:
-                count += 1
-                if len(sample) < sample_limit:
-                    sample.append((u, v))
+    for u in _bits(low_mask):
+        partners = (low_mask & ~_two_step(rows, u)[0]) >> (u + 1) << (u + 1)
+        count += partners.bit_count()
+        for v in _bits(partners):
+            if len(sample) == GOOD_PAIRS_SAMPLE:
+                break
+            sample.append((u, v))
     return GoodPairs(count, tuple(sample))
 
 

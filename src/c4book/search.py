@@ -39,12 +39,14 @@ from .errors import (
 )
 from .geometry import er_graph
 from .gf import field_new, is_prime, is_prime_power
-from .graphcore import Graph, _bits, g6_decode, g6_encode, is_c4_free
+from .graphcore import Graph, _bits, _two_step, g6_decode, g6_encode, is_c4_free
 from .ramsey import LowerBoundCertificate, certify_lower_bound, complement_book_number, is_ramsey_witness
 
 GENERATOR_VERSION = "orderly-v1"
 ENUMERATION_ORDER_CAP = 13
 ALL_GRAPHS_ORDER_CAP = 8
+# probe_script_Gq shuffles all C(n, 2) vertex pairs, n = q^2 + q + 3: about 50 MiB at q = 32
+GQ_Q_CAP = 32
 
 
 # -- induced subgraphs with a minimum-degree floor --
@@ -258,13 +260,7 @@ def _c4_extension_masks(g: Graph) -> list[int]:
     of the 'shares a common neighbor' conflict graph.
     """
     n = g.n
-    conflict = [0] * n
-    for u in range(n):
-        ru = g.rows[u]
-        for v in range(u + 1, n):
-            if ru & g.rows[v]:
-                conflict[u] |= 1 << v
-                conflict[v] |= 1 << u
+    conflict = [_two_step(g.rows, u)[0] & ~(1 << u) for u in range(n)]
     out = []
 
     def rec(cur, rest):
@@ -501,11 +497,17 @@ def _violations_touching(rows, full, limit, u, v):
 def probe_script_Gq(q: int, budget: int = 10**6, seed: int = 0):
     """Heuristic hunt for a (C4, B_{q^2-q+1}^(2))-Ramsey graph on q^2+q+3 vertices.
 
+    q must lie in [2, GQ_Q_CAP]; both ends are checked before anything is built.
+
     Simulated annealing over C4-free graphs: edge toggles that preserve
     C4-freeness, with restarts from random maximal C4-free graphs and from
     thinned polarity graphs.  A returned graph is re-verified; exhausting the
     budget returns None and proves nothing.
     """
+    if q < 2:
+        raise DomainError(f"q must be >= 2, got {q}")
+    if q > GQ_Q_CAP:
+        raise CapExceeded(f"q must be <= {GQ_Q_CAP}, got {q}")
     if budget < 1:
         raise DomainError(f"budget must be >= 1, got {budget}")
     n = q * q + q + 3

@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the package's bitset kernels and
 canonical machinery: C4 detection enumerates vertex quadruples, book
-numbers use plain set arithmetic over combinations, isomorphism classes
-come from minimizing over all vertex permutations, GF(p^e) arithmetic
-is polynomial multiplication and long division on coefficient tuples, and
+numbers use plain set arithmetic over combinations, common-neighbor
+counts test one vertex pair at a time, isomorphism classes come from
+minimizing over all vertex permutations, GF(p^e) arithmetic is
+polynomial multiplication and long division on coefficient tuples, and
 equitable refinement rescans every cell for every splitter.
 """
 
@@ -83,6 +84,64 @@ def _first_c4(g: Graph):
                     m ^= low
                 return (u, picks[0], v, picks[1])
     return None
+
+
+def pair_loop_non_two_path_pairs(g: Graph) -> int:
+    """Pairs u < v with no common neighbor, one AND per pair."""
+    return sum(
+        1 for u in range(g.n) for v in range(u + 1, g.n) if not g.rows[u] & g.rows[v]
+    )
+
+
+def pair_loop_friendship_condition(g: Graph) -> bool:
+    """Every pair of distinct vertices has exactly one common neighbor."""
+    return all(
+        (g.rows[u] & g.rows[v]).bit_count() == 1
+        for u in range(g.n)
+        for v in range(u + 1, g.n)
+    )
+
+
+def pair_loop_good_pairs(g: Graph, deg_cap: int, sample_limit: int = 64):
+    """(count, sample) of low-degree pairs with disjoint neighborhoods, lexicographic."""
+    low = [v for v in range(g.n) if g.degree(v) <= deg_cap]
+    count = 0
+    sample = []
+    for i, u in enumerate(low):
+        for v in low[i + 1 :]:
+            if not g.rows[u] & g.rows[v]:
+                count += 1
+                if len(sample) < sample_limit:
+                    sample.append((u, v))
+    return count, tuple(sample)
+
+
+def pair_loop_c4_extension_masks(g: Graph) -> list:
+    """Independent sets of the 'shares a common neighbor' graph, in search order.
+
+    The conflict graph is built one pair at a time; the independent sets are
+    listed by the same recursion as ``search._c4_extension_masks``.
+    """
+    n = g.n
+    conflict = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if g.rows[u] & g.rows[v]:
+                conflict[u] |= 1 << v
+                conflict[v] |= 1 << u
+    out = []
+
+    def rec(cur, rest):
+        out.append(cur)
+        r = rest
+        while r:
+            low = r & -r
+            v = low.bit_length() - 1
+            r ^= low
+            rec(cur | low, r & ~conflict[v])
+
+    rec(0, (1 << n) - 1)
+    return out
 
 
 def random_c4_free(rng: random.Random, n: int, p: float) -> Graph:

@@ -182,7 +182,7 @@ def test_field_table_cap(capsys):
 
 def test_er_stats_and_out(capsys, tmp_path):
     out_file = str(tmp_path / "er3.g6")
-    code, doc = run_json(capsys, "er", "3", "--stats", "--out", out_file)
+    code, doc = run_json(capsys, "er", "3", "--out", out_file)
     assert code == 0
     art = doc["artifact"]
     assert art["order"] == 13 and art["size"] == 24
@@ -340,10 +340,13 @@ def test_missing_file_exit_2(capsys, tmp_path, monkeypatch, argv):
         ["search", "gq", "--q", "2", "--budget", "0.5"],
         ["search", "gq", "--q", "2", "--budget", "1.9"],
         ["construct", "random-delete", "--n", "100", "--k", "2", "--m", "7", "--max-attempts", "1.5"],
+        ["search", "gq", "--q", "-5"],
+        ["search", "gq", "--q", "0"],
+        ["search", "gq", "--q", "33"],
     ],
     ids=["eps", "table", "alpha", "budget-overflow", "budget-negative", "max-attempts-zero",
          "gq-budget-negative", "gq-budget-fraction", "gq-budget-not-whole",
-         "max-attempts-not-whole"],
+         "max-attempts-not-whole", "gq-q-negative", "gq-q-zero", "gq-q-over-cap"],
 )
 def test_bad_number_exit_2(capsys, argv):
     assert main(argv) == 2

@@ -159,7 +159,10 @@ def test_er_graph_accepts_field_or_prime_power():
     assert cb.er_graph(field) == cb.er_graph(4)
 
 
-def test_er_graph_order_cap():
+def test_er_graph_order_cap(monkeypatch):
     with pytest.raises(CapExceeded):
         cb.er_graph(131)
-    assert geometry.er_graph(2, q_cap=2).n == 7
+    monkeypatch.setattr(geometry, "DEFAULT_GRAPH_Q_CAP", 2)
+    assert geometry.er_graph(2).n == 7
+    with pytest.raises(CapExceeded):
+        geometry.er_graph(3)

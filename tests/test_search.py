@@ -299,6 +299,27 @@ def test_probe_budget_below_one_rejected(budget):
         cb.probe_script_Gq(2, budget=budget)
 
 
+@pytest.mark.parametrize("q", [-5, 0, 1])
+def test_probe_q_below_two_rejected(q):
+    with pytest.raises(DomainError):
+        cb.probe_script_Gq(q, budget=10)
+
+
+@pytest.mark.parametrize("q", [search.GQ_Q_CAP + 1, 127, 10**9])
+def test_probe_q_above_cap_rejected_before_building(q):
+    # 10**9 would need about 10**36 vertex pairs, so this only returns if the
+    # cap is checked before the pair list is built
+    with pytest.raises(CapExceeded):
+        cb.probe_script_Gq(q, budget=10)
+
+
+def test_probe_q_cap_boundary(monkeypatch):
+    monkeypatch.setattr(search, "GQ_Q_CAP", 3)
+    cb.probe_script_Gq(3, budget=1)  # at the cap: runs
+    with pytest.raises(CapExceeded):
+        cb.probe_script_Gq(4, budget=1)
+
+
 def test_probe_deterministic():
     a = cb.probe_script_Gq(3, budget=400_000, seed=9)
     b = cb.probe_script_Gq(3, budget=400_000, seed=9)
