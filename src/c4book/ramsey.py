@@ -153,6 +153,10 @@ def is_ramsey_witness(g: Graph, k: int, n: int) -> bool:
 
     A True on N vertices proves r(C4, B_n^(k)) >= N + 1.
     """
+    if k < 1:
+        raise DomainError(f"k must be >= 1, got {k}")
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
     ok, _ = is_c4_free(g)
     if not ok:
         return False

@@ -22,7 +22,8 @@ import hashlib
 import math
 import os
 import random
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -39,8 +40,8 @@ from .errors import (
 )
 from .geometry import er_graph
 from .gf import field_new, is_prime, is_prime_power
-from .graphcore import Graph, _bits, _two_step, g6_decode, g6_encode, is_c4_free
-from .ramsey import LowerBoundCertificate, certify_lower_bound, complement_book_number, is_ramsey_witness
+from .graphcore import Graph, _bits, _two_step, is_c4_free
+from .ramsey import LowerBoundCertificate, certify_lower_bound, is_ramsey_witness
 
 GENERATOR_VERSION = "orderly-v1"
 ENUMERATION_ORDER_CAP = 13
@@ -62,8 +63,8 @@ def greedy_min_degree_subgraph(g: Graph, target_order: int, min_deg: int, budget
     running out of budget raises instead, since that proves nothing.
     """
     n = g.n
-    if not 0 <= target_order <= n:
-        raise DomainError(f"target_order must be in [0, {n}]")
+    if not 1 <= target_order <= n:
+        raise DomainError(f"target_order must be in [1, {n}], got {target_order}")
     if min_deg < 0:
         raise DomainError("min_deg must be >= 0")
     if budget < 1:
@@ -118,7 +119,7 @@ def greedy_min_degree_subgraph(g: Graph, target_order: int, min_deg: int, budget
         return None
     verts = tuple(_bits(result))
     sub = g.induced_mask(result)
-    if sub.n != target_order or (target_order and min(sub.degrees()) < min_deg):
+    if sub.n != target_order or min(sub.degrees()) < min_deg:
         raise InternalInconsistency(
             f"deletion search returned order {sub.n}, wanted {target_order} with min degree {min_deg}"
         )
@@ -193,10 +194,12 @@ def random_delete_construction(
             )
     if m < 1:
         raise DomainError(f"degree floor m must be >= 1, got {m}")
+    survivors = n + m * k - (k * k - 3 * k) // 2 - 1
+    if survivors < 1:
+        raise DomainError(f"target order n + mk - k(k-3)/2 - 1 = {survivors} is below 1")
     p = smallest_admissible_prime(n)
     base = er_graph(field_new(p, 1))
     order = base.n
-    survivors = n + m * k - (k * k - 3 * k) // 2 - 1
     d = order - survivors
     if d < 0:
         raise DomainError(
@@ -211,7 +214,7 @@ def random_delete_construction(
         for v in deleted:
             mask ^= 1 << v
         sub = base.induced_mask(mask)
-        if survivors == 0 or min(sub.degrees()) >= m:
+        if min(sub.degrees()) >= m:
             note = (
                 f"random deletion of {d} vertices from ER_{p} (seed={seed}, "
                 f"attempt={attempt}); targets B_{n}^({k})-free complement"
@@ -294,57 +297,29 @@ def _children(parent: Graph, parent_key: bytes, c4: bool):
         yield child, form.key
 
 
-class _Budget:
-    __slots__ = ("examined",)
+def _kept(g: Graph, key: bytes, level: int, order: int, c4: bool, pruner):
+    """(graph, canonical key) of every kept graph on `level` vertices below g, in DFS order.
 
-    def __init__(self):
-        self.examined = 0
-
-
-def _dfs_enumerate(g, key, target, c4, pruner, visitor, stats):
-    if g.n == target:
-        stats.examined += 1
-        if visitor is not None and visitor(g):
-            return g
-        return None
+    The pruner sees only graphs with fewer than `order` vertices.
+    """
+    if g.n == level:
+        yield g, key
+        return
     for child, ckey in _children(g, key, c4):
-        if child.n < target and pruner is not None and not pruner(child):
+        if child.n < order and pruner is not None and not pruner(child):
             continue
-        found = _dfs_enumerate(child, ckey, target, c4, pruner, visitor, stats)
-        if found is not None:
-            return found
-    return None
+        yield from _kept(child, ckey, level, order, c4, pruner)
 
 
-def _seed_graph():
-    g = Graph.empty(1)
-    return g, canonical_key(g)
-
-
-def _expand_frontier(level, c4, pruner):
-    frontier = [_seed_graph()]
-    current = 1
-    while current < level:
-        nxt = []
-        for g, key in frontier:
-            for child, ckey in _children(g, key, c4):
-                if pruner is not None and not pruner(child):
-                    continue
-                nxt.append((child, ckey))
-        frontier = nxt
-        current += 1
-    return frontier
-
-
-def _worker(payload):
-    start_idx, items, target, c4, pruner, visitor = payload
-    stats = _Budget()
-    for offset, (n_, rows, key) in enumerate(items):
-        g = Graph(n_, rows, _trusted=True)
-        found = _dfs_enumerate(g, key, target, c4, pruner, visitor, stats)
-        if found is not None:
-            return start_idx + offset, g6_encode(found), stats.examined
-    return None, None, stats.examined
+def _worker(chunk, order, c4, pruner, visitor):
+    """(first graph on `order` vertices the visitor accepts or None, graphs examined)."""
+    examined = 0
+    for root, key in chunk:
+        for g, _ in _kept(root, key, order, order, c4, pruner):
+            examined += 1
+            if visitor is not None and visitor(g):
+                return g, examined
+    return None, examined
 
 
 def _pool_size(jobs: int, chunks: int) -> int:
@@ -353,48 +328,33 @@ def _pool_size(jobs: int, chunks: int) -> int:
 
 
 def _enumerate(order, c4, pruner, visitor, jobs, meta_k=None, meta_n=None):
+    """Walk the tree in chunks of its frontier; the serial walk is one chunk, the seed.
+
+    Chunk results are read in frontier order, so the first witness returned
+    is the first in DFS order whatever the worker count.  With one usable
+    worker the chunks run in this process.
+    """
     cap = ENUMERATION_ORDER_CAP if c4 else ALL_GRAPHS_ORDER_CAP
     if not 1 <= order <= cap:
         raise CapExceeded(f"order must be in [1, {cap}], got {order}")
     if jobs < 1:
         raise DomainError(f"jobs must be >= 1, got {jobs}")
-    if jobs == 1 or order <= 2:
-        stats = _Budget()
-        g, key = _seed_graph()
-        found = _dfs_enumerate(g, key, order, c4, pruner, visitor, stats)
-        if found is not None:
-            return found
-        return ExhaustionProof(order, stats.examined, True, GENERATOR_VERSION, meta_k, meta_n)
-
-    split = max(2, min(order - 1, 6))
-    frontier = _expand_frontier(split, c4, pruner)
-    if not frontier:
-        return ExhaustionProof(order, 0, True, GENERATOR_VERSION, meta_k, meta_n)
-    chunk = max(1, (len(frontier) + 4 * jobs - 1) // (4 * jobs))
-    payloads = []
-    for start in range(0, len(frontier), chunk):
-        items = [(g.n, g.rows, key) for g, key in frontier[start : start + chunk]]
-        payloads.append((start, items, order, c4, pruner, visitor))
+    split = 1 if jobs == 1 else max(1, min(order - 1, 6))
+    seed = Graph.empty(1)
+    frontier = list(_kept(seed, canonical_key(seed), split, order, c4, pruner))
+    size = max(1, -(-len(frontier) // (4 * jobs)))
+    chunks = [frontier[start : start + size] for start in range(0, len(frontier), size)]
+    work = partial(_worker, order=order, c4=c4, pruner=pruner, visitor=visitor)
+    workers = _pool_size(jobs, len(chunks))
     examined = 0
-    best_idx = None
-    best_g6 = None
-    with ProcessPoolExecutor(max_workers=_pool_size(jobs, len(payloads))) as pool:
-        pending = {pool.submit(_worker, pl): pl[0] for pl in payloads}
-        while pending:
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for fut in done:
-                start = pending.pop(fut)
-                idx, wg6, ex = fut.result()
-                examined += ex
-                if idx is not None and (best_idx is None or idx < best_idx):
-                    best_idx, best_g6 = idx, wg6
-            if best_idx is not None:
-                # chunks that start past the best witness cannot improve it
-                for fut, start in list(pending.items()):
-                    if start > best_idx and fut.cancel():
-                        del pending[fut]
-    if best_g6 is not None:
-        return g6_decode(best_g6)
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        results = map(work, chunks) if pool is None else pool.map(work, chunks)
+        for found, count in results:
+            examined += count
+            if found is not None:
+                if pool is not None:
+                    pool.shutdown(cancel_futures=True)
+                return found
     return ExhaustionProof(order, examined, True, GENERATOR_VERSION, meta_k, meta_n)
 
 
@@ -420,26 +380,21 @@ def count_c4_free_classes(order: int, jobs: int = 1) -> int:
     return proof.graphs_examined
 
 
-def _book_pruner(g: Graph, k: int, n: int) -> bool:
-    """Keep a partial graph only while its complement is still B_n^(k)-free.
-
-    The complement book number never decreases under one-vertex extension,
-    so cutting here loses only graphs the visitor would reject.
-    """
-    if k > g.n:
-        return True
-    count, _ = complement_book_number(g, k, stop_at=n)
-    return count < n
-
-
 def exhaust_ramsey(order: int, k: int, n: int, jobs: int = 1, use_pruner: bool = True):
     """Witness graph or ExhaustionProof for r(C4, B_n^(k)) vs order.
 
     A witness on `order` vertices proves r >= order + 1; an ExhaustionProof
     with all_rejected proves r <= order.
     """
+    if k < 1:
+        raise DomainError(f"k must be >= 1, got {k}")
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
     visitor = partial(is_ramsey_witness, k=k, n=n)
-    pruner = partial(_book_pruner, k=k, n=n) if use_pruner else None
+    # The visitor is a monotone pruner: a one-vertex extension keeps every C4
+    # and every book of the complement, so a rejected partial graph has only
+    # rejected completions.
+    pruner = visitor if use_pruner else None
     return _enumerate(order, True, pruner, visitor, jobs, meta_k=k, meta_n=n)
 
 

@@ -343,12 +343,26 @@ def test_missing_file_exit_2(capsys, tmp_path, monkeypatch, argv):
         ["search", "gq", "--q", "-5"],
         ["search", "gq", "--q", "0"],
         ["search", "gq", "--q", "33"],
+        ["search", "exact", "--k", "2", "--n", "0", "--N", "5"],
+        ["search", "exact", "--k", "2", "--n", "-4", "--N", "6"],
+        ["search", "exact", "--k", "0", "--n", "3", "--N", "5"],
+        ["verify", "c6.g6", "--k", "3", "--n", "0"],
+        ["verify", "c6.g6", "--k", "30", "--n", "0"],
+        ["verify", "c6.g6", "--k", "0", "--n", "3"],
+        ["construct", "random-delete", "--n", "3", "--k", "6", "--m", "1"],
+        ["construct", "random-delete", "--n", "1", "--k", "5", "--m", "1"],
+        ["construct", "er-subgraph", "--q", "4", "--order", "0", "--min-deg", "0"],
     ],
     ids=["eps", "table", "alpha", "budget-overflow", "budget-negative", "max-attempts-zero",
          "gq-budget-negative", "gq-budget-fraction", "gq-budget-not-whole",
-         "max-attempts-not-whole", "gq-q-negative", "gq-q-zero", "gq-q-over-cap"],
+         "max-attempts-not-whole", "gq-q-negative", "gq-q-zero", "gq-q-over-cap",
+         "exact-n-zero", "exact-n-negative", "exact-k-zero", "verify-n-zero",
+         "verify-n-zero-k-over-order", "verify-k-zero", "random-delete-order-negative",
+         "random-delete-order-zero", "er-subgraph-order-zero"],
 )
-def test_bad_number_exit_2(capsys, argv):
+def test_bad_number_exit_2(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c6.g6").write_bytes(g6_encode(cycle_graph(6)) + b"\n")
     assert main(argv) == 2
     assert "Traceback" not in capsys.readouterr().err
 

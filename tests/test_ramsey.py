@@ -209,6 +209,12 @@ def test_witness_examples():
     assert cb.is_ramsey_witness(cb.er_graph(3), 1, 10)
 
 
+@pytest.mark.parametrize("k, n", [(0, 3), (-1, 3), (3, 0), (30, 0), (2, -4)])
+def test_witness_k_or_n_below_one_rejected(k, n):
+    with pytest.raises(DomainError):
+        cb.is_ramsey_witness(cycle_graph(6), k, n)
+
+
 # -- certificates --
 
 

@@ -68,6 +68,12 @@ def test_greedy_budget_below_one_rejected(budget):
         cb.greedy_min_degree_subgraph(cb.er_graph(4), 18, 4, budget=budget)
 
 
+@pytest.mark.parametrize("order", [-1, 0, 22])
+def test_greedy_target_order_out_of_range_rejected(order):
+    with pytest.raises(DomainError):
+        cb.greedy_min_degree_subgraph(cb.er_graph(4), order, 0)
+
+
 def test_greedy_postconditions_er8():
     er8 = cb.er_graph(8)
     for t in (0, 6, 7):
@@ -114,6 +120,13 @@ def test_random_delete_validation():
     for attempts in (0, -2):
         with pytest.raises(DomainError):
             cb.random_delete_construction(100, 2, seed=1, m=7, max_attempts=attempts)
+
+
+@pytest.mark.parametrize("n, k", [(3, 6), (1, 5)])
+def test_random_delete_target_order_below_one_rejected(n, k):
+    # n + mk - k(k-3)/2 - 1 at m = 1 is -1 and 0
+    with pytest.raises(DomainError):
+        cb.random_delete_construction(n, k, seed=1, m=1)
 
 
 def test_random_delete_default_regime_boundary():
@@ -215,6 +228,23 @@ def test_jobs_parallel_matches_sequential():
     assert search.count_c4_free_classes(7, jobs=2) == 117
 
 
+def test_one_usable_worker_starts_no_process(monkeypatch):
+    want = search.exhaust_ramsey(8, 2, 3)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-worker search started a process pool")
+
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+    assert search.exhaust_ramsey(8, 2, 3, jobs=2) == want
+
+
+def test_pool_path_counts():
+    assert search.enumerate_graphs(7, jobs=2).graphs_examined == KNOWN_ALL_COUNTS[7]
+    proof = search.exhaust_ramsey(7, 1, 4, use_pruner=False, jobs=2)
+    assert proof.graphs_examined == KNOWN_C4_FREE_COUNTS[7]
+
+
 def test_pool_size_clamp(monkeypatch):
     monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
     assert search._pool_size(1, 50) == 1
@@ -223,6 +253,12 @@ def test_pool_size_clamp(monkeypatch):
     assert search._pool_size(100_000, 2) == 2
     monkeypatch.setattr(search.os, "cpu_count", lambda: None)
     assert search._pool_size(8, 50) == 1
+
+
+@pytest.mark.parametrize("k, n", [(0, 3), (-2, 3), (2, 0), (2, -4)])
+def test_exhaust_ramsey_k_or_n_below_one_rejected(k, n):
+    with pytest.raises(DomainError):
+        search.exhaust_ramsey(5, k, n)
 
 
 @pytest.mark.parametrize("jobs", [0, -1])

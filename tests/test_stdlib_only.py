@@ -1,4 +1,4 @@
-"""The package imports nothing outside the standard library at runtime."""
+"""Source rules for the package: stdlib-only imports and no assert statements."""
 
 import ast
 import sys
@@ -7,9 +7,19 @@ from pathlib import Path
 PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "c4book"
 
 
+def _sources():
+    sources = sorted(PACKAGE_DIR.glob("*.py"))
+    assert sources
+    return sources
+
+
+def _nodes(path: Path):
+    return ast.walk(ast.parse(path.read_text(), filename=str(path)))
+
+
 def _absolute_imports(path: Path):
     """(line, top-level module) of every absolute import in one source file."""
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for node in _nodes(path):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield node.lineno, alias.name.split(".")[0]
@@ -18,13 +28,22 @@ def _absolute_imports(path: Path):
 
 
 def test_package_imports_only_stdlib():
-    sources = sorted(PACKAGE_DIR.glob("*.py"))
-    assert sources
     allowed = set(sys.stdlib_module_names) | {"c4book"}
     outside = [
         f"{path.name}:{line}: {module}"
-        for path in sources
+        for path in _sources()
         for line, module in _absolute_imports(path)
         if module not in allowed
     ]
     assert not outside, "non-stdlib runtime imports: " + ", ".join(outside)
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips asserts; broken invariants raise InternalInconsistency
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in _sources()
+        for node in _nodes(path)
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, "assert statements (raise InternalInconsistency instead): " + ", ".join(found)
