@@ -233,7 +233,9 @@ def theorem15_admissible(k: int, q: int, t: int, eps) -> Admissibility:
     """Whether (q, t) lands in the exact-value family's stated (q, t) window.
 
     The size threshold on q is reported separately (bounds_params), since no
-    desk-scale q meets it; certificates stand on their own.
+    desk-scale q meets it; certificates stand on their own.  A (q, t) whose
+    book B_n^(k) would have n = q^2 - kq + t + C(k,2) - k < 1 pages is
+    refused too.
     """
     if k < 3:
         raise DomainError(f"k must be >= 3, got {k}")
@@ -247,6 +249,9 @@ def theorem15_admissible(k: int, q: int, t: int, eps) -> Admissibility:
     even = cls == "even"
     if t == excl:
         return Admissibility(False, f"t={excl} excluded for {'even q' if even else 'q = ' + cls}", cls)
+    n = q * q - k * q + t + book_order_offset(k)
+    if n < 1:
+        return Admissibility(False, f"n = q^2 - kq + t + C(k,2) - k = {n} < 1", cls)
     kind = "even prime power" if even else f"odd prime power ({cls})"
     return Admissibility(True, f"{kind}, {lo} <= t <= (1-eps)q, t != {excl}", cls)
 

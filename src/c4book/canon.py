@@ -7,6 +7,17 @@ discovered from equal leaves prune sibling branches; pruning only skips
 subtrees that a known automorphism maps onto an explored one, so the
 canonical form itself is exact.
 
+A leaf equal to the incumbent also backjumps (McKay 1981; McKay & Piperno
+2014).  If the two leaves' individualized prefixes agree on their first j
+vertices, the automorphism between them fixes those j vertices and maps
+the incumbent's subtree at depth j + 1 onto the one holding the new leaf.
+Every leaf left in that subtree is the image of an explored leaf with the
+same key, so none can beat the incumbent: the search abandons every frame
+deeper than j and resumes at depth j.  Only strictly larger leaves replace
+the incumbent, so the first maximal leaf in DFS order, hence the key and
+labeling, is the one the full search finds (``tests/oracles.py`` keeps that
+search as ``canonical_form_reference``); only fewer generators are found.
+
 Refinement only visits the cells a splitter's neighborhood reaches, so a
 splitter costs in proportion to its neighborhood, not to the number of
 cells; that is what makes polarity graphs with hundreds of vertices
@@ -171,7 +182,8 @@ class CanonicalForm:
     key: bytes            # order byte(s) + packed canonical adjacency
     labeling: tuple       # labeling[v] = canonical position of vertex v
     order: tuple          # order[i] = vertex at canonical position i
-    generators: tuple     # discovered automorphisms (not always the full group)
+    generators: tuple     # discovered automorphisms (not always the full group;
+                          # the backjump skips leaves that would add more)
 
     def graph(self, g: Graph) -> Graph:
         rows = [0] * g.n
@@ -192,6 +204,7 @@ class _Search:
         self.n = n
         self.best_key = -1
         self.best_order = None
+        self.best_prefix = None  # the individualized vertices of the incumbent
         self.gens = []
 
     def run(self):
@@ -199,20 +212,36 @@ class _Search:
         self.descend(cells, [])
 
     def descend(self, cells, prefix):
+        """Explore the subtree at ``prefix``; return the depth to resume at.
+
+        The frame at depth d (``len(prefix) == d``) goes on to its next
+        candidate when a child returns d or more, and returns at once when
+        a child returns less.
+        """
+        depth = len(prefix)
         if all(len(c) == 1 for c in cells):
             order = [c[0] for c in cells]
             key = _leaf_key(self.rows, order)
             if key > self.best_key:
                 self.best_key = key
                 self.best_order = order
+                self.best_prefix = prefix
             elif key == self.best_key:
                 g = [0] * self.n
                 for a, b in zip(self.best_order, order):
                     g[a] = b
                 self.gens.append(tuple(g))
-            return
+                # g fixes the common prefix pointwise and maps the incumbent's
+                # subtree at the next depth onto this leaf's: backjump there.
+                j = 0
+                for a, b in zip(prefix, self.best_prefix):
+                    if a != b:
+                        break
+                    j += 1
+                return j
+            return depth
         if self.best_order is not None and self._prefix_beaten(cells):
-            return
+            return depth
         idx = max(
             (i for i, c in enumerate(cells) if len(c) > 1),
             key=lambda i: (len(cells[i]), -i),
@@ -247,8 +276,11 @@ class _Search:
             if any(find(u) == rv for u in tried):
                 continue
             branched = cells[:idx] + [[v], [w for w in cell if w != v]] + cells[idx + 1 :]
-            self.descend(_refine(self.rows, branched), prefix + [v])
+            resume = self.descend(_refine(self.rows, branched), prefix + [v])
+            if resume < depth:
+                return resume
             tried.append(v)
+        return depth
 
     def _prefix_beaten(self, cells):
         """True when the bits fixed by leading singleton cells already fall

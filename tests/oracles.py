@@ -6,13 +6,16 @@ numbers use plain set arithmetic over combinations, common-neighbor
 counts test one vertex pair at a time, isomorphism classes come from
 minimizing over all vertex permutations, GF(p^e) arithmetic is
 polynomial multiplication and long division on coefficient tuples, and
-equitable refinement rescans every cell for every splitter.
+equitable refinement rescans every cell for every splitter.  The one
+exception is ``canonical_form_reference``: it reuses ``canon._refine`` and
+``canon._leaf_key`` so that it checks the search tree walk alone.
 """
 
 from collections import deque
 from itertools import combinations, permutations
 import random
 
+from c4book.canon import CanonicalForm, _leaf_key, _refine
 from c4book.graphcore import Graph
 
 
@@ -432,3 +435,79 @@ def refine_reference(rows, cells):
                 queue.append(part)
             i += len(parts)
     return cells
+
+
+def canonical_form_reference(g: Graph) -> CanonicalForm:
+    """The canonical search without backjumping on automorphism leaves.
+
+    A depth-first walk of the refinement tree (individualize each vertex of
+    the first largest non-singleton cell, refine) that keeps the first leaf
+    with the largest ``_leaf_key``.  Like ``canon.canonical_form`` it skips
+    a sibling that a discovered automorphism fixing the prefix maps onto a
+    tried one, and a node whose leading singletons already fall below the
+    incumbent, but it scans every other sibling below an automorphism leaf.
+    ``canon.canonical_form`` must return the same key, order and labeling;
+    its generators may be fewer.
+    """
+    n = g.n
+    if n == 0:
+        return CanonicalForm(b"\x00", (), (), ())
+    rows = g.rows
+    nbits = n * (n - 1) // 2
+    best = {"key": -1, "order": None}
+    gens = []
+
+    def beaten(cells):
+        fixed = []
+        for c in cells:
+            if len(c) != 1:
+                break
+            fixed.append(c[0])
+        t = len(fixed)
+        if t < 2:
+            return False
+        return _leaf_key(rows, fixed) < best["key"] >> (nbits - t * (t - 1) // 2)
+
+    def descend(cells, prefix):
+        if all(len(c) == 1 for c in cells):
+            order = [c[0] for c in cells]
+            key = _leaf_key(rows, order)
+            if key > best["key"]:
+                best["key"], best["order"] = key, order
+            elif key == best["key"]:
+                gen = [0] * n
+                for a, b in zip(best["order"], order):
+                    gen[a] = b
+                gens.append(gen)
+            return
+        if best["order"] is not None and beaten(cells):
+            return
+        idx = max((i for i, c in enumerate(cells) if len(c) > 1), key=lambda i: (len(cells[i]), -i))
+        cell = cells[idx]
+        tried = []
+        for v in cell:
+            # v is skipped when a generator fixing the prefix pointwise joins
+            # it to a tried sibling; orbits are rebuilt for each candidate
+            orbit = {u: {u} for u in cell}
+            for gen in gens:
+                if any(gen[x] != x for x in prefix):
+                    continue
+                for u in cell:
+                    a, b = orbit[u], orbit.get(gen[u])
+                    if b is not None and a is not b:
+                        a |= b
+                        for w in b:
+                            orbit[w] = a
+            if any(u in orbit[v] for u in tried):
+                continue
+            branched = cells[:idx] + [[v], [w for w in cell if w != v]] + cells[idx + 1 :]
+            descend(_refine(rows, branched), prefix + [v])
+            tried.append(v)
+
+    descend(_refine(rows, [list(range(n))]), [])
+    order = best["order"]
+    labeling = [0] * n
+    for i, v in enumerate(order):
+        labeling[v] = i
+    key = n.to_bytes(8, "big") + best["key"].to_bytes((nbits + 7) // 8 or 1, "big")
+    return CanonicalForm(key, tuple(labeling), tuple(order), tuple(tuple(x) for x in gens))

@@ -1,7 +1,7 @@
 """Exact bound formulas, floors, parameter packs, and the aggregated report."""
 
 from fractions import Fraction
-from math import isqrt
+from math import comb, isqrt
 
 import numpy as np
 import pytest
@@ -193,6 +193,23 @@ def test_theorem15_examples():
     assert cb.theorem15_admissible(3, 9, 4, Fraction(1, 10)).admissible
     with pytest.raises(NotPrimePower):
         cb.theorem15_admissible(3, 6, 0, Fraction(1, 2))
+
+
+def test_theorem15_refuses_book_order_below_one():
+    # q = 2, t = 0 is in the even-q window, but the book would have n < 1
+    for k, n in ((3, -2), (4, -2), (5, -1)):
+        adm = cb.theorem15_admissible(k, 2, 0, Fraction(1, 4))
+        assert not adm.admissible
+        assert adm.reason == f"n = q^2 - kq + t + C(k,2) - k = {n} < 1"
+    assert cb.theorem15_admissible(6, 2, 0, Fraction(1, 4)).admissible  # n = 1
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_theorem15_table_rows_have_a_book(k):
+    for eps in (Fraction(1, 100), Fraction(1, 4), Fraction(1, 2), Fraction(9, 10)):
+        for r in bounds.theorem15_table(2, 64, k, eps):
+            assert r["n"] >= 1
+            assert r["n"] == r["q"] ** 2 - k * r["q"] + r["t"] + comb(k, 2) - k
 
 
 def test_theorem15_table_shape():
