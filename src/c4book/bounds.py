@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
 
-from .errors import DomainError, InternalInconsistency
+from .errors import CapExceeded, DomainError, InternalInconsistency
 from .gf import is_prime_power, prime_power_decompose
 
 # -- exact floors of sqrt(n) - c * n^alpha --
@@ -185,25 +185,51 @@ class BoundsParams:
     t_in_range: bool            # 0 <= t <= (1 - eps) q
 
 
+# bounds_params reports Q(k, eps) exactly, so its numerator must print:
+# Python converts at most 4300 digits of an int to a string by default.
+THRESHOLD_DIGITS_CAP = 4300
+_THRESHOLD_LIMIT = 10**THRESHOLD_DIGITS_CAP
+
+
 def q_threshold(k: int, eps) -> Fraction:
     eps = _as_eps(eps)
     return Fraction(320 * k**4) ** (k + 1) / eps ** (2 * k)
 
 
+def _reported_threshold(k: int, eps: Fraction) -> Fraction:
+    """Q(k, eps), refused when its numerator has over THRESHOLD_DIGITS_CAP digits.
+
+    With eps = a/b in lowest terms, Q = (320 k^4)^(k+1) b^(2k) / a^(2k), and
+    b^(2k) is coprime to a^(2k).  So the numerator is the longer term, and it
+    is at least Q and at least b^(2k); when either lower bound is surely too
+    long, Q is refused before it is built.
+    """
+    a, b = eps.numerator, eps.denominator
+    log_q = (k + 1) * math.log10(320 * k**4) + 2 * k * (math.log10(b) - math.log10(a))
+    if max(log_q, 2 * k * math.log10(b)) <= THRESHOLD_DIGITS_CAP + 1:
+        threshold = q_threshold(k, eps)
+        if threshold.numerator < _THRESHOLD_LIMIT:
+            return threshold
+    raise CapExceeded(f"Q(k, eps) has more than {THRESHOLD_DIGITS_CAP} digits at k={k}")
+
+
 def bounds_params(k: int, q: int, t: int, eps) -> BoundsParams:
-    """All derived quantities for the (k, q, t, eps) parameterization."""
+    """All derived quantities for the (k, q, t, eps) parameterization.
+
+    A Q(k, eps) too long to print raises CapExceeded before Q is built.
+    """
     if k < 3:
         raise DomainError(f"bounds_params needs k >= 3, got {k}")
     if q < 2:
         raise DomainError(f"bounds_params needs q >= 2, got {q}")
     eps = _as_eps(eps)
+    threshold = _reported_threshold(k, eps)
     a_k = book_order_offset(k)
     b_k = ladder_offset(k)
     n = q * q - k * q + t + a_k
     ladder = [q * q - (k - i) * q + t + b_k for i in range(1, k - 1)]
     ladder.append(q * q - q + t + b_k + 1)
     ladder.append(q * q + t)
-    threshold = q_threshold(k, eps)
     return BoundsParams(
         k=k,
         q=q,

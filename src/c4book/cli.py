@@ -192,7 +192,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--N", dest="order", type=int, required=True)
-    s.add_argument("--no-prune", action="store_true")
     s.add_argument("--out", metavar="FILE.g6")
 
     s = ssub.add_parser("gq", help="hunt for a member of the q^2+q+3 witness family")
@@ -230,7 +229,7 @@ def _cmd_field(args, run) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_er(args, run) -> tuple[int, dict, list[str]]:
-    field = gf.field_new(*gf.prime_power_decompose(args.q))
+    field = geometry.plane_field(args.q)
     g = geometry.er_graph(field)
     absolutes = geometry.absolute_points(field)
     histogram: dict[int, int] = {}
@@ -384,9 +383,7 @@ def _cmd_random_delete(args, run) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_search_exact(args, run) -> tuple[int, dict, list[str]]:
-    result = search.exhaust_ramsey(
-        args.order, args.k, args.n, jobs=args.jobs, use_pruner=not args.no_prune
-    )
+    result = search.exhaust_ramsey(args.order, args.k, args.n, jobs=args.jobs)
     if isinstance(result, Graph):
         artifact = {
             "witness_found": True,

@@ -54,6 +54,17 @@ def _bitmask(positions, nbytes: int) -> int:
     return int.from_bytes(buf, "little")
 
 
+def plane_field(field_or_q) -> Field:
+    """The field of PG(2, q), given as a Field or as q.
+
+    A q over DEFAULT_GRAPH_Q_CAP is refused before it is factored.
+    """
+    q = field_or_q.q if isinstance(field_or_q, Field) else field_or_q
+    if q > DEFAULT_GRAPH_Q_CAP:
+        raise CapExceeded(f"q={q} polarity graph would have {q * q + q + 1} vertices")
+    return field_or_q if isinstance(field_or_q, Field) else field_new(*prime_power_decompose(q))
+
+
 def er_graph(field_or_q) -> Graph:
     """Orthogonal polarity graph on PG(2, q).
 
@@ -64,10 +75,8 @@ def er_graph(field_or_q) -> Graph:
     except degree q at the q+1 absolute points) is checked at build time,
     not assumed.
     """
-    field = field_or_q if isinstance(field_or_q, Field) else field_new(*prime_power_decompose(field_or_q))
+    field = plane_field(field_or_q)
     q = field.q
-    if q > DEFAULT_GRAPH_Q_CAP:
-        raise CapExceeded(f"q={q} polarity graph would have {q * q + q + 1} vertices")
     t = field.tables
     qq = q * q
     n = qq + q + 1

@@ -249,13 +249,19 @@ class Field:
 
 
 def field_new(p: int, e: int) -> Field:
-    """Build GF(p^e), selecting the smallest monic irreducible modulus."""
+    """Build GF(p^e), selecting the smallest monic irreducible modulus.
+
+    The order cap is checked first, so a huge p or e costs neither a
+    primality test nor the power p^e: with p >= 2, any e of the cap's bit
+    length or more already passes it.
+    """
+    cap = DEFAULT_ORDER_CAP
+    if p >= 2 and e >= 1 and (p > cap or e >= cap.bit_length() or p**e > cap):
+        raise CapExceeded(f"p^e exceeds cap {cap}")
     if not is_prime(p):
         raise NonPrimeCharacteristic(f"{p} is not prime")
     if e < 1:
         raise DomainError(f"extension degree must be >= 1, got {e}")
-    if p**e > DEFAULT_ORDER_CAP:
-        raise CapExceeded(f"p^e = {p**e} exceeds cap {DEFAULT_ORDER_CAP}")
     if e == 1:
         return Field(p, 1, (0, 1))  # modulus x
     for low in product(range(p), repeat=e):

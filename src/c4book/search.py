@@ -358,21 +358,20 @@ def _enumerate(order, c4, pruner, visitor, jobs, meta_k=None, meta_n=None):
     return ExhaustionProof(order, examined, True, GENERATOR_VERSION, meta_k, meta_n)
 
 
-def enumerate_c4_free(order: int, pruner=None, visitor=None, jobs: int = 1):
+def enumerate_c4_free(order: int, visitor=None, jobs: int = 1):
     """One representative per isomorphism class of C4-free graphs on `order`.
 
     The visitor tests each completed graph; the first graph it accepts is
     returned (deterministically, independent of the worker count).  With no
-    acceptance the full ExhaustionProof comes back.  The pruner may cut a
-    partial graph only when every completion of it would be rejected.
-    With jobs > 1, pruner and visitor must be picklable.
+    acceptance the full ExhaustionProof comes back.  With jobs > 1, the
+    visitor must be picklable.
     """
-    return _enumerate(order, True, pruner, visitor, jobs)
+    return _enumerate(order, True, None, visitor, jobs)
 
 
-def enumerate_graphs(order: int, pruner=None, visitor=None, jobs: int = 1):
+def enumerate_graphs(order: int, visitor=None, jobs: int = 1):
     """Same engine with the C4 filter off: all graphs up to isomorphism."""
-    return _enumerate(order, False, pruner, visitor, jobs)
+    return _enumerate(order, False, None, visitor, jobs)
 
 
 def count_c4_free_classes(order: int, jobs: int = 1) -> int:
@@ -380,7 +379,7 @@ def count_c4_free_classes(order: int, jobs: int = 1) -> int:
     return proof.graphs_examined
 
 
-def exhaust_ramsey(order: int, k: int, n: int, jobs: int = 1, use_pruner: bool = True):
+def exhaust_ramsey(order: int, k: int, n: int, jobs: int = 1):
     """Witness graph or ExhaustionProof for r(C4, B_n^(k)) vs order.
 
     A witness on `order` vertices proves r >= order + 1; an ExhaustionProof
@@ -391,11 +390,10 @@ def exhaust_ramsey(order: int, k: int, n: int, jobs: int = 1, use_pruner: bool =
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     visitor = partial(is_ramsey_witness, k=k, n=n)
-    # The visitor is a monotone pruner: a one-vertex extension keeps every C4
-    # and every book of the complement, so a rejected partial graph has only
-    # rejected completions.
-    pruner = visitor if use_pruner else None
-    return _enumerate(order, True, pruner, visitor, jobs, meta_k=k, meta_n=n)
+    # The visitor is also a monotone pruner: a one-vertex extension keeps
+    # every C4 and every book of the complement, so a rejected partial graph
+    # has only rejected completions.
+    return _enumerate(order, True, visitor, visitor, jobs, meta_k=k, meta_n=n)
 
 
 # -- heuristic probe for specific witness families --
@@ -415,30 +413,15 @@ def _can_add_edge(rows, u, v):
     return True
 
 
-def _violating_pairs(rows, n, pages_needed):
-    """Independent pairs whose common non-neighborhood fits a forbidden book."""
-    full = (1 << n) - 1
-    count = 0
-    for u in range(n):
-        ru = rows[u]
-        for v in range(u + 1, n):
-            if ru >> v & 1:
-                continue
-            union = (ru | rows[v]) & ~(1 << u) & ~(1 << v)
-            if n - 2 - union.bit_count() >= pages_needed:
-                count += 1
-    return count
+def _violations(rows, full, limit, starts):
+    """Violating pairs {x, w} over the (x, skip) in starts, w outside skip.
 
-
-def _violations_touching(rows, full, limit, u, v):
-    """The pairs _violating_pairs counts that contain u or v, {u, v} once.
-
-    These are the only pairs whose count a toggle of uv can change.  For an
-    independent pair {x, w} the union of the two neighborhoods avoids x and w,
-    so a pair violates exactly when that union has at most limit vertices.
+    An independent pair violates when its common non-neighborhood holds the
+    forbidden book's pages.  The union of the two neighborhoods avoids x and
+    w, so that is exactly when the union has at most limit vertices.
     """
     count = 0
-    for x, skip in ((u, 0), (v, 1 << u)):
+    for x, skip in starts:
         rx = rows[x]
         m = full & ~(rx | 1 << x | skip)
         while m:
@@ -447,6 +430,19 @@ def _violations_touching(rows, full, limit, u, v):
             if (rx | rows[low.bit_length() - 1]).bit_count() <= limit:
                 count += 1
     return count
+
+
+def _energy(rows, full, limit):
+    """All violating pairs, each counted at its lower vertex."""
+    return _violations(rows, full, limit, [(x, (2 << x) - 1) for x in range(len(rows))])
+
+
+def _violations_touching(rows, full, limit, u, v):
+    """The violating pairs that contain u or v, {u, v} once.
+
+    These are the only pairs whose count a toggle of uv can change.
+    """
+    return _violations(rows, full, limit, ((u, 0), (v, 1 << u)))
 
 
 def probe_script_Gq(q: int, budget: int = 10**6, seed: int = 0):
@@ -501,7 +497,7 @@ def probe_script_Gq(q: int, budget: int = 10**6, seed: int = 0):
     while steps < budget:
         rows = polarity_seed() if restart % 2 else random_seed()
         restart += 1
-        energy = _violating_pairs(rows, n, pages)
+        energy = _energy(rows, full, limit)
         temperature = 2.0
         stall = 0
         while steps < budget and stall < 20000:

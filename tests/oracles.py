@@ -119,6 +119,20 @@ def pair_loop_good_pairs(g: Graph, deg_cap: int, sample_limit: int = 64):
     return count, tuple(sample)
 
 
+def violating_pairs(rows, n, pages_needed):
+    """Independent pairs whose common non-neighborhood fits a forbidden book, one pair at a time."""
+    count = 0
+    for u in range(n):
+        ru = rows[u]
+        for v in range(u + 1, n):
+            if ru >> v & 1:
+                continue
+            union = (ru | rows[v]) & ~(1 << u) & ~(1 << v)
+            if n - 2 - union.bit_count() >= pages_needed:
+                count += 1
+    return count
+
+
 def pair_loop_c4_extension_masks(g: Graph) -> list:
     """Independent sets of the 'shares a common neighbor' graph, in search order.
 

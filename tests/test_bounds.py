@@ -8,7 +8,7 @@ import pytest
 
 import c4book as cb
 from c4book import bounds
-from c4book.errors import DomainError, NotPrimePower
+from c4book.errors import CapExceeded, DomainError, NotPrimePower
 
 
 # -- star bound --
@@ -147,6 +147,21 @@ def test_threshold_identity():
     for k in range(3, 9):
         for eps in (Fraction(1, 2), Fraction(1, 3), Fraction(7, 10)):
             assert bounds.q_threshold(k, eps) * eps ** (2 * k) == Fraction(320 * k**4) ** (k + 1)
+
+
+def test_bounds_params_refuses_unprintable_threshold(monkeypatch):
+    # at k = 3 and eps = 10^-e the numerator of Q has 6e + 18 digits
+    assert len(str(cb.bounds_params(3, 8, 6, Fraction(1, 10**713)).threshold.numerator)) == 4296
+    with pytest.raises(CapExceeded):
+        cb.bounds_params(3, 8, 6, Fraction(1, 10**714))
+    # a long eps numerator cancels nothing of the denominator's power
+    with pytest.raises(CapExceeded):
+        cb.bounds_params(3, 8, 6, Fraction(10**800 - 1, 10**800))
+    # far over the cap the refusal comes from k and eps alone, without Q
+    monkeypatch.setattr(bounds, "q_threshold", lambda k, eps: pytest.fail("built Q"))
+    for k in (400, 10**6):
+        with pytest.raises(CapExceeded):
+            cb.bounds_params(k, 8, 6, Fraction(1, 2))
 
 
 def test_bounds_params_validation():

@@ -1,13 +1,16 @@
 """End-to-end command-line behavior: exit codes, JSON artifacts, determinism."""
 
+import argparse
 import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 import c4book as cb
-from c4book import ramsey
-from c4book.cli import main
+from c4book import geometry, gf, ramsey
+from c4book.cli import _build_parser, main
 from c4book.graphcore import Graph, g6_encode
 
 from oracles import cycle_graph, star_graph
@@ -352,19 +355,77 @@ def test_missing_file_exit_2(capsys, tmp_path, monkeypatch, argv):
         ["construct", "random-delete", "--n", "3", "--k", "6", "--m", "1"],
         ["construct", "random-delete", "--n", "1", "--k", "5", "--m", "1"],
         ["construct", "er-subgraph", "--q", "4", "--order", "0", "--min-deg", "0"],
+        ["field", "2", "100000000"],
+        ["search", "exact", "--k", "2", "--n", "3", "--N", "8", "--no-prune"],
+        ["bounds", "--n", "46", "--k", "400", "--q", "8", "--t", "6"],
+        ["--format", "json", "bounds", "--n", "46", "--k", "400", "--q", "8", "--t", "6"],
     ],
     ids=["eps", "table", "alpha", "budget-overflow", "budget-negative", "max-attempts-zero",
          "gq-budget-negative", "gq-budget-fraction", "gq-budget-not-whole",
          "max-attempts-not-whole", "gq-q-negative", "gq-q-zero", "gq-q-over-cap",
          "exact-n-zero", "exact-n-negative", "exact-k-zero", "verify-n-zero",
          "verify-n-zero-k-over-order", "verify-k-zero", "random-delete-order-negative",
-         "random-delete-order-zero", "er-subgraph-order-zero"],
+         "random-delete-order-zero", "er-subgraph-order-zero", "field-power-over-cap",
+         "exact-no-prune", "bounds-threshold-unprintable", "bounds-threshold-unprintable-json"],
 )
 def test_bad_number_exit_2(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "c6.g6").write_bytes(g6_encode(cycle_graph(6)) + b"\n")
     assert main(argv) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["er", "10000000000000061"],
+        ["construct", "er-subgraph", "--q", "10000000000000061", "--order", "5", "--min-deg", "1"],
+    ],
+    ids=["er", "er-subgraph"],
+)
+def test_q_over_cap_refused_before_factoring(capsys, monkeypatch, argv):
+    # factoring this q by trial division takes about 20 s, so it must not start
+    real = gf.prime_power_decompose
+
+    def guarded(q):
+        if q > geometry.DEFAULT_GRAPH_Q_CAP:
+            pytest.fail(f"factored q={q} over the cap")
+        return real(q)
+
+    monkeypatch.setattr(gf, "prime_power_decompose", guarded)
+    monkeypatch.setattr(geometry, "prime_power_decompose", guarded)
+    assert main(argv) == 2
+    assert "polarity graph would have" in capsys.readouterr().err
+
+
+def _readme_commands():
+    """Argument lists of the `c4book ...` lines in the README's Command line block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("c4book ")]
+
+
+def _command_paths(parser, prefix=()):
+    """Every (sub)command word sequence that ends at a leaf parser."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return {
+                path for name, sub in action.choices.items() for path in _command_paths(sub, prefix + (name,))
+            }
+    return {prefix}
+
+
+def test_readme_commands_match_parser():
+    parser = _build_parser()
+    commands = _readme_commands()
+    assert commands
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README line does not parse: c4book {shlex.join(argv)}")
+    for path in _command_paths(parser):
+        assert any(tuple(argv[: len(path)]) == path for argv in commands), path
 
 
 def test_usage_error_exit_2(capsys):

@@ -159,6 +159,17 @@ def test_er_graph_accepts_field_or_prime_power():
     assert cb.er_graph(field) == cb.er_graph(4)
 
 
+def test_er_graph_refuses_q_over_cap_before_factoring(monkeypatch):
+    # factoring this q by trial division takes about 20 s
+    q = 10000000000000061
+    monkeypatch.setattr(geometry, "prime_power_decompose", lambda q: pytest.fail(f"factored q={q}"))
+    for arg in (q, geometry.DEFAULT_GRAPH_Q_CAP + 1):
+        with pytest.raises(CapExceeded):
+            geometry.er_graph(arg)
+        with pytest.raises(CapExceeded):
+            geometry.plane_field(arg)
+
+
 def test_er_graph_order_cap(monkeypatch):
     with pytest.raises(CapExceeded):
         cb.er_graph(131)

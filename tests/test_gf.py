@@ -97,6 +97,18 @@ def test_elements_order_and_closure():
 # -- errors --
 
 
+def test_order_cap_checked_before_primality_and_power(monkeypatch):
+    # 2^(10^8) has 30 million digits: the cap must refuse it without the
+    # power, and a huge p without a primality test
+    monkeypatch.setattr(gf, "is_prime", lambda p: pytest.fail(f"is_prime({p}) ran before the cap"))
+    for p, e in [(2, 10**8), (2, 21), (1031, 2), (1048583, 1), (10**40, 1)]:
+        with pytest.raises(CapExceeded) as info:
+            field_new(p, e)
+        assert len(str(info.value)) < 100
+    monkeypatch.undo()
+    assert field_new(1021, 2).q == 1021**2  # at most the cap: built
+
+
 def test_error_cases():
     with pytest.raises(NonPrimeCharacteristic):
         field_new(6, 1)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -24,6 +25,7 @@ from oracles import (
     naive_complement_book_number,
     random_c4_free,
     star_graph,
+    violating_pairs,
 )
 
 
@@ -201,9 +203,14 @@ def test_exhaust_ramsey_small_star_case():
     assert proof.all_rejected and proof.k == 1 and proof.n == 4
 
 
+def _unpruned(order, k, n, jobs=1):
+    """The exhaustion without the pruner: the same engine, visitor only."""
+    return cb.enumerate_c4_free(order, visitor=partial(cb.is_ramsey_witness, k=k, n=n), jobs=jobs)
+
+
 def test_exhaust_ramsey_pruned_and_unpruned_agree():
-    a = search.exhaust_ramsey(7, 1, 4, use_pruner=True)
-    b = search.exhaust_ramsey(7, 1, 4, use_pruner=False)
+    a = search.exhaust_ramsey(7, 1, 4)
+    b = _unpruned(7, 1, 4)
     assert a.all_rejected and b.all_rejected
     # the unpruned run examines every class on 7 vertices
     assert b.graphs_examined == KNOWN_C4_FREE_COUNTS[7]
@@ -241,7 +248,7 @@ def test_one_usable_worker_starts_no_process(monkeypatch):
 
 def test_pool_path_counts():
     assert search.enumerate_graphs(7, jobs=2).graphs_examined == KNOWN_ALL_COUNTS[7]
-    proof = search.exhaust_ramsey(7, 1, 4, use_pruner=False, jobs=2)
+    proof = _unpruned(7, 1, 4, jobs=2)
     assert proof.graphs_examined == KNOWN_C4_FREE_COUNTS[7]
 
 
@@ -281,8 +288,8 @@ def test_oracle_ramsey_values_match_enumeration():
 
 def test_pruner_only_cuts_rejectable_branches():
     """Same witness with and without the monotone pruner."""
-    with_p = search.exhaust_ramsey(8, 2, 3, use_pruner=True)
-    without_p = search.exhaust_ramsey(8, 2, 3, use_pruner=False)
+    with_p = search.exhaust_ramsey(8, 2, 3)
+    without_p = _unpruned(8, 2, 3)
     assert isinstance(with_p, Graph) and isinstance(without_p, Graph)
     assert canonical_key(with_p) == canonical_key(without_p)
 
@@ -306,22 +313,24 @@ def test_probe_gq3_finds_witness():
 
 
 def test_annealing_energy_delta_matches_full_count():
-    # the probe updates its energy by recounting only the pairs through the
-    # toggled edge's endpoints; that must equal a full recount after any toggle
+    # the probe's starting energy and its update, which recounts only the
+    # pairs through the toggled edge's endpoints, must equal a full recount
     rng = random.Random(31)
     for _ in range(150):
         n = rng.randint(2, 25)
         rows = list(random_c4_free(rng, n, rng.choice([0.1, 0.2, 0.4])).rows)
         pages = rng.randint(0, n)
         full, limit = (1 << n) - 1, n - 2 - pages
-        energy = search._violating_pairs(rows, n, pages)
+        energy = search._energy(rows, full, limit)
+        assert energy == violating_pairs(rows, n, pages), (rows, pages)
         for _ in range(20):
             u, v = rng.sample(range(n), 2)
             before = search._violations_touching(rows, full, limit, u, v)
             rows[u] ^= 1 << v
             rows[v] ^= 1 << u
             energy += search._violations_touching(rows, full, limit, u, v) - before
-            assert energy == search._violating_pairs(rows, n, pages), (rows, u, v, pages)
+            assert energy == violating_pairs(rows, n, pages), (rows, u, v, pages)
+            assert energy == search._energy(rows, full, limit), (rows, u, v, pages)
 
 
 def test_probe_gq2_and_gq4_fail():
