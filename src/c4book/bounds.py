@@ -196,6 +196,32 @@ def q_threshold(k: int, eps) -> Fraction:
     return Fraction(320 * k**4) ** (k + 1) / eps ** (2 * k)
 
 
+def _log10_threshold(k: int, eps: Fraction) -> float:
+    """log10 Q(k, eps) in floating point, from eps = a/b without building Q."""
+    a, b = eps.numerator, eps.denominator
+    return (k + 1) * math.log10(320 * k**4) + 2 * k * (math.log10(b) - math.log10(a))
+
+
+def _cmp_threshold(q: int, k: int, eps: Fraction) -> int:
+    """Sign of q - Q(k, eps), exact.
+
+    Decided from logarithms when they differ by more than a relative margin
+    far above the rounding error of the few float operations involved; only
+    a q within that margin of Q pays for the exact integers, whose length
+    grows with k log k.
+    """
+    gap = math.log10(q) - _log10_threshold(k, eps)
+    scale = (k + 1) * math.log10(320 * k**4) + 2 * k * (
+        math.log10(eps.denominator) + math.log10(eps.numerator)
+    ) + math.log10(q)
+    if abs(gap) > 1e-9 * (1 + scale):
+        return 1 if gap > 0 else -1
+    # q vs (320 k^4)^(k+1) / (a/b)^(2k), cleared of denominators
+    lhs = q * eps.numerator ** (2 * k)
+    rhs = (320 * k**4) ** (k + 1) * eps.denominator ** (2 * k)
+    return (lhs > rhs) - (lhs < rhs)
+
+
 def _reported_threshold(k: int, eps: Fraction) -> Fraction:
     """Q(k, eps), refused when its numerator has over THRESHOLD_DIGITS_CAP digits.
 
@@ -204,9 +230,8 @@ def _reported_threshold(k: int, eps: Fraction) -> Fraction:
     is at least Q and at least b^(2k); when either lower bound is surely too
     long, Q is refused before it is built.
     """
-    a, b = eps.numerator, eps.denominator
-    log_q = (k + 1) * math.log10(320 * k**4) + 2 * k * (math.log10(b) - math.log10(a))
-    if max(log_q, 2 * k * math.log10(b)) <= THRESHOLD_DIGITS_CAP + 1:
+    log_q = _log10_threshold(k, eps)
+    if max(log_q, 2 * k * math.log10(eps.denominator)) <= THRESHOLD_DIGITS_CAP + 1:
         threshold = q_threshold(k, eps)
         if threshold.numerator < _THRESHOLD_LIMIT:
             return threshold
@@ -435,13 +460,14 @@ def bound_report(n: int, k: int) -> BoundReport:
         if t16.in_regime:
             lowers.append((t16.value, "random polarity-thinning bound (asymptotic)"))
         for q, t in _k_ge3_family(n, k):
-            # the exact family needs q at least Q(k, eps) for a feasible eps
+            # the exact family needs q at least Q(k, eps) for a feasible eps;
+            # at t = 0 that is q > Q(k, 1) = (320 k^4)^(k+1)
             if t == 0:
-                meets = q > Fraction(320 * k**4) ** (k + 1)
+                meets = _cmp_threshold(q, k, Fraction(1)) > 0
                 adm = theorem15_admissible(k, q, t, Fraction(1, 2)).admissible if meets else False
             else:
                 eps_max = 1 - Fraction(t, q)
-                meets = 0 < eps_max < 1 and Fraction(q) >= q_threshold(k, eps_max)
+                meets = 0 < eps_max < 1 and _cmp_threshold(q, k, eps_max) >= 0
                 adm = theorem15_admissible(k, q, t, eps_max).admissible if meets else False
             if meets:
                 uppers.append((q * q + t, f"upper family q^2 + t (q={q}, t={t})"))

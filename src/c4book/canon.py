@@ -29,6 +29,8 @@ labeling, and through it the ``graph_hash`` in each certificate and every
 canonical witness.  A faster refinement is admissible only if it returns
 the same cells in the same order; rules that reorder cells, such as
 queueing all but the largest part of a split, change every canonical form.
+Orderly generation in ``search`` relies on that order too: the first split
+sorts by degree, so the last canonical vertex has the largest degree.
 """
 
 from __future__ import annotations

@@ -157,13 +157,12 @@ def is_ramsey_witness(g: Graph, k: int, n: int) -> bool:
         raise DomainError(f"k must be >= 1, got {k}")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    ok, _ = is_c4_free(g)
-    if not ok:
-        return False
-    if k > g.n:
-        return True  # no spine fits, complement trivially book-free
-    count, _ = complement_book_number(g, k, stop_at=n)
-    return count < n
+    return is_c4_free(g)[0] and _book_free(g, k, n)
+
+
+def _book_free(g: Graph, k: int, n: int) -> bool:
+    """True iff the complement of g has no B_n^(k); no spine fits when k > g.n."""
+    return k > g.n or complement_book_number(g, k, stop_at=n)[0] < n
 
 
 def certify_lower_bound(g: Graph, k: int, note: str = "") -> LowerBoundCertificate:

@@ -11,9 +11,29 @@ Three construction routes live here:
 
 The augmentation rule: a child built by appending a vertex is kept iff
 deleting the appended vertex gives the same canonical form as deleting the
-child's canonically-last vertex.  Together with per-parent dedup by
+child's canonically-last vertex w*.  Together with per-parent dedup by
 canonical form, every isomorphism class is produced exactly once, and any
 hereditary filter or monotone pruner keeps that property.
+
+Orderly generation (McKay 1998) labels only what the rule needs; every
+shortcut below decides as labelling everything would, so the children,
+their order and their keys are those of ``tests/oracles.children_reference``.
+
+* Orbit pruning: an extension mask in the orbit of an earlier one under the
+  automorphisms that the parent's labelling found gives an isomorphic
+  child, so it is skipped unlabelled.  Any subgroup of the automorphism
+  group is sound for this.
+* Whether a child is accepted depends only on its isomorphism class, so a
+  child whose class is surely rejected is skipped before it is labelled.
+  Refinement splits by degree first and keeps cells in order, so w* has the
+  largest degree.  When the new vertex does not, w* is another vertex of
+  largest degree, and deleting it must leave the parent's degree sequence:
+  if no such vertex does, the child is rejected unlabelled.  A monotone
+  pruner, which must be isomorphism invariant, also runs before labelling.
+* The parent check after labelling: accept at once when a found
+  automorphism of the child joins w* and the new vertex in one orbit;
+  reject at once when deleting w* leaves a degree sequence other than the
+  parent's; only otherwise label the child with w* deleted.
 """
 
 from __future__ import annotations
@@ -29,7 +49,7 @@ from fractions import Fraction
 from functools import partial
 
 from .bounds import floor_sqrt_minus_power, min_n_default_regime
-from .canon import canonical_form, canonical_key
+from .canon import CanonicalForm, canonical_form
 from .errors import (
     AsymptoticRegimeNotReached,
     AttemptsExhausted,
@@ -41,7 +61,7 @@ from .errors import (
 from .geometry import er_graph
 from .gf import field_new, is_prime, is_prime_power
 from .graphcore import Graph, _bits, _two_step, is_c4_free
-from .ramsey import LowerBoundCertificate, certify_lower_bound, is_ramsey_witness
+from .ramsey import LowerBoundCertificate, _book_free, certify_lower_bound, is_ramsey_witness
 
 GENERATOR_VERSION = "orderly-v1"
 ENUMERATION_ORDER_CAP = 13
@@ -279,43 +299,93 @@ def _c4_extension_masks(g: Graph) -> list[int]:
     return out
 
 
-def _children(parent: Graph, parent_key: bytes, c4: bool):
-    """One representative per isomorphism class of accepted one-vertex extensions."""
+def _orbit(mask: int, gens) -> set:
+    """The vertex sets that the group of the permutations gens maps mask to."""
+    orbit = {mask}
+    stack = [mask]
+    while stack:
+        x = stack.pop()
+        for g in gens:
+            y = 0
+            m = x
+            while m:
+                low = m & -m
+                y |= 1 << g[low.bit_length() - 1]
+                m ^= low
+            if y not in orbit:
+                orbit.add(y)
+                stack.append(y)
+    return orbit
+
+
+def _degrees_without(g: Graph, v: int, degrees: list) -> list:
+    """Sorted degree sequence of g - v, from the degrees of g."""
+    out = list(degrees)
+    for u in _bits(g.rows[v]):
+        out[u] -= 1
+    del out[v]
+    return sorted(out)
+
+
+def _children(parent: Graph, parent_form: CanonicalForm, c4: bool, pruner=None):
+    """(child, canonical form) per isomorphism class of accepted one-vertex extensions.
+
+    Children the pruner rejects are left out.  The shortcuts that spare
+    labellings are described in the module docstring.
+    """
     masks = _c4_extension_masks(parent) if c4 else range(1 << parent.n)
+    gens = parent_form.generators
+    parent_degrees = sorted(parent.degrees())
     seen = set()
+    dead = set()
     new_index = parent.n
     for mask in masks:
+        if mask in dead:
+            continue
+        dead |= _orbit(mask, gens)
         child = parent.with_vertex(mask)
+        degrees = child.degrees()
+        top = max(degrees)
+        # w* has degree top: reject when no choice of it can give the parent
+        if degrees[new_index] < top and all(
+            _degrees_without(child, v, degrees) != parent_degrees
+            for v in range(new_index)
+            if degrees[v] == top
+        ):
+            continue
+        if pruner is not None and not pruner(child):
+            continue
         form = canonical_form(child)
         if form.key in seen:
             continue
         seen.add(form.key)
         w_star = form.order[-1]  # vertex at the last canonical position
-        if w_star != new_index:
-            if canonical_key(child.delete_vertex(w_star)) != parent_key:
+        # accept when an automorphism of the child maps w* to the new vertex
+        if w_star != new_index and 1 << w_star not in _orbit(1 << new_index, form.generators):
+            if _degrees_without(child, w_star, degrees) != parent_degrees:
                 continue
-        yield child, form.key
+            if canonical_form(child.delete_vertex(w_star)).key != parent_form.key:
+                continue
+        yield child, form
 
 
-def _kept(g: Graph, key: bytes, level: int, order: int, c4: bool, pruner):
-    """(graph, canonical key) of every kept graph on `level` vertices below g, in DFS order.
+def _kept(g: Graph, form: CanonicalForm, level: int, order: int, c4: bool, pruner):
+    """(graph, canonical form) of every kept graph on `level` vertices below g, in DFS order.
 
     The pruner sees only graphs with fewer than `order` vertices.
     """
     if g.n == level:
-        yield g, key
+        yield g, form
         return
-    for child, ckey in _children(g, key, c4):
-        if child.n < order and pruner is not None and not pruner(child):
-            continue
-        yield from _kept(child, ckey, level, order, c4, pruner)
+    for child, child_form in _children(g, form, c4, pruner if g.n + 1 < order else None):
+        yield from _kept(child, child_form, level, order, c4, pruner)
 
 
 def _worker(chunk, order, c4, pruner, visitor):
     """(first graph on `order` vertices the visitor accepts or None, graphs examined)."""
     examined = 0
-    for root, key in chunk:
-        for g, _ in _kept(root, key, order, order, c4, pruner):
+    for root, form in chunk:
+        for g, _ in _kept(root, form, order, order, c4, pruner):
             examined += 1
             if visitor is not None and visitor(g):
                 return g, examined
@@ -341,7 +411,7 @@ def _enumerate(order, c4, pruner, visitor, jobs, meta_k=None, meta_n=None):
         raise DomainError(f"jobs must be >= 1, got {jobs}")
     split = 1 if jobs == 1 else max(1, min(order - 1, 6))
     seed = Graph.empty(1)
-    frontier = list(_kept(seed, canonical_key(seed), split, order, c4, pruner))
+    frontier = list(_kept(seed, canonical_form(seed), split, order, c4, pruner))
     size = max(1, -(-len(frontier) // (4 * jobs)))
     chunks = [frontier[start : start + size] for start in range(0, len(frontier), size)]
     work = partial(_worker, order=order, c4=c4, pruner=pruner, visitor=visitor)
@@ -389,10 +459,11 @@ def exhaust_ramsey(order: int, k: int, n: int, jobs: int = 1):
         raise DomainError(f"k must be >= 1, got {k}")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    visitor = partial(is_ramsey_witness, k=k, n=n)
-    # The visitor is also a monotone pruner: a one-vertex extension keeps
-    # every C4 and every book of the complement, so a rejected partial graph
-    # has only rejected completions.
+    # Every enumerated graph is C4-free, so a witness is a graph whose
+    # complement is book-free.  The check is also a monotone pruner: a
+    # one-vertex extension keeps every book of the complement, so a rejected
+    # partial graph has only rejected completions.
+    visitor = partial(_book_free, k=k, n=n)
     return _enumerate(order, True, visitor, visitor, jobs, meta_k=k, meta_n=n)
 
 

@@ -6,16 +6,18 @@ numbers use plain set arithmetic over combinations, common-neighbor
 counts test one vertex pair at a time, isomorphism classes come from
 minimizing over all vertex permutations, GF(p^e) arithmetic is
 polynomial multiplication and long division on coefficient tuples, and
-equitable refinement rescans every cell for every splitter.  The one
-exception is ``canonical_form_reference``: it reuses ``canon._refine`` and
-``canon._leaf_key`` so that it checks the search tree walk alone.
+equitable refinement rescans every cell for every splitter.  Two
+exceptions: ``canonical_form_reference`` reuses ``canon._refine`` and
+``canon._leaf_key`` so that it checks the search tree walk alone, and
+``children_reference`` labels with ``canon.canonical_form`` so that it
+checks the augmentation rule alone.
 """
 
 from collections import deque
 from itertools import combinations, permutations
 import random
 
-from c4book.canon import CanonicalForm, _leaf_key, _refine
+from c4book.canon import CanonicalForm, _leaf_key, _refine, canonical_form
 from c4book.graphcore import Graph
 
 
@@ -159,6 +161,30 @@ def pair_loop_c4_extension_masks(g: Graph) -> list:
 
     rec(0, (1 << n) - 1)
     return out
+
+
+def children_reference(parent: Graph, parent_key: bytes, c4: bool):
+    """(child, canonical key) per class of accepted extensions, labelling everything.
+
+    Every extension mask is labelled; a child whose key was seen is dropped,
+    and a child whose canonically last vertex w* is not the new vertex is
+    kept only if deleting w* labels back to the parent.
+    ``search._children`` must yield the same children in the same order.
+    """
+    masks = pair_loop_c4_extension_masks(parent) if c4 else range(1 << parent.n)
+    seen = set()
+    new_index = parent.n
+    for mask in masks:
+        child = parent.with_vertex(mask)
+        form = canonical_form(child)
+        if form.key in seen:
+            continue
+        seen.add(form.key)
+        w_star = form.order[-1]
+        if w_star != new_index:
+            if canonical_form(child.delete_vertex(w_star)).key != parent_key:
+                continue
+        yield child, form.key
 
 
 def random_c4_free(rng: random.Random, n: int, p: float) -> Graph:

@@ -1,5 +1,6 @@
 """Exact bound formulas, floors, parameter packs, and the aggregated report."""
 
+import time
 from fractions import Fraction
 from math import comb, isqrt
 
@@ -291,3 +292,34 @@ def test_report_trivial_lower():
     rep = cb.bound_report(1, 3)
     assert rep.lower == 4
     assert rep.upper is None
+
+
+def test_report_at_huge_k_compares_threshold_from_logs():
+    # q = 2^17, t = 5 is an exact-family pair, and Q(131072, eps) has about
+    # 2.8 million digits: built exactly, it made this report take over a minute.
+    n, k = 8589737989, 131072
+    assert bounds._k_ge3_family(n, k) == [(2**17, 5)]
+    start = time.perf_counter()
+    rep = cb.bound_report(n, k)
+    assert time.perf_counter() - start < 2
+    assert rep == bounds.BoundReport(
+        n,
+        k,
+        11829116933,
+        "random polarity-thinning bound (asymptotic)",
+        25032771038,
+        "131072-times iterated star bound",
+        None,
+    )
+
+
+@pytest.mark.parametrize(
+    "k, eps",
+    [(3, Fraction(1, 2)), (3, Fraction(2, 3)), (4, Fraction(9, 10)), (3, Fraction(1)), (5, Fraction(1))],
+)
+def test_threshold_comparison_exact_next_to_q(k, eps):
+    # eps = 1 is the t = 0 comparison, q > (320 k^4)^(k+1)
+    threshold = Fraction(320 * k**4) ** (k + 1) / eps ** (2 * k)
+    floor = threshold.numerator // threshold.denominator
+    for q in range(floor - 2, floor + 3):
+        assert bounds._cmp_threshold(q, k, eps) == (q > threshold) - (q < threshold), q

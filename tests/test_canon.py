@@ -51,6 +51,16 @@ def test_canonical_graph_is_isomorphic_relabeling():
         assert canonical_key(cg) == canonical_key(g)
 
 
+def test_last_canonical_vertex_has_largest_degree():
+    # refinement splits by degree first and keeps cells in order; orderly
+    # generation in search._children rejects children unlabelled on this
+    rng = random.Random(14)
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(1, 12), rng.random())
+        degrees = g.degrees()
+        assert degrees[canonical_form(g).order[-1]] == max(degrees)
+
+
 def test_canonical_form_labeling_consistency():
     g = cycle_graph(6)
     form = canonical_form(g)

@@ -8,18 +8,19 @@ import pytest
 
 import c4book as cb
 from c4book import search
-from c4book.canon import canonical_key
+from c4book.canon import canonical_form, canonical_key
 from c4book.errors import (
     AsymptoticRegimeNotReached,
     BudgetExhausted,
     CapExceeded,
     DomainError,
 )
-from c4book.graphcore import Graph
+from c4book.graphcore import Graph, g6_encode
 
 from oracles import (
     all_labeled_c4_free,
     brute_class_count_all,
+    children_reference,
     classify_c4_free,
     line_graph_of_petersen,
     naive_complement_book_number,
@@ -148,7 +149,7 @@ def test_smallest_admissible_prime():
 # -- enumeration --
 
 
-KNOWN_C4_FREE_COUNTS = {1: 1, 2: 2, 3: 4, 4: 8, 5: 18, 6: 44, 7: 117, 8: 351}
+KNOWN_C4_FREE_COUNTS = {1: 1, 2: 2, 3: 4, 4: 8, 5: 18, 6: 44, 7: 117, 8: 351, 9: 1230}
 KNOWN_ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 
 
@@ -184,6 +185,48 @@ def test_enumerated_graphs_are_c4_free_and_pairwise_nonisomorphic():
         assert cb.is_c4_free(g)[0]
         keys.add(canonical_key(g))
     assert len(keys) == 44
+
+
+def _assert_children_match_reference(max_order, c4):
+    """Walk the generation tree to max_order vertices, checking every parent."""
+    seed = Graph.empty(1)
+    stack = [(seed, canonical_form(seed))]
+    while stack:
+        parent, form = stack.pop()
+        if parent.n == max_order:
+            continue
+        children = list(search._children(parent, form, c4))
+        got = [(g6_encode(child), child_form.key) for child, child_form in children]
+        want = [(g6_encode(child), key) for child, key in children_reference(parent, form.key, c4)]
+        assert got == want, g6_encode(parent)
+        for child, child_form in children:
+            assert child_form == canonical_form(child)
+        stack.extend(children)
+
+
+def test_children_match_reference_c4_free_tree():
+    _assert_children_match_reference(8, True)
+
+
+def test_children_match_reference_all_graphs_tree():
+    _assert_children_match_reference(6, False)
+
+
+def test_exhaustion_labelling_count(monkeypatch):
+    # Labelling every extension mask, and again every child whose last
+    # canonical vertex is not the new one, takes 6 612 labellings here.
+    # Orbit pruning and the parent check's shortcuts leave 2 289, and the
+    # degree test and the pruner before labelling leave 271.
+    calls = []
+
+    def counting(g):
+        calls.append(g.n)
+        return canonical_form(g)
+
+    monkeypatch.setattr(search, "canonical_form", counting)
+    proof = search.exhaust_ramsey(11, 2, 4)
+    assert isinstance(proof, search.ExhaustionProof) and proof.all_rejected
+    assert len(calls) <= 400
 
 
 def test_enumeration_cap():
