@@ -42,7 +42,6 @@ import hashlib
 import math
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
@@ -417,6 +416,9 @@ def _enumerate(order, c4, pruner, visitor, jobs, meta_k=None, meta_n=None):
     work = partial(_worker, order=order, c4=c4, pruner=pruner, visitor=visitor)
     workers = _pool_size(jobs, len(chunks))
     examined = 0
+    if workers > 1:
+        # imported here: it loads multiprocessing, which a serial run never needs
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         results = map(work, chunks) if pool is None else pool.map(work, chunks)
         for found, count in results:
@@ -484,17 +486,16 @@ def _can_add_edge(rows, u, v):
     return True
 
 
-def _violations(rows, full, limit, starts):
-    """Violating pairs {x, w} over the (x, skip) in starts, w outside skip.
+def _energy(rows, full, limit):
+    """All violating pairs, each counted at its lower vertex.
 
     An independent pair violates when its common non-neighborhood holds the
-    forbidden book's pages.  The union of the two neighborhoods avoids x and
-    w, so that is exactly when the union has at most limit vertices.
+    forbidden book's pages.  The union of the two neighborhoods avoids both
+    vertices, so that is exactly when the union has at most limit vertices.
     """
     count = 0
-    for x, skip in starts:
-        rx = rows[x]
-        m = full & ~(rx | 1 << x | skip)
+    for x, rx in enumerate(rows):
+        m = full & ~(rx | ((2 << x) - 1))
         while m:
             low = m & -m
             m ^= low
@@ -503,17 +504,34 @@ def _violations(rows, full, limit, starts):
     return count
 
 
-def _energy(rows, full, limit):
-    """All violating pairs, each counted at its lower vertex."""
-    return _violations(rows, full, limit, [(x, (2 << x) - 1) for x in range(len(rows))])
+def _toggle_delta(rows, full, limit, u, v):
+    """Energy change from toggling uv, computed from the rows before the toggle.
 
-
-def _violations_touching(rows, full, limit, u, v):
-    """The violating pairs that contain u or v, {u, v} once.
-
-    These are the only pairs whose count a toggle of uv can change.
+    Only pairs through u or v can change.  A pair {x, w} with x in {u, v}
+    changes only when w is adjacent to neither u nor v (otherwise w is
+    adjacent to x or the toggled bit is already in the union), and then its
+    union gains or loses one vertex: an added edge stops it counting when
+    the union had exactly limit vertices, a removed one starts it counting
+    when the union had limit + 1.  The pair {u, v} counts after a removal
+    when its union without u and v is small enough, and stops counting after
+    an addition.
     """
-    return _violations(rows, full, limit, ((u, 0), (v, 1 << u)))
+    ru = rows[u]
+    rv = rows[v]
+    union = ru | rv
+    if ru >> v & 1:
+        step, edge = 1, limit + 1
+        hits = union.bit_count() - 2 <= limit
+    else:
+        step, edge = -1, limit
+        hits = union.bit_count() <= limit
+    m = full & ~(union | 1 << u | 1 << v)
+    while m:
+        low = m & -m
+        m ^= low
+        rw = rows[low.bit_length() - 1]
+        hits += ((ru | rw).bit_count() == edge) + ((rv | rw).bit_count() == edge)
+    return step * hits
 
 
 def probe_script_Gq(q: int, budget: int = 10**6, seed: int = 0):
@@ -586,13 +604,9 @@ def probe_script_Gq(q: int, budget: int = 10**6, seed: int = 0):
                 continue
             if not rows[u] >> v & 1 and not _can_add_edge(rows, u, v):
                 continue
-            before = _violations_touching(rows, full, limit, u, v)
-            rows[u] ^= 1 << v
-            rows[v] ^= 1 << u
-            new_energy = energy - before + _violations_touching(rows, full, limit, u, v)
+            new_energy = energy + _toggle_delta(rows, full, limit, u, v)
             if new_energy <= energy or rng.random() < _accept(energy, new_energy, temperature):
                 energy = new_energy
-            else:
                 rows[u] ^= 1 << v
                 rows[v] ^= 1 << u
             if best_energy is None or energy < best_energy:

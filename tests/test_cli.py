@@ -157,6 +157,12 @@ PINNED = [
         "5acd4d80ec65bc2d75f56dc2c1b9dea2c44463f69c05b1138791a0fb8f0d75f7",
         id="gq",
     ),
+    pytest.param(
+        ("search", "gq", "--q", "3", "--budget", "4e5", "--seed", "2", "--out", "gq.g6"), 0,
+        "f2c0f6330ce04d826af7c76b9baa662454bc23fd5a5e1a0beb28e136f9ffc6b1",
+        "4c5650c9701388ddf7b6e91b4c5413ac62d268ad7b621e2f42cda04e3f2aa7a8",
+        id="gq-witness",
+    ),
 ]
 
 

@@ -1,6 +1,9 @@
-"""Source rules for the package: stdlib-only imports and no assert statements."""
+"""Source rules for the package: stdlib-only imports, no assert statements, a light CLI import."""
 
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -47,3 +50,20 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, "assert statements (raise InternalInconsistency instead): " + ", ".join(found)
+
+
+def test_cli_import_loads_no_process_pool():
+    # a serial run never starts a pool, so the CLI must not pay for
+    # importing multiprocessing at start-up
+    probe = (
+        "import json, sys; before = set(sys.modules); import c4book.cli; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    added = json.loads(out)
+    assert "c4book.search" in added
+    heavy = [m for m in added if m.startswith(("multiprocessing", "concurrent.futures"))]
+    assert not heavy, "modules loaded by import c4book.cli: " + ", ".join(heavy)
