@@ -25,10 +25,6 @@ def _cmp_sqrt_expr(n: int, c: int, alpha: Fraction, v: int) -> int:
     E = lcm(2, alpha.denominator), turning the comparison into one between
     A + B*sqrt(n) and an integer, which squaring settles exactly.
     """
-    if n < 1 or c < 0:
-        raise DomainError("need n >= 1 and c >= 0")
-    if alpha <= 0 or alpha >= Fraction(1, 2):
-        raise DomainError(f"alpha must lie in (0, 1/2), got {alpha}")
     if v > 0 and n < v * v:
         return -1  # sqrt(n) - v < 0 <= c*n^alpha
     e = 2 * alpha.denominator // math.gcd(2, alpha.denominator)
@@ -62,14 +58,32 @@ def _cmp_sqrt_expr(n: int, c: int, alpha: Fraction, v: int) -> int:
     return 1 if lhs_sq < rhs_sq else -1
 
 
+def _iroot(x: int, b: int) -> int:
+    """floor(x^(1/b)) for integers x >= 0 and b >= 1, by Newton's method."""
+    if x < 2:
+        return x
+    r = 1 << -(-x.bit_length() // b)  # above the root, since x < 2^bit_length
+    while True:
+        s = ((b - 1) * r + x // r ** (b - 1)) // b
+        if s >= r:
+            return r
+        r = s
+
+
 def floor_sqrt_minus_power(n: int, c: int = 6, alpha: Fraction = Fraction(21, 80)) -> int:
     """floor(sqrt(n) - c * n^alpha), exact for every n >= 1.
 
-    A float estimate seeds the answer; the exact comparator then walks it to
-    the true floor, so perfect squares and near-integer values are safe.
+    With alpha = a/b, isqrt(n) - floor((c^b * n^a)^(1/b)) lies within one of
+    sqrt(n) - c*n^alpha, so it is the floor or one above it; the exact
+    comparator then walks it to the true floor.  Only integers are involved,
+    so the answer takes a few comparisons at any size of n.
     """
     alpha = Fraction(alpha)
-    guess = math.floor(math.sqrt(n) - c * n ** float(alpha))
+    if n < 1 or c < 0:
+        raise DomainError("need n >= 1 and c >= 0")
+    if alpha <= 0 or alpha >= Fraction(1, 2):
+        raise DomainError(f"alpha must lie in (0, 1/2), got {alpha}")
+    guess = isqrt(n) - _iroot(c**alpha.denominator * n**alpha.numerator, alpha.denominator)
     while _cmp_sqrt_expr(n, c, alpha, guess) < 0:
         guess -= 1
     while _cmp_sqrt_expr(n, c, alpha, guess + 1) >= 0:

@@ -160,7 +160,6 @@ def _leaf_key(rows, order):
     Column j (position in the new labeling) contributes a j-bit chunk of
     its adjacencies to earlier positions; chunks are concatenated in column
     order, so the first C(t,2) bits depend only on the first t positions.
-    That is what lets partial labelings be compared against the incumbent.
     """
     pos = [0] * len(rows)
     for i, v in enumerate(order):
@@ -242,8 +241,6 @@ class _Search:
                     j += 1
                 return j
             return depth
-        if self.best_order is not None and self._prefix_beaten(cells):
-            return depth
         idx = max(
             (i for i, c in enumerate(cells) if len(c) > 1),
             key=lambda i: (len(cells[i]), -i),
@@ -283,22 +280,6 @@ class _Search:
                 return resume
             tried.append(v)
         return depth
-
-    def _prefix_beaten(self, cells):
-        """True when the bits fixed by leading singleton cells already fall
-        below the incumbent leaf, so no descendant can reach the maximum."""
-        fixed = []
-        for c in cells:
-            if len(c) != 1:
-                break
-            fixed.append(c[0])
-        t = len(fixed)
-        if t < 2:
-            return False
-        partial = _leaf_key(self.rows, fixed)
-        nbits = t * (t - 1) // 2
-        best_prefix = self.best_key >> (self.n * (self.n - 1) // 2 - nbits)
-        return partial < best_prefix
 
 
 def canonical_form(g: Graph) -> CanonicalForm:

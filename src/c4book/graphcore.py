@@ -333,7 +333,10 @@ def g6_encode(g: Graph) -> bytes:
 
 def g6_decode(data: bytes) -> Graph:
     if isinstance(data, str):
-        data = data.encode("ascii")
+        try:
+            data = data.encode("ascii")
+        except UnicodeEncodeError as exc:
+            raise MalformedGraph6(f"character {data[exc.start]!r} outside graph6 range", exc.start) from None
     data = data.rstrip(b"\r\n")
     if not data:
         raise MalformedGraph6("empty input", 0)

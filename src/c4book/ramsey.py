@@ -43,7 +43,7 @@ class LowerBoundCertificate:
     spine: int                     # k
     min_degree: int
     c4_free: bool
-    guaranteed_book_free_n: int    # n*
+    guaranteed_book_free_n: int    # max(n*, 1)
     implied_bound: str             # "r(C4, B_{n*}^(k)) >= N+1"
     construction_note: str = ""
 
@@ -69,8 +69,7 @@ def complement_book_number(g: Graph, k: int, stop_at: int | None = None):
     so the same spines set records as with no pruning: the count, the
     witness and the stop_at result do not depend on it.
 
-    With stop_at set, returns as soon as some spine is known to reach stop_at
-    pages: the greedy warm-start spine, or the spine that just set a record.
+    With stop_at set, returns at the first record that reaches stop_at pages.
     The count is then a lower bound on the true maximum, but the witness is
     always consistent (its spine is independent, its pages are exactly the
     spine's common non-neighbors and page_count equals the count), and
@@ -82,23 +81,8 @@ def complement_book_number(g: Graph, k: int, stop_at: int | None = None):
     full = (1 << n) - 1
     comp = [full ^ row ^ (1 << v) for v, row in enumerate(g.rows)]
 
-    # Greedy warm start (low-degree spine) tightens the pruning bound from
-    # the beginning; starting one below it keeps the lexicographically
-    # smallest maximizer as the reported witness.
-    greedy_mask = full
-    greedy_spine = []
-    for v in sorted(range(n), key=lambda u: (g.rows[u].bit_count(), u)):
-        if greedy_mask >> v & 1:
-            greedy_mask &= comp[v]
-            greedy_spine.append(v)
-            if len(greedy_spine) == k:
-                break
-    warm = greedy_mask.bit_count() if len(greedy_spine) == k else 0
     target = n + 1 if stop_at is None else stop_at  # no spine has n + 1 pages
-    if len(greedy_spine) == k and warm >= target:
-        return warm, BookWitness(tuple(sorted(greedy_spine)), tuple(_bits(greedy_mask)), warm)
-
-    best_count = warm - 1
+    best_count = -1
     best_spine: tuple[int, ...] = ()
     best_pages = 0
     last = k - 1
@@ -169,9 +153,11 @@ def certify_lower_bound(g: Graph, k: int, note: str = "") -> LowerBoundCertifica
     """Machine-checkable witness that r(C4, B_{n*}^(k)) >= N + 1.
 
     Refuses graphs with a C4.  n* is computed from the true minimum degree:
-    n* = N - k(delta+1) + C(k,2) + 1.  For N <= 80 the certificate is
-    cross-validated against the exhaustive book number (n* - 1 must be an
-    upper bound for it).
+    n* = N - k(delta+1) + C(k,2) + 1, and max(n*, 1) is certified.  An
+    independent k-set has at most n* - 1 common non-neighbors, so when
+    n* <= 0 there is none: the complement has no K_k, hence no B_1^(k).
+    For N <= 80 the certificate is cross-validated against the exhaustive
+    book number (the certified value minus 1 must be an upper bound for it).
     """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
@@ -179,7 +165,7 @@ def certify_lower_bound(g: Graph, k: int, note: str = "") -> LowerBoundCertifica
     if not ok:
         raise NotC4Free(f"graph contains the 4-cycle {witness}")
     delta = min(g.degrees()) if g.n else 0
-    n_star = g.n - k * (delta + 1) + comb(k, 2) + 1
+    n_star = max(g.n - k * (delta + 1) + comb(k, 2) + 1, 1)
     cert = LowerBoundCertificate(
         graph_hash=graph_digest(g),
         order=g.n,

@@ -57,9 +57,9 @@ from .errors import (
     DomainError,
     InternalInconsistency,
 )
-from .geometry import er_graph
+from .geometry import DEFAULT_GRAPH_Q_CAP, er_graph
 from .gf import field_new, is_prime, is_prime_power
-from .graphcore import Graph, _bits, _two_step, is_c4_free
+from .graphcore import Graph, _bits, _two_step
 from .ramsey import LowerBoundCertificate, _book_free, certify_lower_bound, is_ramsey_witness
 
 GENERATOR_VERSION = "orderly-v1"
@@ -194,7 +194,9 @@ def random_delete_construction(
     asymptotic regime is not reached and the error reports the least n that
     would make the defaults usable.  On success the surviving graph has
     order n + mk - k(k-3)/2 - 1 and its certificate guarantees a book-free
-    complement at n* <= n pages, hence r(C4, B_n^(k)) >= order + 1.
+    complement at n* <= n pages, hence r(C4, B_n^(k)) >= order + 1.  An n
+    that no plane of order at most DEFAULT_GRAPH_Q_CAP admits is refused
+    before m or p is computed.
     """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
@@ -202,6 +204,8 @@ def random_delete_construction(
         raise DomainError(f"n must be >= 1, got {n}")
     if max_attempts < 1:
         raise DomainError(f"max_attempts must be >= 1, got {max_attempts}")
+    if (2 * DEFAULT_GRAPH_Q_CAP - 1) ** 2 < 4 * n:
+        raise CapExceeded(f"n={n} needs a plane of order above {DEFAULT_GRAPH_Q_CAP}")
     alpha = Fraction(alpha)
     if m is None:
         m = floor_sqrt_minus_power(n, c, alpha)
@@ -593,11 +597,12 @@ def probe_script_Gq(q: int, budget: int = 10**6, seed: int = 0):
             steps += 1
             temperature = max(0.05, temperature * 0.99995)
             if energy == 0:
+                # every move keeps the graph C4-free, and zero energy means
+                # the complement is book-free
                 g = Graph(n, rows, _trusted=True)
-                ok, _ = is_c4_free(g)
-                if ok and is_ramsey_witness(g, 2, pages):
-                    return g
-                break  # should not happen; restart from a fresh seed
+                if not is_ramsey_witness(g, 2, pages):
+                    raise InternalInconsistency(f"zero-energy graph on {n} vertices fails re-verification")
+                return g
             u = rng.randrange(n)
             v = rng.randrange(n)
             if u == v:

@@ -484,8 +484,9 @@ def canonical_form_reference(g: Graph) -> CanonicalForm:
     the first largest non-singleton cell, refine) that keeps the first leaf
     with the largest ``_leaf_key``.  Like ``canon.canonical_form`` it skips
     a sibling that a discovered automorphism fixing the prefix maps onto a
-    tried one, and a node whose leading singletons already fall below the
-    incumbent, but it scans every other sibling below an automorphism leaf.
+    tried one.  Unlike it, it also skips a node whose leading singletons
+    already fall below the incumbent, and it scans every other sibling below
+    an automorphism leaf.
     ``canon.canonical_form`` must return the same key, order and labeling;
     its generators may be fewer.
     """

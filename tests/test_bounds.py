@@ -104,6 +104,12 @@ def test_floor_sqrt_minus_power_spot_values():
     assert bounds.floor_sqrt_minus_power(100) == -11
     assert bounds.floor_sqrt_minus_power(2074) == 0
     assert bounds.floor_sqrt_minus_power(2075) == 1
+    # values from the float-seeded walk this replaced (7 s for the first one)
+    assert bounds.floor_sqrt_minus_power(10**40 + 12345) == 99999999810263340389
+    assert bounds.floor_sqrt_minus_power((10**18 + 9) ** 2) == 999999983089702421
+    assert bounds.floor_sqrt_minus_power((10**18 + 9) ** 2 - 1) == 999999983089702421
+    assert bounds.floor_sqrt_minus_power(10**38 + 7, 1, Fraction(1, 4)) == 9999999996837722339
+    assert bounds.floor_sqrt_minus_power(10**32, 3, Fraction(1, 3)) == 9999860752334991
 
 
 def test_floor_sqrt_minus_power_exact_integer_case():
@@ -117,8 +123,8 @@ def test_floor_sqrt_minus_power_exact_integer_case():
 def test_floor_sqrt_minus_power_against_high_precision():
     from decimal import Decimal, getcontext
 
-    getcontext().prec = 60
-    for n in (10, 97, 1024, 4096, 50000, 123456, 10**6, 10**8 + 7):
+    getcontext().prec = 450
+    for n in (10, 97, 1024, 4096, 50000, 123456, 10**6, 10**8 + 7, 10**44, 10**60, 10**400):
         x = Decimal(n).sqrt() - 6 * (Decimal(n) ** (Decimal(21) / Decimal(80)))
         assert bounds.floor_sqrt_minus_power(n) == int(x.to_integral_value("ROUND_FLOOR"))
 

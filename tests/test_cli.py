@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import c4book as cb
-from c4book import geometry, gf, ramsey
+from c4book import geometry, gf, ramsey, search
 from c4book.cli import _build_parser, main
 from c4book.graphcore import Graph, g6_encode
 
@@ -242,6 +242,15 @@ def test_certify_and_refusal(capsys, tmp_path, c6_file):
     assert doc["artifact"]["certified"] is False
 
 
+@pytest.mark.parametrize("k", ["3", "4"])
+def test_certify_graph_without_independent_k_set(capsys, tmp_path, k):
+    c5 = tmp_path / "c5.g6"
+    c5.write_bytes(g6_encode(cycle_graph(5)) + b"\n")
+    code, doc = run_json(capsys, "certify", str(c5), "--k", k)
+    assert code == 0
+    assert doc["artifact"]["guaranteed_book_free_n"] == 1
+
+
 def test_bounds_report_and_table(capsys):
     code, doc = run_json(capsys, "bounds", "--n", "3", "--k", "2")
     assert code == 0 and doc["artifact"]["exact"] == 9
@@ -402,6 +411,15 @@ def test_q_over_cap_refused_before_factoring(capsys, monkeypatch, argv):
     monkeypatch.setattr(geometry, "prime_power_decompose", guarded)
     assert main(argv) == 2
     assert "polarity graph would have" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [16257, 10**40, 10**400], ids=["16257", "1e40", "1e400"])
+def test_random_delete_n_over_plane_cap_refused_before_prime_search(capsys, monkeypatch, n):
+    # the prime search for n = 10**40 runs trial division far past any timeout
+    monkeypatch.setattr(search, "smallest_admissible_prime", lambda n: pytest.fail("prime search started"))
+    assert main(["construct", "random-delete", "--n", str(n), "--k", "2", "--m", "5"]) == 2
+    assert main(["construct", "random-delete", "--n", str(n), "--k", "2"]) == 2
+    assert "needs a plane of order above 128" in capsys.readouterr().err
 
 
 def _readme_commands():

@@ -288,6 +288,9 @@ def test_g6_malformed():
     assert err.value.offset == 1
     with pytest.raises(MalformedGraph6):
         cb.g6_decode(b"Bww")  # trailing bytes
+    with pytest.raises(MalformedGraph6) as err:
+        cb.g6_decode("Bé")  # non-ASCII character in a str
+    assert err.value.offset == 1
 
 
 def test_g6_decode_str_input():

@@ -104,8 +104,9 @@ def _assert_consistent_witness(g, k, count, witness):
 
 
 def test_book_number_stop_at_witness_is_consistent():
-    # the greedy warm start alone reaches stop_at here; the witness must
-    # still be that spine and its pages, not an empty spine
+    # a stop_at search once returned a positive count with an empty spine
+    # on this graph; the witness must be the spine that reached stop_at and
+    # its pages
     g = Graph(11, (64, 916, 850, 304, 78, 1864, 565, 2, 46, 102, 32))
     count, witness = cb.complement_book_number(g, 3, stop_at=3)
     assert count >= 3
@@ -249,6 +250,16 @@ def test_certificate_formula_and_crossvalidation():
             if g.n <= 30:
                 nmax, _ = cb.complement_book_number(g, k)
                 assert cert.guaranteed_book_free_n - 1 >= nmax
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_certificate_without_independent_k_set(k):
+    # C5 at k = 3, 4: n* = 0 and -1, and its complement C5 has no K_k, so
+    # no B_1^(k) either; the certificate states n = 1
+    cert = cb.certify_lower_bound(cycle_graph(5), k)
+    assert cert.guaranteed_book_free_n == 1
+    assert cert.implied_bound == f"r(C4, B_1^({k})) >= 6"
+    assert cb.complement_book_number(cycle_graph(5), k) == (0, cb.BookWitness((), (), 0))
 
 
 def test_certificate_refuses_c4():

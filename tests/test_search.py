@@ -14,6 +14,7 @@ from c4book.errors import (
     BudgetExhausted,
     CapExceeded,
     DomainError,
+    InternalInconsistency,
 )
 from c4book.graphcore import Graph, g6_encode
 
@@ -359,6 +360,13 @@ def test_probe_gq3_finds_witness():
         assert found.n == 15
         assert cb.is_ramsey_witness(found, 2, 7)
         assert g6_encode(found) == graph6, seed
+
+
+def test_probe_zero_energy_failing_reverification_is_inconsistent(monkeypatch):
+    # zero energy must mean a witness; a failed re-check is a broken invariant
+    monkeypatch.setattr(search, "is_ramsey_witness", lambda g, k, n: False)
+    with pytest.raises(InternalInconsistency):
+        cb.probe_script_Gq(3, budget=400_000, seed=1)
 
 
 def _replay_toggles(rows, pages, toggles):
