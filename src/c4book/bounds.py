@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
 
-from .errors import CapExceeded, DomainError, InternalInconsistency
+from .errors import CapExceeded, DomainError
 from .gf import is_prime_power, prime_power_decompose
 
 # -- exact floors of sqrt(n) - c * n^alpha --
@@ -21,53 +21,65 @@ from .gf import is_prime_power, prime_power_decompose
 def _cmp_sqrt_expr(n: int, c: int, alpha: Fraction, v: int) -> int:
     """Exact sign of (sqrt(n) - c*n^alpha) - v using only integer arithmetic.
 
-    Both sides of sqrt(n) - v >= c*n^alpha are raised to the power
-    E = lcm(2, alpha.denominator), turning the comparison into one between
-    A + B*sqrt(n) and an integer, which squaring settles exactly.
+    With alpha = a/b both sides of sqrt(n) - v >= c*n^alpha are nonnegative
+    once sqrt(n) >= v, so comparing their b-th powers decides: (sqrt(n) - v)^b
+    against R = c^b * n^a.  A square n makes that an integer comparison, and
+    so does v = 0 after squaring.  Otherwise sqrt(n) - v is bracketed between
+    consecutive multiples of 2^-j, with j doubled until the bracket decides.
+    That ends, since (sqrt(n) - v)^b is irrational for a non-square n and
+    v != 0: were it rational, it would equal its conjugate (-sqrt(n) - v)^b,
+    forcing v = 0.
     """
     if v > 0 and n < v * v:
         return -1  # sqrt(n) - v < 0 <= c*n^alpha
-    e = 2 * alpha.denominator // math.gcd(2, alpha.denominator)
-    # (sqrt(n) - v)^e = A + B*sqrt(n) with integer A, B
-    a_coef = 0
-    b_coef = 0
-    for i in range(e + 1):
-        term = comb(e, i) * (-v) ** (e - i)
-        if i % 2 == 0:
-            a_coef += term * n ** (i // 2)
-        else:
-            b_coef += term * n ** ((i - 1) // 2)
-    rhs = c**e * n ** (alpha.numerator * e // alpha.denominator)
-    p_coef = a_coef - rhs
-    q_coef = b_coef
-    if q_coef == 0:
-        return (p_coef > 0) - (p_coef < 0)
+    b = alpha.denominator
+    rhs = c**b * n**alpha.numerator
     s = isqrt(n)
     if s * s == n:
-        total = p_coef + q_coef * s
-        return (total > 0) - (total < 0)
-    lhs_sq, rhs_sq = q_coef * q_coef * n, p_coef * p_coef
-    if p_coef >= 0 and q_coef > 0:
-        return 1
-    if p_coef <= 0 and q_coef < 0:
-        return -1
-    if lhs_sq == rhs_sq:
-        raise InternalInconsistency(f"sqrt({n}) rational for non-square n")
-    if q_coef > 0:
-        return 1 if lhs_sq > rhs_sq else -1
-    return 1 if lhs_sq < rhs_sq else -1
+        diff = (s - v) ** b - rhs
+    elif v == 0:
+        diff = n**b - rhs * rhs  # sqrt(n)^(2b) against R^2
+    else:
+        j = 32
+        while True:
+            low = isqrt(n << 2 * j) - (v << j)  # floor(2^j * (sqrt(n) - v)) >= 0
+            scaled = rhs << j * b
+            if low**b >= scaled:
+                return 1
+            if (low + 1) ** b <= scaled:
+                return -1
+            j *= 2
+    return (diff > 0) - (diff < 0)
 
 
 def _iroot(x: int, b: int) -> int:
-    """floor(x^(1/b)) for integers x >= 0 and b >= 1, by Newton's method."""
-    if x < 2:
+    """floor(x^(1/b)) for integers x >= 0 and b >= 1, by Newton's method.
+
+    Newton's step shrinks r by about r/b while r is far above the root, so it
+    starts from a float estimate instead: x is cut to its top 64*b bits, the
+    b-th root of that is taken in floating point (relative error near 1e-14)
+    and the estimate is raised by 2^-40 of itself to lie above the root.
+    """
+    if x < 2 or b == 1:
         return x
-    r = 1 << -(-x.bit_length() // b)  # above the root, since x < 2^bit_length
+    shift = max(0, x.bit_length() // b - 64)
+    est = math.exp(math.log(x >> shift * b) / b)
+    r = (int(est) + (int(est) >> 40) + 2) << shift
     while True:
         s = ((b - 1) * r + x // r ** (b - 1)) // b
         if s >= r:
             return r
         r = s
+
+
+def _exponent(c: int, alpha) -> Fraction:
+    """alpha as an exact Fraction, once c >= 0 and 0 < alpha < 1/2 are checked."""
+    alpha = Fraction(alpha)
+    if c < 0:
+        raise DomainError(f"need c >= 0, got {c}")
+    if alpha <= 0 or alpha >= Fraction(1, 2):
+        raise DomainError(f"alpha must lie in (0, 1/2), got {alpha}")
+    return alpha
 
 
 def floor_sqrt_minus_power(n: int, c: int = 6, alpha: Fraction = Fraction(21, 80)) -> int:
@@ -78,11 +90,9 @@ def floor_sqrt_minus_power(n: int, c: int = 6, alpha: Fraction = Fraction(21, 80
     comparator then walks it to the true floor.  Only integers are involved,
     so the answer takes a few comparisons at any size of n.
     """
-    alpha = Fraction(alpha)
-    if n < 1 or c < 0:
-        raise DomainError("need n >= 1 and c >= 0")
-    if alpha <= 0 or alpha >= Fraction(1, 2):
-        raise DomainError(f"alpha must lie in (0, 1/2), got {alpha}")
+    if n < 1:
+        raise DomainError(f"need n >= 1, got {n}")
+    alpha = _exponent(c, alpha)
     guess = isqrt(n) - _iroot(c**alpha.denominator * n**alpha.numerator, alpha.denominator)
     while _cmp_sqrt_expr(n, c, alpha, guess) < 0:
         guess -= 1
@@ -95,16 +105,17 @@ def min_n_default_regime(c: int = 6, alpha: Fraction = Fraction(21, 80)) -> int:
     """Least n at which floor(sqrt(n) - c*n^alpha) reaches 1 under defaults.
 
     sqrt(n) - c*n^alpha is increasing once n^(1/2-alpha) > 2*c*alpha, so a
-    bisection above that point is exact.
+    bisection above that point is exact.  Each step is one exact comparison
+    of sqrt(n) - c*n^alpha with 1.
     """
-    alpha = Fraction(alpha)
+    alpha = _exponent(c, alpha)
     lo = 2
     hi = 4
-    while floor_sqrt_minus_power(hi, c, alpha) < 1:
+    while _cmp_sqrt_expr(hi, c, alpha, 1) < 0:
         lo, hi = hi, hi * 4
     while lo + 1 < hi:
         mid = (lo + hi) // 2
-        if floor_sqrt_minus_power(mid, c, alpha) >= 1:
+        if _cmp_sqrt_expr(mid, c, alpha, 1) >= 0:
             hi = mid
         else:
             lo = mid

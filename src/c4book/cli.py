@@ -5,6 +5,8 @@ witness within budget (the JSON says which), 2 = usage or input error.
 All numeric output is exact; artifacts are JSON with embedded graph6
 strings, and identical invocations with identical seeds are byte-identical
 (wall time lives in a separate "timing" section).
+
+Each handler imports the modules it runs, so a process loads only those.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ import sys
 import time
 from dataclasses import asdict
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import __version__, bounds, geometry, gf, graphcore, ramsey, search
+from . import __version__
 from .errors import (
     AsymptoticRegimeNotReached,
     AttemptsExhausted,
@@ -25,7 +28,9 @@ from .errors import (
     C4BookError,
     NotC4Free,
 )
-from .graphcore import Graph
+
+if TYPE_CHECKING:
+    from .graphcore import Graph
 
 JSON_SCHEMA_VERSION = 1
 
@@ -48,6 +53,8 @@ class _Run:
         self.seeds: dict[str, int] = {}
 
     def read_graph(self, path: str) -> Graph:
+        from . import graphcore
+
         with open(path, "rb") as fh:
             data = fh.read()
         self.inputs[path] = hashlib.sha256(data).hexdigest()
@@ -55,6 +62,8 @@ class _Run:
 
     def attach_graph(self, artifact: dict, g: Graph, out: str | None = None) -> None:
         """Embed g in the artifact as graph6 and, given `out`, write it there too."""
+        from . import graphcore
+
         data = graphcore.g6_encode(g)
         artifact["graph6"] = data.decode("ascii")
         if out:
@@ -205,6 +214,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_field(args, run) -> tuple[int, dict, list[str]]:
+    from . import gf
+
     field = gf.field_new(args.p, args.e)
     artifact = {
         "p": field.p,
@@ -229,6 +240,8 @@ def _cmd_field(args, run) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_er(args, run) -> tuple[int, dict, list[str]]:
+    from . import geometry
+
     field = geometry.plane_field(args.q)
     g = geometry.er_graph(field)
     absolutes = geometry.absolute_points(field)
@@ -254,6 +267,8 @@ def _cmd_er(args, run) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_check(args, run) -> tuple[int, dict, list[str]]:
+    from . import graphcore
+
     g = run.read_graph(args.file)
     do_all = not (args.c4 or args.kst or args.friendship)
     artifact: dict = {"file": args.file, "order": g.n, "size": g.edge_count()}
@@ -278,6 +293,8 @@ def _cmd_check(args, run) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_verify(args, run) -> tuple[int, dict, list[str]]:
+    from . import ramsey
+
     g = run.read_graph(args.file)
     ok = ramsey.is_ramsey_witness(g, args.k, args.n)
     artifact = {"file": args.file, "order": g.n, "k": args.k, "n": args.n, "witness": ok}
@@ -290,6 +307,8 @@ def _cmd_verify(args, run) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_certify(args, run) -> tuple[int, dict, list[str]]:
+    from . import ramsey
+
     g = run.read_graph(args.file)
     try:
         cert = ramsey.certify_lower_bound(g, args.k, note=f"input file {args.file}")
@@ -301,6 +320,8 @@ def _cmd_certify(args, run) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_bounds(args, run) -> tuple[int, dict, list[str]]:
+    from . import bounds
+
     if args.table:
         qmin, qmax, k, eps = args.table
         rows = bounds.theorem15_table(qmin, qmax, k, eps)
@@ -336,6 +357,8 @@ def _cmd_bounds(args, run) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_er_subgraph(args, run) -> tuple[int, dict, list[str]]:
+    from . import geometry, graphcore, search
+
     g = geometry.er_graph(args.q)
     try:
         verts = search.greedy_min_degree_subgraph(g, args.order, args.min_deg, args.budget)
@@ -358,6 +381,8 @@ def _cmd_er_subgraph(args, run) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_random_delete(args, run) -> tuple[int, dict, list[str]]:
+    from . import search
+
     run.seeds["construction"] = args.seed
     try:
         sub, record, cert = search.random_delete_construction(
@@ -383,6 +408,9 @@ def _cmd_random_delete(args, run) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_search_exact(args, run) -> tuple[int, dict, list[str]]:
+    from . import search
+    from .graphcore import Graph
+
     result = search.exhaust_ramsey(args.order, args.k, args.n, jobs=args.jobs)
     if isinstance(result, Graph):
         artifact = {
@@ -402,6 +430,8 @@ def _cmd_search_exact(args, run) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_search_gq(args, run) -> tuple[int, dict, list[str]]:
+    from . import search
+
     run.seeds["probe"] = args.seed
     found = search.probe_script_Gq(args.q, budget=args.budget, seed=args.seed)
     if found is None:

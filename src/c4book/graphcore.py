@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Optional
 
-from .errors import EmptyQuerySet, InternalInconsistency, MalformedGraph6
+from .errors import InternalInconsistency, MalformedGraph6
 
 GRAPH6_MAX_ORDER = 68719476735  # 2^36 - 1, the format's limit
 
@@ -134,20 +134,6 @@ def induced_subgraph(g: Graph, vertices) -> Graph:
     return g.induced_mask(mask)
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
-    degrees: tuple[int, ...]  # sorted ascending
-    min_degree: int
-    max_degree: int
-
-
-def degree_profile(g: Graph) -> DegreeProfile:
-    ds = tuple(sorted(g.degrees()))
-    if not ds:
-        return DegreeProfile((), 0, 0)
-    return DegreeProfile(ds, ds[0], ds[-1])
-
-
 def is_c4_free(g: Graph) -> tuple[bool, Optional[tuple[int, int, int, int]]]:
     """C4 test via the pair criterion: some pair has >= 2 common neighbors.
 
@@ -183,17 +169,6 @@ def _two_step(rows, u: int) -> tuple[int, int]:
         twice |= once & row
         once |= row
     return once, twice
-
-
-def common_neighbors(g: Graph, vertices) -> set[int]:
-    """Vertices adjacent to every member of the query set."""
-    vs = list(vertices)
-    if not vs:
-        raise EmptyQuerySet("common_neighbors needs a nonempty query set")
-    mask = (1 << g.n) - 1
-    for v in vs:
-        mask &= g.rows[v]
-    return set(_bits(mask))
 
 
 def non_two_path_pairs(g: Graph) -> int:

@@ -47,7 +47,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .bounds import floor_sqrt_minus_power, min_n_default_regime
 from .canon import CanonicalForm, canonical_form
 from .errors import (
     AsymptoticRegimeNotReached,
@@ -57,10 +56,11 @@ from .errors import (
     DomainError,
     InternalInconsistency,
 )
-from .geometry import DEFAULT_GRAPH_Q_CAP, er_graph
-from .gf import field_new, is_prime, is_prime_power
 from .graphcore import Graph, _bits, _two_step
 from .ramsey import LowerBoundCertificate, _book_free, certify_lower_bound, is_ramsey_witness
+
+# bounds, geometry and gf are imported where the constructions use them, so an
+# exhaustive search loads none of them
 
 GENERATOR_VERSION = "orderly-v1"
 ENUMERATION_ORDER_CAP = 13
@@ -107,19 +107,26 @@ def greedy_min_degree_subgraph(g: Graph, target_order: int, min_deg: int, budget
             if alive.bit_count() < target_order:
                 return None
 
-    def dfs(alive, protected):
-        nonlocal nodes
+    # Depth-first over (alive, protected) nodes.  The protect branch is pushed
+    # below the delete branch, so it is popped only once the delete subtree is
+    # exhausted; a protect chain can be as long as the order, too deep to recurse.
+    stack = [(full, 0)]
+    result = None
+    while stack:
+        alive, protected = stack.pop()
         nodes += 1
         if nodes > budget:
             raise BudgetExhausted(f"deletion search exceeded {budget} nodes")
         alive = closure(alive, protected)
         if alive is None or alive.bit_count() < target_order:
-            return None
+            continue
         if alive.bit_count() == target_order:
-            return alive
+            result = alive
+            break
         choices = alive & ~protected
         if not choices:
-            return None
+            continue
+
         # prefer deletions that strand nobody below the floor, then low degree
         def rank(v):
             safe = all(
@@ -128,12 +135,8 @@ def greedy_min_degree_subgraph(g: Graph, target_order: int, min_deg: int, budget
             return (not safe, (rows[v] & alive).bit_count(), v)
 
         w = min(_bits(choices), key=rank)
-        found = dfs(alive & ~(1 << w), protected)
-        if found is not None:
-            return found
-        return dfs(alive, protected | 1 << w)
-
-    result = dfs(full, 0)
+        stack.append((alive, protected | 1 << w))
+        stack.append((alive & ~(1 << w), protected))
     if result is None:
         return None
     verts = tuple(_bits(result))
@@ -171,9 +174,9 @@ def _attempt_rng(seed: int, attempt: int) -> random.Random:
 
 def smallest_admissible_prime(n: int) -> int:
     """Smallest prime p with p >= sqrt(n) + 1/2, i.e. (2p-1)^2 >= 4n."""
-    from math import isqrt
+    from .gf import is_prime
 
-    p = max(2, isqrt(n))
+    p = max(2, math.isqrt(n))
     while (2 * p - 1) ** 2 < 4 * n or not is_prime(p):
         p += 1
     return p
@@ -192,28 +195,42 @@ def random_delete_construction(
 
     Default m = floor(sqrt(n) - c*n^alpha); when that is nonpositive the
     asymptotic regime is not reached and the error reports the least n that
-    would make the defaults usable.  On success the surviving graph has
+    would make the defaults usable, if a plane of order at most
+    DEFAULT_GRAPH_Q_CAP admits it.  On success the surviving graph has
     order n + mk - k(k-3)/2 - 1 and its certificate guarantees a book-free
     complement at n* <= n pages, hence r(C4, B_n^(k)) >= order + 1.  An n
     that no plane of order at most DEFAULT_GRAPH_Q_CAP admits is refused
     before m or p is computed.
     """
+    from .geometry import DEFAULT_GRAPH_Q_CAP, er_graph
+    from .gf import field_new
+
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if max_attempts < 1:
         raise DomainError(f"max_attempts must be >= 1, got {max_attempts}")
-    if (2 * DEFAULT_GRAPH_Q_CAP - 1) ** 2 < 4 * n:
+    n_max = (2 * DEFAULT_GRAPH_Q_CAP - 1) ** 2 // 4  # largest n with (2q - 1)^2 >= 4n at the cap
+    if n > n_max:
         raise CapExceeded(f"n={n} needs a plane of order above {DEFAULT_GRAPH_Q_CAP}")
     alpha = Fraction(alpha)
     if m is None:
+        from .bounds import floor_sqrt_minus_power, min_n_default_regime
+
         m = floor_sqrt_minus_power(n, c, alpha)
         if m < 1:
+            # the floor grows with n past its minimum, so the defaults hold
+            # from some n on; when that is past n_max, say only that
+            if floor_sqrt_minus_power(n_max, c, alpha) < 1:
+                raise AsymptoticRegimeNotReached(
+                    f"default degree floor is {m} at n={n}; defaults need n above "
+                    f"{n_max}, which needs a plane of order above {DEFAULT_GRAPH_Q_CAP}"
+                )
+            min_n = min_n_default_regime(c, alpha)
             raise AsymptoticRegimeNotReached(
-                f"default degree floor is {m} at n={n}; defaults need n >= "
-                f"{min_n_default_regime(c, alpha)}",
-                min_n=min_n_default_regime(c, alpha),
+                f"default degree floor is {m} at n={n}; defaults need n >= {min_n}",
+                min_n=min_n,
             )
     if m < 1:
         raise DomainError(f"degree floor m must be >= 1, got {m}")
@@ -548,6 +565,9 @@ def probe_script_Gq(q: int, budget: int = 10**6, seed: int = 0):
     thinned polarity graphs.  A returned graph is re-verified; exhausting the
     budget returns None and proves nothing.
     """
+    from .geometry import er_graph
+    from .gf import is_prime_power
+
     if q < 2:
         raise DomainError(f"q must be >= 2, got {q}")
     if q > GQ_Q_CAP:

@@ -129,6 +129,36 @@ def test_floor_sqrt_minus_power_against_high_precision():
         assert bounds.floor_sqrt_minus_power(n) == int(x.to_integral_value("ROUND_FLOOR"))
 
 
+def test_floor_sqrt_minus_power_other_exponents_against_high_precision():
+    from decimal import Decimal, getcontext
+
+    getcontext().prec = 300
+    for alpha in (Fraction(1, 3), Fraction(2, 7), Fraction(1, 81), Fraction(40, 81), Fraction(1, 4001)):
+        power = Decimal(alpha.numerator) / Decimal(alpha.denominator)
+        for n in (10, 97, 2075, 16256, 10**12 + 3, 10**50 + 1):
+            for c in (1, 6):
+                x = Decimal(n).sqrt() - c * Decimal(n) ** power
+                want = int(x.to_integral_value("ROUND_FLOOR"))
+                assert bounds.floor_sqrt_minus_power(n, c, alpha) == want, (n, c, alpha)
+
+
+def test_sqrt_comparator_ties():
+    # sqrt(8) = 2 * 8^(1/6): a tie at a non-square n, decided from squares
+    assert bounds._cmp_sqrt_expr(8, 2, Fraction(1, 6), 0) == 0
+    assert bounds.floor_sqrt_minus_power(8, 2, Fraction(1, 6)) == 0
+    # sqrt(64) - 2 * 64^(1/6) = 4 at a square n
+    assert bounds._cmp_sqrt_expr(64, 2, Fraction(1, 6), 4) == 0
+    assert bounds._cmp_sqrt_expr(64, 2, Fraction(1, 6), 5) == -1
+
+
+def test_iroot_exact_at_large_degree():
+    for b in (2, 3, 80, 4001, 40001):
+        for root in (2, 6, 10**6 + 1):
+            for x in (root**b - 1, root**b, root**b + 1):
+                r = bounds._iroot(x, b)
+                assert r**b <= x < (r + 1) ** b, (b, root, x)
+
+
 def test_min_n_default_regime_boundary():
     mn = bounds.min_n_default_regime()
     assert bounds.floor_sqrt_minus_power(mn) >= 1

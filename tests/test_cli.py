@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -293,6 +294,24 @@ def test_construct_random_delete_regime_error(capsys):
     assert code == 1
     assert doc["artifact"]["reason"] == "AsymptoticRegimeNotReached"
     assert doc["artifact"]["min_n_for_defaults"] == 2075
+
+
+def test_construct_random_delete_alpha_with_large_denominator(capsys):
+    # the exact floor once expanded lcm(2, b) binomial terms: 1/40001 ran past 60 s
+    start = time.monotonic()
+    code, doc = run_json(capsys, "construct", "random-delete", "--n", "100", "--k", "2", "--alpha", "1/40001")
+    assert time.monotonic() - start < 2
+    assert code == 0
+    assert doc["artifact"]["run"]["m"] == 3 and doc["artifact"]["run"]["alpha"] == "1/40001"
+
+
+def test_construct_random_delete_regime_beyond_plane_cap(capsys):
+    # at alpha = 49/99 the defaults need n with over 150 digits; no plane admits it
+    code, doc = run_json(capsys, "construct", "random-delete", "--n", "100", "--k", "2", "--alpha", "49/99")
+    assert code == 1
+    assert doc["artifact"]["reason"] == "AsymptoticRegimeNotReached"
+    assert "min_n_for_defaults" not in doc["artifact"]
+    assert "defaults need n above 16256" in doc["artifact"]["detail"]
 
 
 def test_search_exact_witness_and_exhaustion(capsys):

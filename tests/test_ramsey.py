@@ -1,4 +1,4 @@
-"""Book numbers, witnesses, certificates, and the proof diagnostics."""
+"""Book numbers, witnesses, certificates, and the proof diagnostics in ``paper_claims``."""
 
 import random
 from itertools import combinations
@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import c4book as cb
-from c4book import ramsey
 from c4book.errors import DomainError, NotC4Free
 from c4book.graphcore import Graph
 
@@ -21,6 +20,7 @@ from oracles import (
     random_graph,
     star_graph,
 )
+from paper_claims import find_admissible_sets, good_pairs, verify_admissible
 
 
 # -- complement book number --
@@ -280,12 +280,12 @@ def test_certificate_hash_is_isomorphism_invariant():
 
 def test_admissible_star_center_empty():
     star = star_graph(5)
-    assert cb.find_admissible_sets(star, 0, 2, deg_cap=5) == []
+    assert find_admissible_sets(star, 0, 2, deg_cap=5) == []
 
 
 def test_admissible_singletons():
     g = cb.er_graph(3)
-    sets = cb.find_admissible_sets(g, 0, 1, deg_cap=4, limit=50)
+    sets = find_admissible_sets(g, 0, 1, deg_cap=4, limit=50)
     assert sets
     nbhd = set(g.neighbors(0)) | {0}
     for (x,) in sets:
@@ -298,9 +298,9 @@ def test_admissible_pairs_er5():
     g = cb.er_graph(5)
     absolutes = set(cb.absolute_points(cb.field_new(5, 1)))
     v = next(u for u in range(g.n) if u not in absolutes)
-    sets = cb.find_admissible_sets(g, v, 2, deg_cap=5, limit=200)
+    sets = find_admissible_sets(g, v, 2, deg_cap=5, limit=200)
     for pair in sets:
-        assert ramsey.verify_admissible(g, v, pair, 5)
+        assert verify_admissible(g, v, pair, 5)
         x, y = pair
         assert not g.has_edge(x, y)
         assert g.degree(x) <= 5 and g.degree(y) <= 5
@@ -314,8 +314,8 @@ def test_admissible_properties_reverified_on_random_inputs():
         v = rng.randrange(g.n)
         k = rng.randint(1, 3)
         cap = max(g.degrees(), default=0)
-        for k_set in cb.find_admissible_sets(g, v, k, deg_cap=cap, limit=20):
-            assert ramsey.verify_admissible(g, v, k_set, cap)
+        for k_set in find_admissible_sets(g, v, k, deg_cap=cap, limit=20):
+            assert verify_admissible(g, v, k_set, cap)
             hits += 1
     assert hits > 0
 
@@ -331,7 +331,7 @@ def test_claim3_dichotomy_on_polarity_graphs():
             for k in (2, 3):
                 if g.degree(v) < k:
                     continue
-                for k_set in cb.find_admissible_sets(g, v, k, deg_cap=q, limit=30):
+                for k_set in find_admissible_sets(g, v, k, deg_cap=q, limit=30):
                     disjoint = any(
                         not (g.rows[x] & g.rows[y]) for x, y in combinations(k_set, 2)
                     )
@@ -351,11 +351,11 @@ def test_claim3_dichotomy_on_polarity_graphs():
 
 def test_good_pairs_examples():
     two_k2 = Graph.from_edges(4, [(0, 1), (2, 3)])
-    assert cb.good_pairs(two_k2, 1).count == 6
+    assert good_pairs(two_k2, 1).count == 6
     # C5 is triangle-free: its five edges are exactly the disjoint-
     # neighborhood pairs, matching non_two_path_pairs at full degree cap
-    assert cb.good_pairs(cycle_graph(5), 2).count == 5
-    gp = cb.good_pairs(star_graph(3), 3)
+    assert good_pairs(cycle_graph(5), 2).count == 5
+    gp = good_pairs(star_graph(3), 3)
     assert gp.count == 3
     assert set(gp.sample) == {(0, 1), (0, 2), (0, 3)}
 
@@ -365,5 +365,5 @@ def test_good_pairs_match_two_path_count_at_full_cap():
     for _ in range(200):
         g = random_graph(rng, rng.randint(1, 12), rng.random())
         cap = max(g.degrees(), default=0)
-        assert cb.good_pairs(g, cap).count == cb.non_two_path_pairs(g)
-        assert cb.good_pairs(g, cap - 1).count <= cb.non_two_path_pairs(g)
+        assert good_pairs(g, cap).count == cb.non_two_path_pairs(g)
+        assert good_pairs(g, cap - 1).count <= cb.non_two_path_pairs(g)

@@ -79,6 +79,28 @@ def test_greedy_target_order_out_of_range_rejected(order):
         cb.greedy_min_degree_subgraph(cb.er_graph(4), order, 0)
 
 
+def test_greedy_node_counts_pinned():
+    # the recursive walk that the explicit stack replaced gave these: the
+    # same result after the same number of nodes, in the same branch order
+    er8 = cb.er_graph(8)
+    verts = cb.greedy_min_degree_subgraph(er8, 69, 8, budget=5)
+    assert sorted(set(range(er8.n)) - set(verts)) == [1, 17, 25, 33]
+    with pytest.raises(BudgetExhausted):
+        cb.greedy_min_degree_subgraph(er8, 69, 8, budget=4)
+    er7 = cb.er_graph(7)
+    assert cb.greedy_min_degree_subgraph(er7, 55, 7, budget=2551) is None
+    with pytest.raises(BudgetExhausted):
+        cb.greedy_min_degree_subgraph(er7, 55, 7, budget=2550)
+
+
+def test_greedy_protect_chain_deeper_than_recursion_limit():
+    # q = 31, t = 16: the search protects about one vertex per two nodes, so
+    # by node 1 950 the chain is over 960 levels deep, where a recursive walk
+    # ran out of stack
+    with pytest.raises(BudgetExhausted, match="exceeded 2500 nodes"):
+        cb.greedy_min_degree_subgraph(cb.er_graph(31), 976, 31, budget=2500)
+
+
 def test_greedy_postconditions_er8():
     er8 = cb.er_graph(8)
     for t in (0, 6, 7):

@@ -1,4 +1,4 @@
-"""Source rules for the package: stdlib-only imports, no assert statements, a light CLI import."""
+"""Source rules for the package: stdlib-only imports, no assert statements, light imports."""
 
 import ast
 import json
@@ -6,6 +6,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import c4book as cb
+
+from oracles import cycle_graph
 
 PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "c4book"
 
@@ -52,18 +58,75 @@ def test_package_has_no_assert_statements():
     assert not found, "assert statements (raise InternalInconsistency instead): " + ", ".join(found)
 
 
-def test_cli_import_loads_no_process_pool():
-    # a serial run never starts a pool, so the CLI must not pay for
-    # importing multiprocessing at start-up
+LAYERS = ("bounds", "canon", "geometry", "gf", "graphcore", "ramsey", "search")
+POOL = ("multiprocessing", "concurrent.futures")
+
+
+def _modules_loaded(*argv):
+    """Modules a fresh interpreter adds by importing c4book.cli and, given argv, running it."""
     probe = (
         "import json, sys; before = set(sys.modules); import c4book.cli; "
+        "sys.argv[1:] and c4book.cli.main(sys.argv[1:]); "
         "print(json.dumps(sorted(set(sys.modules) - before)))"
     )
     env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
     out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, check=True
     ).stdout
-    added = json.loads(out)
-    assert "c4book.search" in added
-    heavy = [m for m in added if m.startswith(("multiprocessing", "concurrent.futures"))]
+    return set(json.loads(out.splitlines()[-1]))
+
+
+def _loaded(added, names):
+    return sorted(m for m in added if m.startswith(tuple(names)))
+
+
+def test_cli_import_loads_no_process_pool():
+    # each handler imports the layers it runs, and a serial run never starts
+    # a pool, so start-up pays for neither
+    added = _modules_loaded()
+    assert "c4book.cli" in added
+    layers = _loaded(added, [f"c4book.{name}" for name in LAYERS])
+    assert not layers, "layers loaded by import c4book.cli: " + ", ".join(layers)
+    heavy = _loaded(added, POOL)
     assert not heavy, "modules loaded by import c4book.cli: " + ", ".join(heavy)
+
+
+@pytest.fixture
+def c6_file(tmp_path):
+    path = tmp_path / "c6.g6"
+    path.write_bytes(cb.g6_encode(cycle_graph(6)) + b"\n")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "{file}", "--k", "1", "--n", "4"], ["certify", "{file}", "--k", "2"]],
+    ids=["verify", "certify"],
+)
+def test_checking_a_graph_loads_no_construction(c6_file, argv):
+    added = _modules_loaded(*(a.format(file=c6_file) for a in argv))
+    assert {"c4book.graphcore", "c4book.canon", "c4book.ramsey"} <= added
+    assert not _loaded(added, ["c4book.search", "c4book.bounds", "c4book.geometry", "c4book.gf"])
+
+
+def test_er_loads_no_search_or_certificates():
+    added = _modules_loaded("er", "5")
+    assert {"c4book.geometry", "c4book.gf"} <= added
+    assert not _loaded(added, ["c4book.search", "c4book.ramsey", "c4book.canon", "c4book.bounds"])
+
+
+def test_serial_exact_search_loads_no_construction_or_pool():
+    added = _modules_loaded("--jobs", "1", "search", "exact", "--k", "2", "--n", "3", "--N", "6")
+    assert "c4book.search" in added
+    assert not _loaded(added, ["c4book.bounds", "c4book.geometry", "c4book.gf", *POOL])
+
+
+def test_package_exports_resolve():
+    for name in cb.__all__:
+        assert getattr(cb, name).__name__ == name
+    assert set(cb.__all__) <= set(dir(cb))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cb.no_such_name
+    from c4book import er_graph, gf
+
+    assert er_graph is cb.er_graph and gf.field_new is cb.field_new

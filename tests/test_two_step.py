@@ -9,7 +9,6 @@ package is built on it; each is checked here against a reference in
 import random
 
 import c4book as cb
-from c4book import ramsey
 from c4book.graphcore import Graph, fan_graph
 from c4book.search import _c4_extension_masks
 
@@ -23,6 +22,7 @@ from oracles import (
     random_graph,
     shuffled_copy,
 )
+from paper_claims import GOOD_PAIRS_SAMPLE, good_pairs
 
 MASKS_MAX_ORDER = 12  # an independent-set list can reach 2^n masks
 
@@ -55,8 +55,8 @@ def test_two_step_consumers_match_pair_loops():
             friendship_verdicts.add(is_fan)
         degs = g.degrees()
         for cap in {0, g.n, rng.choice(degs) if degs else 0}:
-            gp = cb.good_pairs(g, cap)
-            want = pair_loop_good_pairs(g, cap, ramsey.GOOD_PAIRS_SAMPLE)
+            gp = good_pairs(g, cap)
+            want = pair_loop_good_pairs(g, cap, GOOD_PAIRS_SAMPLE)
             assert (gp.count, gp.sample) == want, (g.rows, cap)
             truncated += gp.count > len(gp.sample)
         if g.n <= MASKS_MAX_ORDER:
