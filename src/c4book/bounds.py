@@ -8,9 +8,9 @@ for floors of sqrt(n) - c*n^alpha so no bound is ever off by one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
+from typing import NamedTuple
 
 from .errors import CapExceeded, DomainError
 from .gf import is_prime_power, prime_power_decompose
@@ -101,17 +101,29 @@ def floor_sqrt_minus_power(n: int, c: int = 6, alpha: Fraction = Fraction(21, 80
     return guess
 
 
+# The least n has about log2(c) / (1/2 - alpha) bits, unbounded as alpha nears
+# 1/2: alpha = (b-1)/(2b) needs about 5b bits, and the bisection's time grows
+# roughly as b^4.  Every n that a plane of order up to
+# geometry.DEFAULT_GRAPH_Q_CAP admits lies far below this cap.
+MIN_N_BITS_CAP = 256
+
+
 def min_n_default_regime(c: int = 6, alpha: Fraction = Fraction(21, 80)) -> int:
     """Least n at which floor(sqrt(n) - c*n^alpha) reaches 1 under defaults.
 
     sqrt(n) - c*n^alpha is increasing once n^(1/2-alpha) > 2*c*alpha, so a
     bisection above that point is exact.  Each step is one exact comparison
-    of sqrt(n) - c*n^alpha with 1.
+    of sqrt(n) - c*n^alpha with 1.  An n of over MIN_N_BITS_CAP bits is
+    refused once the search for an upper end passes it.
     """
     alpha = _exponent(c, alpha)
     lo = 2
     hi = 4
     while _cmp_sqrt_expr(hi, c, alpha, 1) < 0:
+        if hi.bit_length() > MIN_N_BITS_CAP:
+            raise CapExceeded(
+                f"the least n for c={c}, alpha={alpha} has over {MIN_N_BITS_CAP} bits"
+            )
         lo, hi = hi, hi * 4
     while lo + 1 < hi:
         mid = (lo + hi) // 2
@@ -157,8 +169,7 @@ def parsons_upper(n: int) -> int:
 # -- iterated star recurrence --
 
 
-@dataclass(frozen=True)
-class GSequence:
+class GSequence(NamedTuple):
     values: tuple[int, ...]  # g_0(n) .. g_k(n)
     cap: int                 # n + k*floor(sqrt(n)) + ceil((k^2+9k)/4)
     cap_holds: bool
@@ -195,8 +206,7 @@ def ladder_offset(k: int) -> int:
     return book_order_offset(k) - -(-k // 2) + 2
 
 
-@dataclass(frozen=True)
-class BoundsParams:
+class BoundsParams(NamedTuple):
     k: int
     q: int
     t: int
@@ -298,8 +308,7 @@ def bounds_params(k: int, q: int, t: int, eps) -> BoundsParams:
 # -- admissibility of (q, t) for the exact-value family --
 
 
-@dataclass(frozen=True)
-class Admissibility:
+class Admissibility(NamedTuple):
     admissible: bool
     reason: str
     parity_class: str  # "even", "3 mod 4", or "1 mod 4"
@@ -366,8 +375,7 @@ def theorem15_table(qmin: int, qmax: int, k: int, eps) -> list[dict]:
 # -- general lower bound via random thinning --
 
 
-@dataclass(frozen=True)
-class Theorem16Bound:
+class Theorem16Bound(NamedTuple):
     value: int
     in_regime: bool
     floor_term: int  # floor(sqrt(n) - 6 n^0.2625)
@@ -394,8 +402,7 @@ def theorem16_lower(n: int, k: int) -> Theorem16Bound:
 # -- aggregated per-(n, k) report --
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     n: int
     k: int
     lower: int

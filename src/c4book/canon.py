@@ -35,9 +35,8 @@ sorts by degree, so the last canonical vertex has the largest degree.
 
 from __future__ import annotations
 
-import hashlib
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphcore import Graph, g6_encode
 
@@ -178,8 +177,7 @@ def _leaf_key(rows, order):
     return _pack_chunks(chunks)
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(NamedTuple):
     key: bytes            # order byte(s) + packed canonical adjacency
     labeling: tuple       # labeling[v] = canonical position of vertex v
     order: tuple          # order[i] = vertex at canonical position i
@@ -307,4 +305,6 @@ def canonical_graph(g: Graph) -> Graph:
 
 def graph_digest(g: Graph) -> str:
     """Hex sha256 of the canonical graph6 encoding; isomorphism invariant."""
+    import hashlib  # imported here: it loads OpenSSL, which only digests need
+
     return hashlib.sha256(g6_encode(canonical_graph(g))).hexdigest()

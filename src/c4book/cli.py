@@ -7,17 +7,16 @@ strings, and identical invocations with identical seeds are byte-identical
 (wall time lives in a separate "timing" section).
 
 Each handler imports the modules it runs, so a process loads only those.
+The same holds for fractions and hashlib: a Fraction is built only for the
+options that take one, and a digest only for the files that are hashed.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -37,6 +36,8 @@ JSON_SCHEMA_VERSION = 1
 
 def _json_default(obj):
     """Exact rationals (DeletionRun.alpha) serialise as "p/q" strings."""
+    from fractions import Fraction
+
     if isinstance(obj, Fraction):
         return str(obj)
     raise TypeError(f"{type(obj).__name__} is not JSON serialisable")
@@ -53,6 +54,8 @@ class _Run:
         self.seeds: dict[str, int] = {}
 
     def read_graph(self, path: str) -> Graph:
+        import hashlib
+
         from . import graphcore
 
         with open(path, "rb") as fh:
@@ -67,6 +70,8 @@ class _Run:
         data = graphcore.g6_encode(g)
         artifact["graph6"] = data.decode("ascii")
         if out:
+            import hashlib
+
             data += b"\n"
             with open(out, "wb") as fh:
                 fh.write(data)
@@ -107,14 +112,24 @@ def _budget_int(text: str) -> int:
     return value
 
 
+def _fraction(text: str):
+    """An exact rational such as "1/2" or "0.3"."""
+    from fractions import Fraction
+
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from None
+
+
 class _TableArgs(argparse.Action):
     """--table QMIN QMAX K EPS as three ints and an exact Fraction."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         *ints, eps = values
         try:
-            setattr(namespace, self.dest, (*map(int, ints), Fraction(eps)))
-        except ValueError as exc:
+            setattr(namespace, self.dest, (*map(int, ints), _fraction(eps)))
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             parser.error(f"argument {option_string}: {exc}")
 
 
@@ -162,7 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--q", type=int)
     p.add_argument("--t", type=int)
-    p.add_argument("--eps", type=Fraction, default="1/2")
+    p.add_argument("--eps", type=_fraction, default="1/2")
     p.add_argument(
         "--table",
         nargs=4,
@@ -189,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--m", type=int)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--c", dest="c_const", type=int, default=6)
-    c.add_argument("--alpha", type=Fraction, default="21/80")
+    c.add_argument("--alpha", type=_fraction, default="21/80")
     c.add_argument("--max-attempts", type=_budget_int, default=1000)
     c.add_argument("--out", metavar="FILE.g6")
 
@@ -280,7 +295,7 @@ def _cmd_check(args, run) -> tuple[int, dict, list[str]]:
         lines.append(f"C4-free: {ok}" + (f" (witness {witness})" if witness else ""))
     if args.kst or do_all:
         chk = graphcore.kst_check(g)
-        artifact["kst"] = asdict(chk)
+        artifact["kst"] = chk._asdict()
         lines.append(
             f"pair counts: lhs={chk.lhs} rhs={chk.rhs_basic} p={chk.p} "
             f"refined={chk.rhs_refined} holds={chk.holds_basic}/{chk.holds_refined}"
@@ -314,7 +329,7 @@ def _cmd_certify(args, run) -> tuple[int, dict, list[str]]:
         cert = ramsey.certify_lower_bound(g, args.k, note=f"input file {args.file}")
     except NotC4Free as exc:
         return 1, {"file": args.file, "certified": False, "reason": str(exc)}, [f"refused: {exc}"]
-    artifact = asdict(cert)
+    artifact = cert._asdict()
     run.attach_graph(artifact, g)
     return 0, artifact, [cert.implied_bound]
 
@@ -334,7 +349,7 @@ def _cmd_bounds(args, run) -> tuple[int, dict, list[str]]:
     if args.n is None or args.k is None:
         raise C4BookError("bounds needs --n and --k (or --table)")
     report = bounds.bound_report(args.n, args.k)
-    artifact = asdict(report)
+    artifact = report._asdict()
     lines = [
         f"r(C4, B_{args.n}^({args.k})): lower {report.lower} ({report.lower_provenance})",
         f"  upper {report.upper} ({report.upper_provenance})",
@@ -399,7 +414,7 @@ def _cmd_random_delete(args, run) -> tuple[int, dict, list[str]]:
         if isinstance(exc, AsymptoticRegimeNotReached) and exc.min_n is not None:
             artifact["min_n_for_defaults"] = exc.min_n
         return 1, artifact, [str(exc)]
-    artifact = {"found": True, "run": asdict(record), "certificate": asdict(cert)}
+    artifact = {"found": True, "run": record._asdict(), "certificate": cert._asdict()}
     run.attach_graph(artifact, sub, args.out)
     return 0, artifact, [
         f"order {sub.n}, min degree {min(sub.degrees())}, attempts {record.attempts}",
@@ -422,7 +437,7 @@ def _cmd_search_exact(args, run) -> tuple[int, dict, list[str]]:
         }
         run.attach_graph(artifact, result, args.out)
         return 0, artifact, [artifact["implied_bound"]]
-    artifact = {"witness_found": False, "exhaustion_proof": asdict(result)}
+    artifact = {"witness_found": False, "exhaustion_proof": result._asdict()}
     artifact["implied_bound"] = f"r(C4, B_{args.n}^({args.k})) <= {args.order}"
     return 1, artifact, [
         f"exhausted {result.graphs_examined} graphs: {artifact['implied_bound']}"

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import binascii
 import re
-from dataclasses import dataclass
 from math import comb
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import InternalInconsistency, MalformedGraph6
 
@@ -177,8 +176,7 @@ def non_two_path_pairs(g: Graph) -> int:
     return sum(n - 1 - u - (_two_step(g.rows, u)[0] >> (u + 1)).bit_count() for u in range(n))
 
 
-@dataclass(frozen=True)
-class KstCheck:
+class KstCheck(NamedTuple):
     """Pair-count ledger for the C4-free counting inequality and its refinement.
 
     lhs = sum over vertices of C(d(v), 2); rhs_basic = C(N, 2);

@@ -17,16 +17,15 @@ n* - 1 pages is found.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .canon import graph_digest
 from .errors import DomainError, InternalInconsistency, NotC4Free
 from .graphcore import Graph, _bits, is_c4_free
 
 
-@dataclass(frozen=True)
-class BookWitness:
+class BookWitness(NamedTuple):
     """A spine (independent in G) together with its common non-neighbors."""
 
     spine: tuple[int, ...]
@@ -34,8 +33,7 @@ class BookWitness:
     page_count: int
 
 
-@dataclass(frozen=True)
-class LowerBoundCertificate:
+class LowerBoundCertificate(NamedTuple):
     graph_hash: str                # sha256 of canonical graph6
     order: int
     spine: int                     # k

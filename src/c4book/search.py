@@ -38,14 +38,12 @@ their order and their keys are those of ``tests/oracles.children_reference``.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 import random
 from contextlib import nullcontext
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
+from typing import TYPE_CHECKING, NamedTuple
 
 from .canon import CanonicalForm, canonical_form
 from .errors import (
@@ -59,8 +57,11 @@ from .errors import (
 from .graphcore import Graph, _bits, _two_step
 from .ramsey import LowerBoundCertificate, _book_free, certify_lower_bound, is_ramsey_witness
 
-# bounds, geometry and gf are imported where the constructions use them, so an
-# exhaustive search loads none of them
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+# bounds, geometry, gf, fractions and hashlib are imported where the
+# constructions use them, so an exhaustive search loads none of them
 
 GENERATOR_VERSION = "orderly-v1"
 ENUMERATION_ORDER_CAP = 13
@@ -151,8 +152,7 @@ def greedy_min_degree_subgraph(g: Graph, target_order: int, min_deg: int, budget
 # -- randomized thinning of ER_p --
 
 
-@dataclass(frozen=True)
-class DeletionRun:
+class DeletionRun(NamedTuple):
     n: int
     k: int
     alpha: Fraction          # effective exponent applied to n (default 21/80)
@@ -168,6 +168,8 @@ class DeletionRun:
 
 def _attempt_rng(seed: int, attempt: int) -> random.Random:
     """Independent stream per attempt index, reproducible across schedulers."""
+    import hashlib
+
     digest = hashlib.sha256(f"{seed}:{attempt}".encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
@@ -188,7 +190,7 @@ def random_delete_construction(
     seed: int = 0,
     m: int | None = None,
     c: int = 6,
-    alpha: Fraction = Fraction(21, 80),
+    alpha: Fraction | str = "21/80",
     max_attempts: int = 1000,
 ) -> tuple[Graph, DeletionRun, LowerBoundCertificate]:
     """Delete d random vertices from ER_p until no survivor drops below m.
@@ -202,6 +204,8 @@ def random_delete_construction(
     that no plane of order at most DEFAULT_GRAPH_Q_CAP admits is refused
     before m or p is computed.
     """
+    from fractions import Fraction
+
     from .geometry import DEFAULT_GRAPH_Q_CAP, er_graph
     from .gf import field_new
 
@@ -285,8 +289,7 @@ def random_delete_construction(
 # -- canonical augmentation enumeration --
 
 
-@dataclass(frozen=True)
-class ExhaustionProof:
+class ExhaustionProof(NamedTuple):
     order: int
     graphs_examined: int
     all_rejected: bool
@@ -579,6 +582,11 @@ def probe_script_Gq(q: int, budget: int = 10**6, seed: int = 0):
     full = (1 << n) - 1
     limit = n - 2 - pages  # a violating pair's neighborhoods cover at most this
     rng = random.Random(seed)
+    # vertices are drawn inline as CPython's randrange(n) draws them: n.bit_length()
+    # random bits, redrawn while they reach n.  The pinned trajectories rest on
+    # that stream, which randrange itself does not promise.
+    getrandbits = rng.getrandbits
+    bits = n.bit_length()
     steps = 0
 
     def greedy_fill(rows):
@@ -615,7 +623,9 @@ def probe_script_Gq(q: int, budget: int = 10**6, seed: int = 0):
         stall = 0
         while steps < budget and stall < 20000:
             steps += 1
-            temperature = max(0.05, temperature * 0.99995)
+            temperature *= 0.99995
+            if temperature < 0.05:
+                temperature = 0.05
             if energy == 0:
                 # every move keeps the graph C4-free, and zero energy means
                 # the complement is book-free
@@ -623,14 +633,18 @@ def probe_script_Gq(q: int, budget: int = 10**6, seed: int = 0):
                 if not is_ramsey_witness(g, 2, pages):
                     raise InternalInconsistency(f"zero-energy graph on {n} vertices fails re-verification")
                 return g
-            u = rng.randrange(n)
-            v = rng.randrange(n)
+            u = getrandbits(bits)
+            while u >= n:
+                u = getrandbits(bits)
+            v = getrandbits(bits)
+            while v >= n:
+                v = getrandbits(bits)
             if u == v:
                 continue
             if not rows[u] >> v & 1 and not _can_add_edge(rows, u, v):
                 continue
             new_energy = energy + _toggle_delta(rows, full, limit, u, v)
-            if new_energy <= energy or rng.random() < _accept(energy, new_energy, temperature):
+            if new_energy <= energy or rng.random() < math.exp((energy - new_energy) / temperature):
                 energy = new_energy
                 rows[u] ^= 1 << v
                 rows[v] ^= 1 << u
@@ -640,8 +654,3 @@ def probe_script_Gq(q: int, budget: int = 10**6, seed: int = 0):
             else:
                 stall += 1
     return None
-
-
-def _accept(old, new, temperature):
-    return math.exp((old - new) / max(temperature, 1e-9))
-

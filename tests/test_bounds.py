@@ -165,6 +165,20 @@ def test_min_n_default_regime_boundary():
     assert bounds.floor_sqrt_minus_power(mn - 1) < 1
 
 
+def test_min_n_default_regime_capped():
+    # at alpha = (b-1)/(2b) the least n has about 5b bits; uncapped, b = 200 took 26 s
+    start = time.monotonic()
+    with pytest.raises(CapExceeded):
+        bounds.min_n_default_regime(6, Fraction(199, 400))
+    assert time.monotonic() - start < 1
+    # b = 49 is just inside the cap, and its answer is still exact
+    alpha = Fraction(24, 49)
+    mn = bounds.min_n_default_regime(6, alpha)
+    assert 250 < mn.bit_length() <= bounds.MIN_N_BITS_CAP
+    assert bounds.floor_sqrt_minus_power(mn, 6, alpha) >= 1
+    assert bounds.floor_sqrt_minus_power(mn - 1, 6, alpha) < 1
+
+
 # -- parameter pack --
 
 

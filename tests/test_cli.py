@@ -369,6 +369,9 @@ def test_missing_file_exit_2(capsys, tmp_path, monkeypatch, argv):
     [
         ["bounds", "--n", "5", "--k", "3", "--q", "8", "--t", "2", "--eps", "abc"],
         ["bounds", "--table", "7", "x", "3", "0.25"],
+        ["bounds", "--n", "5", "--k", "3", "--q", "8", "--t", "2", "--eps", "1/0"],
+        ["bounds", "--table", "7", "9", "3", "1/0"],
+        ["construct", "random-delete", "--n", "100", "--k", "2", "--alpha", "1/0"],
         ["construct", "random-delete", "--n", "100", "--k", "2", "--m", "7", "--alpha", "bad"],
         ["construct", "er-subgraph", "--q", "4", "--order", "18", "--min-deg", "4", "--budget", "1e400"],
         ["construct", "er-subgraph", "--q", "4", "--order", "18", "--min-deg", "4", "--budget", "-1"],
@@ -394,7 +397,8 @@ def test_missing_file_exit_2(capsys, tmp_path, monkeypatch, argv):
         ["bounds", "--n", "46", "--k", "400", "--q", "8", "--t", "6"],
         ["--format", "json", "bounds", "--n", "46", "--k", "400", "--q", "8", "--t", "6"],
     ],
-    ids=["eps", "table", "alpha", "budget-overflow", "budget-negative", "max-attempts-zero",
+    ids=["eps", "table", "eps-zero-denominator", "table-eps-zero-denominator",
+         "alpha-zero-denominator", "alpha", "budget-overflow", "budget-negative", "max-attempts-zero",
          "gq-budget-negative", "gq-budget-fraction", "gq-budget-not-whole",
          "max-attempts-not-whole", "gq-q-negative", "gq-q-zero", "gq-q-over-cap",
          "exact-n-zero", "exact-n-negative", "exact-k-zero", "verify-n-zero",

@@ -384,6 +384,32 @@ def test_probe_gq3_finds_witness():
         assert g6_encode(found) == graph6, seed
 
 
+def test_probe_trajectory_across_restarts(monkeypatch):
+    # seed 3 finds its witness from its third start: a random start, then a
+    # restart from a thinned polarity graph, then a random restart
+    starts = []
+    energy = search._energy
+    monkeypatch.setattr(search, "_energy", lambda *a: starts.append(a) or energy(*a))
+    found = cb.probe_script_Gq(3, budget=400_000, seed=3)
+    assert len(starts) == 3
+    assert g6_encode(found) == b"NcR_CcAHgPADQ_K@dH?"
+
+
+def test_vertex_draw_is_randrange_stream():
+    # the probe draws a vertex with getrandbits and rejection; its pinned
+    # trajectories rely on that being randrange(n)'s stream on this Python
+    for seed in range(50):
+        for n in range(2, 41):
+            ours, ref = random.Random(seed), random.Random(seed)
+            bits = n.bit_length()
+            for _ in range(20):
+                v = ours.getrandbits(bits)
+                while v >= n:
+                    v = ours.getrandbits(bits)
+                assert v == ref.randrange(n), (seed, n)
+            assert ours.getstate() == ref.getstate(), (seed, n)
+
+
 def test_probe_zero_energy_failing_reverification_is_inconsistent(monkeypatch):
     # zero energy must mean a witness; a failed re-check is a broken invariant
     monkeypatch.setattr(search, "is_ramsey_witness", lambda g, k, n: False)

@@ -58,8 +58,21 @@ def test_package_has_no_assert_statements():
     assert not found, "assert statements (raise InternalInconsistency instead): " + ", ".join(found)
 
 
+def test_package_does_not_import_dataclasses():
+    # the records are NamedTuples
+    found = [
+        f"{path.name}:{line}"
+        for path in _sources()
+        for line, module in _absolute_imports(path)
+        if module == "dataclasses"
+    ]
+    assert not found, "dataclasses imported at " + ", ".join(found)
+
+
 LAYERS = ("bounds", "canon", "geometry", "gf", "graphcore", "ramsey", "search")
 POOL = ("multiprocessing", "concurrent.futures")
+# dataclasses loads inspect, fractions loads decimal, hashlib loads OpenSSL
+HEAVY = ("dataclasses", "fractions", "decimal", "hashlib")
 
 
 def _modules_loaded(*argv):
@@ -107,6 +120,8 @@ def test_checking_a_graph_loads_no_construction(c6_file, argv):
     added = _modules_loaded(*(a.format(file=c6_file) for a in argv))
     assert {"c4book.graphcore", "c4book.canon", "c4book.ramsey"} <= added
     assert not _loaded(added, ["c4book.search", "c4book.bounds", "c4book.geometry", "c4book.gf"])
+    # hashlib only for the input file's digest
+    assert added & set(HEAVY) == {"hashlib"}
 
 
 def test_er_loads_no_search_or_certificates():
@@ -119,6 +134,14 @@ def test_serial_exact_search_loads_no_construction_or_pool():
     added = _modules_loaded("--jobs", "1", "search", "exact", "--k", "2", "--n", "3", "--N", "6")
     assert "c4book.search" in added
     assert not _loaded(added, ["c4book.bounds", "c4book.geometry", "c4book.gf", *POOL])
+    assert not added & set(HEAVY)
+
+
+def test_annealing_search_loads_no_heavy_stdlib():
+    added = _modules_loaded("search", "gq", "--q", "2", "--budget", "100")
+    assert {"c4book.search", "c4book.geometry", "c4book.gf"} <= added
+    assert not _loaded(added, ["c4book.bounds", *POOL])
+    assert not added & set(HEAVY)
 
 
 def test_package_exports_resolve():
