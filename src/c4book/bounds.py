@@ -8,6 +8,7 @@ for floors of sqrt(n) - c*n^alpha so no bound is ever off by one.
 from __future__ import annotations
 
 import math
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from math import comb, isqrt
 from typing import NamedTuple
@@ -101,10 +102,36 @@ def floor_sqrt_minus_power(n: int, c: int = 6, alpha: Fraction = Fraction(21, 80
     return guess
 
 
+def _sign_above_one(n: int, c: int, alpha: Fraction) -> int:
+    """Sign of sqrt(n) - c*n^alpha - 1, as _cmp_sqrt_expr(n, c, alpha, 1) gives it.
+
+    Decided in floating point when it can be, else in decimal arithmetic with
+    twenty digits more than n, else exactly.  Each rounded step is correctly
+    rounded or nearly so; with u the tier's unit roundoff and x = alpha ln n,
+    the two sides carry relative errors below 2u and (3x + 2)u, so a
+    difference above (4x + 16)u times their sum has the computed sign.  Near
+    the least n the difference is about 1/n of the sides, so the decimal
+    tier decides there and the exact comparison is rarely paid for.
+    """
+    root = math.sqrt(n)
+    x = float(alpha) * math.log(n)
+    power = c * math.exp(x)
+    gap = root - 1 - power
+    if abs(gap) > (4 * x + 16) * 2.0**-50 * (root + power):
+        return 1 if gap > 0 else -1
+    with localcontext(Context(prec=len(str(n)) + 20)) as ctx:
+        root = Decimal(n).sqrt()
+        x = Decimal(alpha.numerator) / alpha.denominator * Decimal(n).ln()
+        power = c * x.exp()
+        gap = root - 1 - power
+        if abs(gap) > (4 * x + 16) * (root + power) / 10 ** (ctx.prec - 1):
+            return 1 if gap > 0 else -1
+    return _cmp_sqrt_expr(n, c, alpha, 1)
+
+
 # The least n has about log2(c) / (1/2 - alpha) bits, unbounded as alpha nears
-# 1/2: alpha = (b-1)/(2b) needs about 5b bits, and the bisection's time grows
-# roughly as b^4.  Every n that a plane of order up to
-# geometry.DEFAULT_GRAPH_Q_CAP admits lies far below this cap.
+# 1/2: alpha = (b-1)/(2b) needs about 5b bits.  Every n that a plane of order
+# up to geometry.DEFAULT_GRAPH_Q_CAP admits lies far below this cap.
 MIN_N_BITS_CAP = 256
 
 
@@ -112,14 +139,17 @@ def min_n_default_regime(c: int = 6, alpha: Fraction = Fraction(21, 80)) -> int:
     """Least n at which floor(sqrt(n) - c*n^alpha) reaches 1 under defaults.
 
     sqrt(n) - c*n^alpha is increasing once n^(1/2-alpha) > 2*c*alpha, so a
-    bisection above that point is exact.  Each step is one exact comparison
-    of sqrt(n) - c*n^alpha with 1.  An n of over MIN_N_BITS_CAP bits is
-    refused once the search for an upper end passes it.
+    bisection above that point is exact.  Each step compares sqrt(n) -
+    c*n^alpha with 1 by _sign_above_one.  An n of over MIN_N_BITS_CAP bits is
+    refused once the search for an upper end passes it, and at once when
+    n^(1/2-alpha) > c, which the least n needs, puts it clearly past the cap.
     """
     alpha = _exponent(c, alpha)
+    if c > 1 and math.log2(c) > (MIN_N_BITS_CAP + 1) * float(Fraction(1, 2) - alpha):
+        raise CapExceeded(f"the least n for c={c}, alpha={alpha} has over {MIN_N_BITS_CAP} bits")
     lo = 2
     hi = 4
-    while _cmp_sqrt_expr(hi, c, alpha, 1) < 0:
+    while _sign_above_one(hi, c, alpha) < 0:
         if hi.bit_length() > MIN_N_BITS_CAP:
             raise CapExceeded(
                 f"the least n for c={c}, alpha={alpha} has over {MIN_N_BITS_CAP} bits"
@@ -127,7 +157,7 @@ def min_n_default_regime(c: int = 6, alpha: Fraction = Fraction(21, 80)) -> int:
         lo, hi = hi, hi * 4
     while lo + 1 < hi:
         mid = (lo + hi) // 2
-        if _cmp_sqrt_expr(mid, c, alpha, 1) >= 0:
+        if _sign_above_one(mid, c, alpha) >= 0:
             hi = mid
         else:
             lo = mid

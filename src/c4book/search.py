@@ -34,6 +34,12 @@ their order and their keys are those of ``tests/oracles.children_reference``.
   automorphism of the child joins w* and the new vertex in one orbit;
   reject at once when deleting w* leaves a degree sequence other than the
   parent's; only otherwise label the child with w* deleted.
+
+The annealing probe moves only between C4-free graphs, where two vertices
+share at most one neighbor.  So |N(x) | N(w)| = d(x) + d(w) - [x and w share
+a neighbor], and the probe tests and scores each edge toggle from masks it
+keeps up to date (degrees, degree classes and two-step masks, see
+``probe_script_Gq``) instead of looping over vertices.
 """
 
 from __future__ import annotations
@@ -94,14 +100,17 @@ def greedy_min_degree_subgraph(g: Graph, target_order: int, min_deg: int, budget
     nodes = 0
 
     def closure(alive, protected):
-        """Force-delete vertices below the floor; None if a protected one dies."""
+        """Force-delete vertices below the floor: (alive, degrees in g[alive]),
+        or None if a protected one dies."""
         while True:
+            deg = {}
             bad = 0
             for v in _bits(alive):
-                if (rows[v] & alive).bit_count() < min_deg:
+                d = deg[v] = (rows[v] & alive).bit_count()
+                if d < min_deg:
                     bad |= 1 << v
             if not bad:
-                return alive
+                return alive, deg
             if bad & protected:
                 return None
             alive &= ~bad
@@ -118,24 +127,23 @@ def greedy_min_degree_subgraph(g: Graph, target_order: int, min_deg: int, budget
         nodes += 1
         if nodes > budget:
             raise BudgetExhausted(f"deletion search exceeded {budget} nodes")
-        alive = closure(alive, protected)
-        if alive is None or alive.bit_count() < target_order:
+        closed = closure(alive, protected)
+        if closed is None:
             continue
+        alive, deg = closed
         if alive.bit_count() == target_order:
             result = alive
             break
         choices = alive & ~protected
         if not choices:
             continue
-
-        # prefer deletions that strand nobody below the floor, then low degree
-        def rank(v):
-            safe = all(
-                (rows[w] & alive).bit_count() > min_deg for w in _bits(rows[v] & alive)
-            )
-            return (not safe, (rows[v] & alive).bit_count(), v)
-
-        w = min(_bits(choices), key=rank)
+        # prefer deletions that strand nobody below the floor (no neighbor
+        # already at it), then low degree
+        tight = 0
+        for v, d in deg.items():
+            if d <= min_deg:
+                tight |= 1 << v
+        w = min(_bits(choices), key=lambda v: (rows[v] & tight != 0, deg[v], v))
         stack.append((alive, protected | 1 << w))
         stack.append((alive & ~(1 << w), protected))
     if result is None:
@@ -496,20 +504,6 @@ def exhaust_ramsey(order: int, k: int, n: int, jobs: int = 1):
 # -- heuristic probe for specific witness families --
 
 
-def _can_add_edge(rows, u, v):
-    """Edge uv keeps the graph C4-free iff no neighbor of u shares a
-    common neighbor with v (and vice versa, which is the same condition)."""
-    rv = rows[v]
-    m = rows[u]
-    while m:
-        low = m & -m
-        x = low.bit_length() - 1
-        m ^= low
-        if rows[x] & rv:
-            return False
-    return True
-
-
 def _energy(rows, full, limit):
     """All violating pairs, each counted at its lower vertex.
 
@@ -528,34 +522,42 @@ def _energy(rows, full, limit):
     return count
 
 
-def _toggle_delta(rows, full, limit, u, v):
-    """Energy change from toggling uv, computed from the rows before the toggle.
+def _join(rows, two, u, v):
+    """Add the edge uv and keep two[x], the OR of the rows of x's neighbors.
 
-    Only pairs through u or v can change.  A pair {x, w} with x in {u, v}
-    changes only when w is adjacent to neither u nor v (otherwise w is
-    adjacent to x or the toggled bit is already in the union), and then its
-    union gains or loses one vertex: an added edge stops it counting when
-    the union had exactly limit vertices, a removed one starts it counting
-    when the union had limit + 1.  The pair {u, v} counts after a removal
-    when its union without u and v is small enough, and stops counting after
-    an addition.
+    Only x in N(u) | N(v) has a neighbor whose row changes: u and v gain
+    each other's rows, and every other such x gains the far end's bit.
     """
-    ru = rows[u]
-    rv = rows[v]
-    union = ru | rv
-    if ru >> v & 1:
-        step, edge = 1, limit + 1
-        hits = union.bit_count() - 2 <= limit
-    else:
-        step, edge = -1, limit
-        hits = union.bit_count() <= limit
-    m = full & ~(union | 1 << u | 1 << v)
-    while m:
-        low = m & -m
-        m ^= low
-        rw = rows[low.bit_length() - 1]
-        hits += ((ru | rw).bit_count() == edge) + ((rv | rw).bit_count() == edge)
-    return step * hits
+    bu = 1 << u
+    bv = 1 << v
+    rows[u] |= bv
+    rows[v] |= bu
+    two[u] |= rows[v]
+    two[v] |= rows[u]
+    for x in _bits(rows[u]):
+        two[x] |= bv
+    for x in _bits(rows[v]):
+        two[x] |= bu
+
+
+def _cut(rows, two, u, v):
+    """Remove the edge uv of a C4-free graph and keep the masks of _join.
+
+    Exact only because the graph is C4-free.  two[u] loses N(v) but keeps u
+    while u has a neighbor: no w != u in N(v) shares a neighbor y != v with
+    u, since u y w v would be a 4-cycle.  Likewise a neighbor x of u reaches
+    v only through u, so it loses bit v.
+    """
+    bu = 1 << u
+    bv = 1 << v
+    rows[u] ^= bv
+    rows[v] ^= bu
+    two[u] = two[u] & ~rows[v] if rows[u] else 0
+    two[v] = two[v] & ~rows[u] if rows[v] else 0
+    for x in _bits(rows[u]):
+        two[x] &= ~bv
+    for x in _bits(rows[v]):
+        two[x] &= ~bu
 
 
 def probe_script_Gq(q: int, budget: int = 10**6, seed: int = 0):
@@ -567,6 +569,20 @@ def probe_script_Gq(q: int, budget: int = 10**6, seed: int = 0):
     C4-freeness, with restarts from random maximal C4-free graphs and from
     thinned polarity graphs.  A returned graph is re-verified; exhausting the
     budget returns None and proves nothing.
+
+    The graph is C4-free before every move, so two vertices share at most
+    one neighbor.  Each start keeps, next to the rows, deg[x], by_degree[d]
+    (the mask of the vertices of degree d) and two[x], the OR of the rows of
+    x's neighbors (``graphcore._two_step``'s first mask): the vertices that
+    share a neighbor with x, and x itself once it has a neighbor.  Then:
+
+    * adding uv keeps the graph C4-free iff two[u] & rows[v] is empty;
+    * |N(x) | N(w)| = d(x) + d(w) - [w in two[x]], so the pairs {x, w},
+      x in {u, v}, whose union a toggle moves across the limit are counted
+      by four popcounts over degree classes, not by a pass over the vertices;
+    * an accepted toggle updates these masks at u, v and their neighbors only.
+
+    The energy is recounted in full once per start.
     """
     from .geometry import er_graph
     from .gf import is_prime_power
@@ -590,13 +606,14 @@ def probe_script_Gq(q: int, budget: int = 10**6, seed: int = 0):
     steps = 0
 
     def greedy_fill(rows):
+        """Add, in a shuffled order, every pair that keeps the graph C4-free; (rows, two)."""
+        two = [_two_step(rows, x)[0] for x in range(n)]
         order = [(u, v) for u in range(n) for v in range(u + 1, n)]
         rng.shuffle(order)
         for u, v in order:
-            if not rows[u] >> v & 1 and _can_add_edge(rows, u, v):
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-        return rows
+            if not (rows[u] >> v & 1 or two[u] & rows[v]):
+                _join(rows, two, u, v)
+        return rows, two
 
     def polarity_seed():
         # smallest prime-power plane with at least n points, thinned to n
@@ -616,8 +633,13 @@ def probe_script_Gq(q: int, budget: int = 10**6, seed: int = 0):
     best_energy = None
     restart = 0
     while steps < budget:
-        rows = polarity_seed() if restart % 2 else random_seed()
+        rows, two = polarity_seed() if restart % 2 else random_seed()
         restart += 1
+        deg = [row.bit_count() for row in rows]
+        # a score reads classes up to limit + 2 = 2q + 2 < n
+        by_degree = [0] * n
+        for x, d in enumerate(deg):
+            by_degree[d] |= 1 << x
         energy = _energy(rows, full, limit)
         temperature = 2.0
         stall = 0
@@ -641,13 +663,44 @@ def probe_script_Gq(q: int, budget: int = 10**6, seed: int = 0):
                 v = getrandbits(bits)
             if u == v:
                 continue
-            if not rows[u] >> v & 1 and not _can_add_edge(rows, u, v):
-                continue
-            new_energy = energy + _toggle_delta(rows, full, limit, u, v)
+            ru = rows[u]
+            rv = rows[v]
+            tu = two[u]
+            # Only pairs through u or v change.  The pair {u, v} counts after a
+            # removal when its union without u and v is small enough, and stops
+            # after an addition.  A pair {x, w}, x in {u, v}, changes only when w
+            # is adjacent to neither, and then its union gains or loses one
+            # vertex: an addition stops it counting when the union had exactly
+            # limit vertices, a removal starts it when the union had limit + 1.
+            if ru >> v & 1:
+                adding = False
+                edge = limit + 1
+                hits = (ru | rv).bit_count() - 2 <= limit
+            elif tu & rv:
+                continue  # adding uv would close a C4
+            else:
+                adding = True
+                edge = limit
+                hits = (ru | rv).bit_count() <= limit
+            tv = two[v]
+            cand = full & ~(ru | rv | 1 << u | 1 << v)
+            du = deg[u]
+            dv = deg[v]
+            d = edge - du
+            if d >= 0:
+                hits += (cand & by_degree[d] & ~tu).bit_count() + (cand & by_degree[d + 1] & tu).bit_count()
+            d = edge - dv
+            if d >= 0:
+                hits += (cand & by_degree[d] & ~tv).bit_count() + (cand & by_degree[d + 1] & tv).bit_count()
+            new_energy = energy - hits if adding else energy + hits
             if new_energy <= energy or rng.random() < math.exp((energy - new_energy) / temperature):
                 energy = new_energy
-                rows[u] ^= 1 << v
-                rows[v] ^= 1 << u
+                (_join if adding else _cut)(rows, two, u, v)
+                step = 1 if adding else -1
+                for x, d in ((u, du), (v, dv)):
+                    deg[x] = d + step
+                    by_degree[d] ^= 1 << x
+                    by_degree[d + step] ^= 1 << x
             if best_energy is None or energy < best_energy:
                 best_energy = energy
                 stall = 0

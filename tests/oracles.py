@@ -6,11 +6,14 @@ numbers use plain set arithmetic over combinations, common-neighbor
 counts test one vertex pair at a time, isomorphism classes come from
 minimizing over all vertex permutations, GF(p^e) arithmetic is
 polynomial multiplication and long division on coefficient tuples, and
-equitable refinement rescans every cell for every splitter.  Two
+equitable refinement rescans every cell for every splitter.  Three
 exceptions: ``canonical_form_reference`` reuses ``canon._refine`` and
-``canon._leaf_key`` so that it checks the search tree walk alone, and
+``canon._leaf_key`` so that it checks the search tree walk alone,
 ``children_reference`` labels with ``canon.canonical_form`` so that it
-checks the augmentation rule alone.
+checks the augmentation rule alone, and ``probe_reference`` is the
+annealing probe with a loop per move in place of maintained masks, reusing
+``search._energy`` and the polarity-graph build so that it checks the
+masks alone.
 """
 
 from collections import deque
@@ -552,3 +555,139 @@ def canonical_form_reference(g: Graph) -> CanonicalForm:
         labeling[v] = i
     key = n.to_bytes(8, "big") + best["key"].to_bytes((nbits + 7) // 8 or 1, "big")
     return CanonicalForm(key, tuple(labeling), tuple(order), tuple(tuple(x) for x in gens))
+
+
+# -- the annealing probe before its maintained masks --
+
+
+def _can_add_edge(rows, u, v):
+    """Edge uv keeps the graph C4-free iff no neighbor of u shares a
+    common neighbor with v (and vice versa, which is the same condition)."""
+    rv = rows[v]
+    m = rows[u]
+    while m:
+        low = m & -m
+        x = low.bit_length() - 1
+        m ^= low
+        if rows[x] & rv:
+            return False
+    return True
+
+
+def _toggle_delta(rows, full, limit, u, v):
+    """Energy change from toggling uv, computed from the rows before the toggle.
+
+    Only pairs through u or v can change.  A pair {x, w} with x in {u, v}
+    changes only when w is adjacent to neither u nor v (otherwise w is
+    adjacent to x or the toggled bit is already in the union), and then its
+    union gains or loses one vertex: an added edge stops it counting when
+    the union had exactly limit vertices, a removed one starts it counting
+    when the union had limit + 1.  The pair {u, v} counts after a removal
+    when its union without u and v is small enough, and stops counting after
+    an addition.  Unlike the probe's mask count, this holds on any graph.
+    """
+    ru = rows[u]
+    rv = rows[v]
+    union = ru | rv
+    if ru >> v & 1:
+        step, edge = 1, limit + 1
+        hits = union.bit_count() - 2 <= limit
+    else:
+        step, edge = -1, limit
+        hits = union.bit_count() <= limit
+    m = full & ~(union | 1 << u | 1 << v)
+    while m:
+        low = m & -m
+        m ^= low
+        rw = rows[low.bit_length() - 1]
+        hits += ((ru | rw).bit_count() == edge) + ((rv | rw).bit_count() == edge)
+    return step * hits
+
+
+def probe_reference(q: int, budget: int = 10**6, seed: int = 0):
+    """``search.probe_script_Gq`` as it was before the maintained masks.
+
+    Each move tests C4-freeness with ``_can_add_edge``, a loop over N(u), and
+    scores the toggle with ``_toggle_delta``, a loop over the vertices.  It
+    draws from ``random.Random(seed)`` exactly as the probe does, so the two
+    must return the same graph and leave the generator in the same state.
+    """
+    import math
+
+    from c4book.errors import InternalInconsistency
+    from c4book.geometry import er_graph
+    from c4book.gf import is_prime_power
+    from c4book.ramsey import is_ramsey_witness
+    from c4book.search import _energy
+
+    n = q * q + q + 3
+    pages = q * q - q + 1
+    full = (1 << n) - 1
+    limit = n - 2 - pages
+    rng = random.Random(seed)
+    getrandbits = rng.getrandbits
+    bits = n.bit_length()
+    steps = 0
+
+    def greedy_fill(rows):
+        order = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        rng.shuffle(order)
+        for u, v in order:
+            if not rows[u] >> v & 1 and _can_add_edge(rows, u, v):
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+        return rows
+
+    def polarity_seed():
+        base_q = 2
+        while base_q * base_q + base_q + 1 < n or not is_prime_power(base_q):
+            base_q += 1
+        base = er_graph(base_q)
+        keep = list(range(base.n))
+        rng.shuffle(keep)
+        keep = sorted(keep[:n])
+        sub = base.induced_mask(sum(1 << v for v in keep))
+        return greedy_fill(list(sub.rows))
+
+    def random_seed():
+        return greedy_fill([0] * n)
+
+    best_energy = None
+    restart = 0
+    while steps < budget:
+        rows = polarity_seed() if restart % 2 else random_seed()
+        restart += 1
+        energy = _energy(rows, full, limit)
+        temperature = 2.0
+        stall = 0
+        while steps < budget and stall < 20000:
+            steps += 1
+            temperature *= 0.99995
+            if temperature < 0.05:
+                temperature = 0.05
+            if energy == 0:
+                g = Graph(n, rows, _trusted=True)
+                if not is_ramsey_witness(g, 2, pages):
+                    raise InternalInconsistency(f"zero-energy graph on {n} vertices fails re-verification")
+                return g
+            u = getrandbits(bits)
+            while u >= n:
+                u = getrandbits(bits)
+            v = getrandbits(bits)
+            while v >= n:
+                v = getrandbits(bits)
+            if u == v:
+                continue
+            if not rows[u] >> v & 1 and not _can_add_edge(rows, u, v):
+                continue
+            new_energy = energy + _toggle_delta(rows, full, limit, u, v)
+            if new_energy <= energy or rng.random() < math.exp((energy - new_energy) / temperature):
+                energy = new_energy
+                rows[u] ^= 1 << v
+                rows[v] ^= 1 << u
+            if best_energy is None or energy < best_energy:
+                best_energy = energy
+                stall = 0
+            else:
+                stall += 1
+    return None

@@ -1,5 +1,6 @@
 """Exact bound formulas, floors, parameter packs, and the aggregated report."""
 
+import random
 import time
 from fractions import Fraction
 from math import comb, isqrt
@@ -177,6 +178,36 @@ def test_min_n_default_regime_capped():
     assert 250 < mn.bit_length() <= bounds.MIN_N_BITS_CAP
     assert bounds.floor_sqrt_minus_power(mn, 6, alpha) >= 1
     assert bounds.floor_sqrt_minus_power(mn - 1, 6, alpha) < 1
+
+
+def test_min_n_default_regime_large_denominator_is_fast():
+    # each exact comparison costs about b times the bits of n: these took
+    # 7.8 s to refuse and 90 s to answer when every step was exact
+    start = time.monotonic()
+    with pytest.raises(CapExceeded):
+        bounds.min_n_default_regime(6, Fraction(9999, 20000))
+    assert time.monotonic() - start < 1
+    alpha = Fraction(4899, 10000)
+    start = time.monotonic()
+    h = bounds.min_n_default_regime(6, alpha)
+    assert time.monotonic() - start < 1
+    assert h.bit_length() == 256
+    assert bounds._cmp_sqrt_expr(h, 6, alpha, 1) >= 0 > bounds._cmp_sqrt_expr(h - 1, 6, alpha, 1)
+
+
+def test_sign_above_one_matches_exact_comparison():
+    # the rounded tiers decide only where they agree with the exact sign:
+    # far from the least n (floating point) and next to it (decimal)
+    rng = random.Random(7)
+    for _ in range(40):
+        b = rng.randint(3, 40)
+        alpha = Fraction(rng.randint(1, (b - 1) // 2), b)
+        c = rng.randint(0, 12)
+        h = bounds.min_n_default_regime(c, alpha)
+        near = range(max(2, h - 3), h + 4)
+        far = [rng.randint(2, 2 * h) for _ in range(5)]
+        for n in [*near, *far]:
+            assert bounds._sign_above_one(n, c, alpha) == bounds._cmp_sqrt_expr(n, c, alpha, 1), (n, c, alpha)
 
 
 # -- parameter pack --

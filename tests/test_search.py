@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from functools import partial
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,9 +17,11 @@ from c4book.errors import (
     DomainError,
     InternalInconsistency,
 )
-from c4book.graphcore import Graph, g6_encode
+from c4book.graphcore import Graph, _two_step, g6_encode
 
+import oracles
 from oracles import (
+    _toggle_delta,
     all_labeled_c4_free,
     brute_class_count_all,
     children_reference,
@@ -26,6 +29,7 @@ from oracles import (
     cycle_graph,
     line_graph_of_petersen,
     naive_complement_book_number,
+    probe_reference,
     random_c4_free,
     star_graph,
     violating_pairs,
@@ -91,6 +95,29 @@ def test_greedy_node_counts_pinned():
     assert cb.greedy_min_degree_subgraph(er7, 55, 7, budget=2551) is None
     with pytest.raises(BudgetExhausted):
         cb.greedy_min_degree_subgraph(er7, 55, 7, budget=2550)
+
+
+@pytest.mark.parametrize(
+    "q, t, deleted",
+    [
+        (4, 2, [1, 9, 13, 16]),
+        (5, 3, None),
+        (7, 2, None),
+        (8, 5, [1, 17, 25, 33, 41]),
+        (9, 4, [3, 4, 5, 6, 7, 8, 81]),
+        (11, 6, [0, 2, 5, 6, 9, 121, 132]),
+        (16, 2, [1, 33, 49, 65, 81, 97, 113, 129, 145, 161, 177, 193, 209, 225, 241, 256]),
+    ],
+)
+def test_greedy_family_results_pinned(q, t, deleted):
+    # the branch rule that recounted each candidate's neighbors' degrees at
+    # every node returned these for the family's q^2 + t - 1 vertices at degree q
+    er = cb.er_graph(q)
+    verts = cb.greedy_min_degree_subgraph(er, q * q + t - 1, q)
+    if deleted is None:
+        assert verts is None
+    else:
+        assert sorted(set(range(er.n)) - set(verts)) == deleted
 
 
 def test_greedy_protect_chain_deeper_than_recursion_limit():
@@ -418,14 +445,14 @@ def test_probe_zero_energy_failing_reverification_is_inconsistent(monkeypatch):
 
 
 def _replay_toggles(rows, pages, toggles):
-    """Energy changes the probe computes for the toggles, each checked by full recounts."""
+    """Energy changes the reference delta gives for the toggles, each checked by full recounts."""
     n = len(rows)
     full, limit = (1 << n) - 1, n - 2 - pages
     energy = search._energy(rows, full, limit)
     assert energy == violating_pairs(rows, n, pages), (rows, pages)
     deltas = []
     for u, v in toggles:
-        delta = search._toggle_delta(rows, full, limit, u, v)
+        delta = _toggle_delta(rows, full, limit, u, v)
         rows[u] ^= 1 << v
         rows[v] ^= 1 << u
         energy += delta
@@ -436,7 +463,7 @@ def _replay_toggles(rows, pages, toggles):
 
 
 def test_annealing_energy_delta_matches_full_count():
-    # the probe's starting energy and its one-pass toggle delta must agree
+    # the probe's starting energy and the reference toggle delta must agree
     # with a full recount after every toggle
     rng = random.Random(31)
     for _ in range(150):
@@ -463,6 +490,54 @@ P4_PLUS_K1 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3)])
 )
 def test_annealing_energy_delta_cases(g, pages, toggles, deltas):
     assert _replay_toggles(list(g.rows), pages, toggles) == deltas
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_probe_matches_reference(q, monkeypatch):
+    # the masks change how a move is tested and scored, never which moves
+    # are drawn or accepted: same result, same generator state at the end.
+    # 160 000 steps cross at least one restart at every q and seed here.
+    made, starts = [], []
+
+    class Recording(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    recording = SimpleNamespace(Random=Recording)
+    monkeypatch.setattr(search, "random", recording)
+    monkeypatch.setattr(oracles, "random", recording)
+    energy = search._energy
+    monkeypatch.setattr(search, "_energy", lambda *a: starts.append(a) or energy(*a))
+    for seed in (0, 1, 3):
+        starts.clear()
+        found = cb.probe_script_Gq(q, budget=160_000, seed=seed)
+        assert len(starts) >= 2, (q, seed)
+        expected = probe_reference(q, budget=160_000, seed=seed)
+        assert (found is None) == (expected is None), (q, seed)
+        if found is not None:
+            assert g6_encode(found) == g6_encode(expected), (q, seed)
+        assert len(made) == 2
+        assert made[0].getstate() == made[1].getstate(), (q, seed)
+        made.clear()
+
+
+def test_join_and_cut_keep_two_step_masks():
+    # random C4-free toggles: after each one, two[x] is the OR of the rows of
+    # x's neighbors, as graphcore._two_step computes it from scratch
+    rng = random.Random(5)
+    for _ in range(60):
+        n = rng.randint(2, 20)
+        rows = list(random_c4_free(rng, n, rng.choice([0.1, 0.3, 0.6])).rows)
+        two = [_two_step(rows, x)[0] for x in range(n)]
+        for _ in range(40):
+            u, v = rng.sample(range(n), 2)
+            if rows[u] >> v & 1:
+                search._cut(rows, two, u, v)
+            elif not two[u] & rows[v]:
+                search._join(rows, two, u, v)
+            assert two == [_two_step(rows, x)[0] for x in range(n)], (rows, u, v)
+        assert cb.is_c4_free(Graph(n, rows))[0]
 
 
 def test_probe_gq2_and_gq4_fail():
