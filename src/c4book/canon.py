@@ -18,10 +18,20 @@ the incumbent, so the first maximal leaf in DFS order, hence the key and
 labeling, is the one the full search finds (``tests/oracles.py`` keeps that
 search as ``canonical_form_reference``); only fewer generators are found.
 
-Refinement only visits the cells a splitter's neighborhood reaches, so a
-splitter costs in proportion to its neighborhood, not to the number of
-cells; that is what makes polarity graphs with hundreds of vertices
-affordable, not only the exhaustive searches' tiny graphs.
+Refinement works on vertex masks.  A splitter's neighbor counts are
+bit-sliced: one mask per bit of the count, summed over the splitter's rows
+by ripple-carry XOR/AND, so a cell splits by walking those masks from the
+high bit down, with no loop over its vertices.  Only the cells that a
+splitter's neighborhood reaches are visited, so a splitter costs in
+proportion to its neighborhood, not to the number of cells; that is what
+makes polarity graphs with hundreds of vertices affordable.
+
+After a vertex v is individualized, only {v} is queued.  The partition it
+was split from came out of ``_refine``, so it is equitable: counts into any
+cell C that has not split since are uniform on every finer cell, so C
+splits nothing, and once {v} has run, counts into C - {v} are counts into C
+minus adjacency to v, uniform too.  Queueing every cell would add only
+such no-op splitters, so the splits, and their order, are the same.
 
 The ordered partition that ``_refine`` returns, down to the order inside
 each cell, is frozen: it fixes the search tree, hence every canonical
@@ -38,99 +48,111 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple
 
-from .graphcore import Graph, g6_encode
+from .graphcore import Graph, _g6_body, _g6_order_bytes
 
 
-def _refine(rows, cells):
+def _refine(rows, cells, splitter=None):
     """Equitable refinement via a worklist of splitter cells.
 
-    The ordered partition lives in one flat list ``perm``; a cell is the
-    slice ``perm[s:end[s]]`` and is named by its start ``s``, with
-    ``cell_of[v]`` the start of the cell holding ``v`` and ``cmask[s]`` the
-    vertex mask of a non-singleton cell.  Each splitter S partitions the
-    non-singleton cells that meet N(S), the union of its rows, by neighbor
-    count into S: sub-cells replace their cell in position, ordered by
-    count, stable inside each count, and are queued as new splitters.  A
-    cell outside N(S) has count 0 throughout and cannot split, so skipping
-    it leaves the result unchanged.  A queued ``(start, stamp)`` entry goes
-    stale once the cell at that start splits (its parts are queued
-    themselves).
+    The ordered partition is a list of cells, each a vertex mask named by
+    its start position: ``cmask[s]`` is the mask of the cell starting at
+    ``s`` and ``cell_of[v]`` the start of the cell holding ``v``.  Each
+    splitter S partitions the non-singleton cells that meet N(S) by
+    neighbor count into S: sub-cells replace their cell in position, ordered
+    by count, and are queued as new splitters.  The counts are bit-sliced:
+    ``planes[i]`` holds bit i of every active vertex's count, added up by
+    ripple-carry XOR/AND over S's rows.  A hit cell splits by walking the
+    planes from high to low, which yields its parts in ascending count
+    order.  A queued ``(start, stamp)`` entry goes stale once the cell at
+    that start splits (its parts are queued themselves).
+
+    Splits are stable, so each cell of the result lists its vertices in
+    their order in ``cells``, whose cells must be non-empty.  Every cell is
+    queued, or, given ``splitter``, only the cell starting there (see
+    ``_Search.descend``).
     """
     n = len(rows)
     perm = []
     cell_of = [0] * n
-    end = {}
-    cmask = {}  # start -> vertex mask, for non-singleton cells only
+    cmask = [0] * n
+    stamp = [0] * n
     active = 0  # vertices in non-singleton cells, the only ones that can split
     for c in cells:
-        if not c:
-            continue
         s = len(perm)
         perm.extend(c)
-        end[s] = len(perm)
+        m = 0
         for v in c:
+            m |= 1 << v
             cell_of[v] = s
+        cmask[s] = m
         if len(c) > 1:
-            m = 0
-            for v in c:
-                m |= 1 << v
-            cmask[s] = m
             active |= m
-    stamp = dict.fromkeys(end, 0)
-    queue = deque((s, 0) for s in end)
-    while queue:
+    if splitter is None:
+        queue = deque((s, 0) for s, m in enumerate(cmask) if m)
+    else:
+        queue = deque([(splitter, 0)])
+    while queue and active:
         s, st = queue.popleft()
         if stamp[s] != st:
             continue  # already split; its parts are (or were) queued
-        seg = perm[s : end[s]]
-        smask = nbhd = 0
-        for v in seg:
-            smask |= 1 << v
-            nbhd |= rows[v]
+        planes = []
+        m = cmask[s]
+        while m:
+            low = m & -m
+            m ^= low
+            carry = rows[low.bit_length() - 1] & active
+            i = 0
+            while carry:
+                if i == len(planes):
+                    planes.append(carry)
+                    break
+                p = planes[i]
+                planes[i] = p ^ carry
+                carry &= p
+                i += 1
+        touched = 0
+        for p in planes:
+            touched |= p
         hit = []
-        touched = nbhd & active
         while touched:
             t = cell_of[(touched & -touched).bit_length() - 1]
             hit.append(t)
             touched &= ~cmask[t]
         hit.sort()
+        planes.reverse()
         for t in hit:
-            cell = perm[t : end[t]]
-            groups: dict = {}
-            for v in cell:
-                groups.setdefault((rows[v] & smask).bit_count(), []).append(v)
-            if len(groups) == 1:
+            parts = [cmask[t]]
+            for p in planes:
+                nxt = []
+                for part in parts:
+                    hi = part & p
+                    if hi and hi != part:
+                        nxt.append(part ^ hi)
+                        nxt.append(hi)
+                    else:
+                        nxt.append(part)
+                parts = nxt
+            if len(parts) == 1:
                 continue
-            parts = []
-            for key in sorted(groups):
-                part = groups[key]
-                pm = 0
-                for v in part:
-                    pm |= 1 << v
-                parts.append((part, pm))
             stamp[t] += 1
-            del cmask[t]
             pos = t
-            for part, pm in parts:
-                nxt = pos + len(part)
-                perm[pos:nxt] = part
-                end[pos] = nxt
+            for part in parts:
+                cmask[pos] = part
+                size = part.bit_count()
                 if pos != t:
-                    stamp[pos] = 0
-                    for v in part:
-                        cell_of[v] = pos
-                if nxt - pos == 1:
-                    active ^= pm
-                else:
-                    cmask[pos] = pm
+                    m = part
+                    while m:
+                        low = m & -m
+                        cell_of[low.bit_length() - 1] = pos
+                        m ^= low
+                if size == 1:
+                    active ^= part
                 queue.append((pos, stamp[pos]))
-                pos = nxt
-    out = []
-    s = 0
-    while s < len(perm):
-        out.append(perm[s : end[s]])
-        s = end[s]
-    return out
+                pos += size
+    out = [[] for _ in perm]
+    for v in perm:
+        out[cell_of[v]].append(v)
+    return [part for part in out if part]
 
 
 def _pack_chunks(chunks):
@@ -185,16 +207,7 @@ class CanonicalForm(NamedTuple):
                           # the backjump skips leaves that would add more)
 
     def graph(self, g: Graph) -> Graph:
-        rows = [0] * g.n
-        for v in range(g.n):
-            row = 0
-            m = g.rows[v]
-            while m:
-                low = m & -m
-                row |= 1 << self.labeling[low.bit_length() - 1]
-                m ^= low
-            rows[self.labeling[v]] = row
-        return Graph(g.n, rows, _trusted=True)
+        return Graph.from_edges(g.n, ((self.labeling[u], self.labeling[v]) for u, v in g.edges()))
 
 
 class _Search:
@@ -206,10 +219,6 @@ class _Search:
         self.best_prefix = None  # the individualized vertices of the incumbent
         self.gens = []
 
-    def run(self):
-        cells = _refine(self.rows, [list(range(self.n))])
-        self.descend(cells, [])
-
     def descend(self, cells, prefix):
         """Explore the subtree at ``prefix``; return the depth to resume at.
 
@@ -218,7 +227,7 @@ class _Search:
         a child returns less.
         """
         depth = len(prefix)
-        if all(len(c) == 1 for c in cells):
+        if len(cells) == self.n:
             order = [c[0] for c in cells]
             key = _leaf_key(self.rows, order)
             if key > self.best_key:
@@ -239,10 +248,12 @@ class _Search:
                     j += 1
                 return j
             return depth
-        idx = max(
-            (i for i, c in enumerate(cells) if len(c) > 1),
-            key=lambda i: (len(cells[i]), -i),
-        )
+        # the first largest cell, and its start: where {v} goes once split off
+        idx = at = pos = size = 0
+        for i, c in enumerate(cells):
+            if len(c) > size:
+                idx, at, size = i, pos, len(c)
+            pos += len(c)
         cell = cells[idx]
         # Orbit pruning: skip v when a known automorphism fixing the
         # individualized prefix pointwise maps a tried sibling onto it.
@@ -273,7 +284,7 @@ class _Search:
             if any(find(u) == rv for u in tried):
                 continue
             branched = cells[:idx] + [[v], [w for w in cell if w != v]] + cells[idx + 1 :]
-            resume = self.descend(_refine(self.rows, branched), prefix + [v])
+            resume = self.descend(_refine(self.rows, branched, at), prefix + [v])
             if resume < depth:
                 return resume
             tried.append(v)
@@ -285,7 +296,7 @@ def canonical_form(g: Graph) -> CanonicalForm:
     if n == 0:
         return CanonicalForm(b"\x00", (), (), ())
     search = _Search(g.rows, n)
-    search.run()
+    search.descend(_refine(g.rows, [list(range(n))]), [])
     order = search.best_order
     labeling = [0] * n
     for i, v in enumerate(order):
@@ -304,7 +315,32 @@ def canonical_graph(g: Graph) -> Graph:
 
 
 def graph_digest(g: Graph) -> str:
-    """Hex sha256 of the canonical graph6 encoding; isomorphism invariant."""
+    """Hex sha256 of the canonical graph6 encoding; isomorphism invariant.
+
+    Canonical column j of the graph6 bit stream is the key's j-bit chunk
+    reversed, so the encoding is read off the key a piece at a time and no
+    canonical ``Graph`` is built.
+    """
     import hashlib  # imported here: it loads OpenSSL, which only digests need
 
-    return hashlib.sha256(g6_encode(canonical_graph(g))).hexdigest()
+    digest = hashlib.sha256(_g6_order_bytes(g.n))
+    for piece in _g6_body(_key_columns(g.n, canonical_form(g).key)):
+        digest.update(piece)
+    return digest.hexdigest()
+
+
+def _key_columns(n, key):
+    """Columns 1..n-1 of the canonical graph6 bit stream, read off the key.
+
+    The key's adjacency bytes are read 2 KiB at a time, which covers a whole
+    column up to order 16 385, so the working strings stay small.
+    """
+    bits, off, j = "", 8 * (len(key) - 8) - n * (n - 1) // 2, 1  # off skips the leading pad
+    for start in range(8, len(key), 2048):
+        raw = key[start : start + 2048]
+        bits = (bits + format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b"))[off:]
+        off = 0
+        while j < n and off + j <= len(bits):
+            yield bits[off : off + j][::-1]
+            off += j
+            j += 1

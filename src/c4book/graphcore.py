@@ -285,23 +285,30 @@ def _g6_pack(bits: str) -> bytes:
     return binascii.b2a_base64(raw, newline=False).translate(_B64_TO_G6)
 
 
-def g6_encode(g: Graph) -> bytes:
-    if g.n > GRAPH6_MAX_ORDER:
-        raise ValueError(f"order {g.n} exceeds graph6 limit")
-    out = [_g6_order_bytes(g.n)]
-    # bit order: column v = 1..n-1, row u = 0..v-1, each column low bit first
+def _g6_body(columns) -> Iterator[bytes]:
+    """graph6 edge bytes of the columns' '0'/'1' strings, one piece at a time.
+
+    Column v = 1..n-1 holds rows u = 0..v-1, row 0 first.
+    """
     cols, width = [], 0
-    for v in range(1, g.n):
-        cols.append(format(g.rows[v] & ((1 << v) - 1), f"0{v}b")[::-1])
-        width += v
+    for col in columns:
+        cols.append(col)
+        width += len(col)
         if width >= 6 * _G6_PIECE:
             bits = "".join(cols)
             cut = width - width % 24
-            out.append(_g6_pack(bits[:cut]))
+            yield _g6_pack(bits[:cut])
             cols, width = [bits[cut:]], width - cut
     cols.append("0" * (-width % 24))
-    out.append(_g6_pack("".join(cols))[: (width + 5) // 6])
-    return b"".join(out)
+    yield _g6_pack("".join(cols))[: (width + 5) // 6]
+
+
+def g6_encode(g: Graph) -> bytes:
+    if g.n > GRAPH6_MAX_ORDER:
+        raise ValueError(f"order {g.n} exceeds graph6 limit")
+    rows = g.rows
+    cols = (format(rows[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, g.n))
+    return _g6_order_bytes(g.n) + b"".join(_g6_body(cols))
 
 
 def g6_decode(data: bytes) -> Graph:

@@ -96,60 +96,65 @@ def greedy_min_degree_subgraph(g: Graph, target_order: int, min_deg: int, budget
     if budget < 1:
         raise DomainError(f"budget must be >= 1, got {budget}")
     rows = g.rows
-    full = (1 << n) - 1
     nodes = 0
+    cur, deg = 0, [0] * n  # deg[v] = degree of v in g[cur], for v in cur
 
     def closure(alive, protected):
-        """Force-delete vertices below the floor: (alive, degrees in g[alive]),
-        or None if a protected one dies."""
-        while True:
-            deg = {}
+        """Force-delete vertices below the floor: the closed alive set, or
+        None if a protected one dies.  Moves ``cur`` there, updating only the
+        degrees of the vertices that join or leave it and their neighbors."""
+        nonlocal cur
+        dead = cur & ~alive
+        new = alive & ~cur
+        cur |= new
+        for v in _bits(new):
+            deg[v] = (rows[v] & cur).bit_count()
+            if deg[v] < min_deg:
+                dead |= 1 << v
+            for u in _bits(rows[v] & cur & ~new):
+                deg[u] += 1
+        while dead:
+            if dead & protected:
+                return None
+            cur &= ~dead
             bad = 0
-            for v in _bits(alive):
-                d = deg[v] = (rows[v] & alive).bit_count()
-                if d < min_deg:
-                    bad |= 1 << v
-            if not bad:
-                return alive, deg
-            if bad & protected:
+            for v in _bits(dead):
+                for u in _bits(rows[v] & cur):
+                    deg[u] -= 1
+                    if deg[u] < min_deg:
+                        bad |= 1 << u
+            if cur.bit_count() < target_order:
                 return None
-            alive &= ~bad
-            if alive.bit_count() < target_order:
-                return None
+            dead = bad
+        return cur
 
     # Depth-first over (alive, protected) nodes.  The protect branch is pushed
     # below the delete branch, so it is popped only once the delete subtree is
     # exhausted; a protect chain can be as long as the order, too deep to recurse.
-    stack = [(full, 0)]
-    result = None
+    stack = [((1 << n) - 1, 0)]
     while stack:
         alive, protected = stack.pop()
         nodes += 1
         if nodes > budget:
             raise BudgetExhausted(f"deletion search exceeded {budget} nodes")
-        closed = closure(alive, protected)
-        if closed is None:
+        alive = closure(alive, protected)
+        if alive is None:
             continue
-        alive, deg = closed
         if alive.bit_count() == target_order:
-            result = alive
             break
         choices = alive & ~protected
         if not choices:
             continue
         # prefer deletions that strand nobody below the floor (no neighbor
-        # already at it), then low degree
-        tight = 0
-        for v, d in deg.items():
-            if d <= min_deg:
-                tight |= 1 << v
-        w = min(_bits(choices), key=lambda v: (rows[v] & tight != 0, deg[v], v))
+        # already at it), then low degree, then the lowest vertex
+        tight = sum(1 << v for v in _bits(alive) if deg[v] <= min_deg)
+        w = min(_bits(choices), key=lambda v: (rows[v] & tight != 0, deg[v]))
         stack.append((alive, protected | 1 << w))
         stack.append((alive & ~(1 << w), protected))
-    if result is None:
-        return None
-    verts = tuple(_bits(result))
-    sub = g.induced_mask(result)
+    else:
+        return None  # the whole space is exhausted
+    verts = tuple(_bits(alive))
+    sub = g.induced_mask(alive)
     if sub.n != target_order or min(sub.degrees()) < min_deg:
         raise InternalInconsistency(
             f"deletion search returned order {sub.n}, wanted {target_order} with min degree {min_deg}"

@@ -1,14 +1,17 @@
 """Canonical forms: invariance, discrimination, digests."""
 
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import c4book as cb
+from c4book import canon
 from c4book.canon import _refine, canonical_form, canonical_graph, canonical_key, graph_digest
 from c4book.geometry import er_graph
-from c4book.graphcore import Graph
+from c4book.graphcore import Graph, g6_encode, induced_subgraph
+from c4book.search import greedy_min_degree_subgraph
 
 from oracles import (
     canonical_form_reference,
@@ -142,6 +145,39 @@ def test_polarity_graph_pinned_digest(q, digest):
     assert graph_digest(er_graph(q)) == digest
 
 
+def family_witness(q):
+    # the t = 2 member of the exact-value family: q^2 + 1 vertices of ER_q, degree >= q
+    g = er_graph(q)
+    return induced_subgraph(g, greedy_min_degree_subgraph(g, q * q + 1, q))
+
+
+@pytest.mark.parametrize(
+    "q, digest",
+    [
+        (8, "4bdd4cdc61ebb052e2a1f3df05114ad67f22f6d7314e27617e051035745deaca"),
+        (16, "7f54a5775846e3e56925496bdbe7c50ad6e556934a0df4ec8f2ca54500196b53"),
+        # several seconds: opt-in with -m slow
+        pytest.param(
+            32,
+            "a3e21f6baf82e8540e7bfc905863244a65106879df0b688c290815ce10f72f89",
+            marks=pytest.mark.slow,
+        ),
+    ],
+)
+def test_family_witness_pinned_digest(q, digest):
+    assert graph_digest(family_witness(q)) == digest
+
+
+def test_digest_is_sha256_of_canonical_graph6():
+    # graph_digest reads the encoding off the key; n >= 63 takes the 4-byte order header
+    rng = random.Random(16)
+    graphs = [Graph.empty(0), Graph.empty(1), Graph.empty(2), Graph.from_edges(2, [(0, 1)])]
+    graphs += [random_graph(rng, n, rng.random()) for n in range(3, 71)]
+    graphs += [er_graph(q) for q in (2, 3, 7, 8, 16)]
+    for g in graphs:
+        assert graph_digest(g) == hashlib.sha256(g6_encode(canonical_graph(g))).hexdigest(), g
+
+
 def test_polarity_graph_pinned_generator_count():
     # The backjump abandons the siblings below each automorphism leaf, so
     # the search finds 4 generators where canonical_form_reference finds 35;
@@ -177,6 +213,29 @@ def test_form_matches_reference_on_relabeled_polarity_graphs(q):
     assert_same_form(g)
     for _ in range(3):
         assert_same_form(shuffled_copy(g, rng))
+
+
+def test_search_refinements_match_reference(monkeypatch):
+    # below the root the search queues only the individualized vertex; the
+    # reference queues every cell, and each refinement must come out the same
+    refine = canon._refine
+    splitters = []
+
+    def checked(rows, cells, splitter=None):
+        out = refine(rows, cells, splitter)
+        assert out == refine_reference(rows, cells)
+        splitters.append(splitter)
+        return out
+
+    monkeypatch.setattr(canon, "_refine", checked)
+    rng = random.Random(17)
+    graphs = [random_graph(rng, rng.randint(1, 20), rng.random()) for _ in range(150)]
+    graphs += [shuffled_copy(er_graph(q), rng) for q in (4, 5, 7, 8, 9)]
+    graphs.append(family_witness(8))
+    for g in graphs:
+        canonical_form(g)
+    assert splitters.count(None) == len(graphs)
+    assert len(splitters) > 2 * len(graphs)
 
 
 # -- properties over random graphs and relabelings --

@@ -112,14 +112,17 @@ def c6_file(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["verify", "{file}", "--k", "1", "--n", "4"], ["certify", "{file}", "--k", "2"]],
+    "argv, layers",
+    [
+        # only a certificate's graph_hash needs a canonical labelling
+        (["verify", "{file}", "--k", "1", "--n", "4"], ["graphcore", "ramsey"]),
+        (["certify", "{file}", "--k", "2"], ["canon", "graphcore", "ramsey"]),
+    ],
     ids=["verify", "certify"],
 )
-def test_checking_a_graph_loads_no_construction(c6_file, argv):
+def test_checking_a_graph_loads_no_construction(c6_file, argv, layers):
     added = _modules_loaded(*(a.format(file=c6_file) for a in argv))
-    assert {"c4book.graphcore", "c4book.canon", "c4book.ramsey"} <= added
-    assert not _loaded(added, ["c4book.search", "c4book.bounds", "c4book.geometry", "c4book.gf"])
+    assert _loaded(added, [f"c4book.{name}" for name in LAYERS]) == [f"c4book.{n}" for n in layers]
     # hashlib only for the input file's digest
     assert added & set(HEAVY) == {"hashlib"}
 
