@@ -14,7 +14,7 @@ from math import comb, isqrt
 from typing import NamedTuple
 
 from .errors import CapExceeded, DomainError
-from .gf import is_prime_power, prime_power_decompose
+from .gf import iroot, is_prime_power, prime_power_decompose
 
 # -- exact floors of sqrt(n) - c * n^alpha --
 
@@ -53,26 +53,6 @@ def _cmp_sqrt_expr(n: int, c: int, alpha: Fraction, v: int) -> int:
     return (diff > 0) - (diff < 0)
 
 
-def _iroot(x: int, b: int) -> int:
-    """floor(x^(1/b)) for integers x >= 0 and b >= 1, by Newton's method.
-
-    Newton's step shrinks r by about r/b while r is far above the root, so it
-    starts from a float estimate instead: x is cut to its top 64*b bits, the
-    b-th root of that is taken in floating point (relative error near 1e-14)
-    and the estimate is raised by 2^-40 of itself to lie above the root.
-    """
-    if x < 2 or b == 1:
-        return x
-    shift = max(0, x.bit_length() // b - 64)
-    est = math.exp(math.log(x >> shift * b) / b)
-    r = (int(est) + (int(est) >> 40) + 2) << shift
-    while True:
-        s = ((b - 1) * r + x // r ** (b - 1)) // b
-        if s >= r:
-            return r
-        r = s
-
-
 def _exponent(c: int, alpha) -> Fraction:
     """alpha as an exact Fraction, once c >= 0 and 0 < alpha < 1/2 are checked."""
     alpha = Fraction(alpha)
@@ -94,7 +74,7 @@ def floor_sqrt_minus_power(n: int, c: int = 6, alpha: Fraction = Fraction(21, 80
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     alpha = _exponent(c, alpha)
-    guess = isqrt(n) - _iroot(c**alpha.denominator * n**alpha.numerator, alpha.denominator)
+    guess = isqrt(n) - iroot(c**alpha.denominator * n**alpha.numerator, alpha.denominator)
     while _cmp_sqrt_expr(n, c, alpha, guess) < 0:
         guess -= 1
     while _cmp_sqrt_expr(n, c, alpha, guess + 1) >= 0:
@@ -355,6 +335,7 @@ def theorem15_admissible(k: int, q: int, t: int, eps) -> Admissibility:
     if k < 3:
         raise DomainError(f"k must be >= 3, got {k}")
     eps = _as_eps(eps)
+    prime_power_decompose(q)  # raises NotPrimePower
     cls, lo, excl = _parity_window(q)
     hi = (1 - eps) * q
     if t < lo:
@@ -372,33 +353,50 @@ def theorem15_admissible(k: int, q: int, t: int, eps) -> Admissibility:
 
 
 def _parity_window(q: int) -> tuple[str, int, int]:
-    """(parity class, least t, excluded t) of the exact-value family at prime power q."""
-    p, _ = prime_power_decompose(q)  # raises NotPrimePower
-    if p == 2:
+    """(parity class, least t, excluded t) of the exact-value family at prime power q.
+
+    A prime power is even exactly when it is a power of two, so no factoring
+    is needed; at any other q the answer means nothing.
+    """
+    if q & (q - 1) == 0:
         return "even", 0, 1
     if q % 4 == 3:
         return "3 mod 4", (q + 1) // 2, (q + 3) // 2
     return "1 mod 4", (q - 1) // 2, (q + 1) // 2
 
 
+def _in_window(q: int, t: int) -> bool:
+    """Whether lo <= t != excluded t at prime power q; the (1 - eps)q end is the caller's."""
+    _, lo, excl = _parity_window(q)
+    return lo <= t != excl
+
+
+# At this cap a table has at most 559 579 rows (eps near 0), 4 395 at eps = 1/2.
+TABLE_Q_CAP = 4096
+
+
 def theorem15_table(qmin: int, qmax: int, k: int, eps) -> list[dict]:
-    """Predicted exact values r = q^2 + t over admissible (q, t) in range."""
+    """Predicted exact values r = q^2 + t over admissible (q, t) in range.
+
+    At each prime power q the admissible t run from the window's least t,
+    raised until the book has n >= 1 pages, up to floor((1 - eps)q), less the
+    excluded t.  QMAX above TABLE_Q_CAP raises CapExceeded.
+    """
+    if k < 3:
+        raise DomainError(f"k must be >= 3, got {k}")
+    eps = _as_eps(eps)
+    if qmax > TABLE_Q_CAP:
+        raise CapExceeded(f"the table stops at q = {TABLE_Q_CAP}, got QMAX = {qmax}")
+    a, b = eps.numerator, eps.denominator
     rows = []
     for q in range(max(2, qmin), qmax + 1):
         if not is_prime_power(q):
             continue
-        for t in range(0, q + 1):
-            adm = theorem15_admissible(k, q, t, eps)
-            if adm.admissible:
-                rows.append(
-                    {
-                        "q": q,
-                        "t": t,
-                        "n": q * q - k * q + t + book_order_offset(k),
-                        "r": q * q + t,
-                        "parity_class": adm.parity_class,
-                    }
-                )
+        cls, lo, excl = _parity_window(q)
+        n0 = q * q - k * q + book_order_offset(k)
+        for t in range(max(lo, 1 - n0), (b - a) * q // b + 1):
+            if t != excl:
+                rows.append({"q": q, "t": t, "n": n0 + t, "r": q * q + t, "parity_class": cls})
     return rows
 
 
@@ -449,27 +447,15 @@ KNOWN_EXACT = {
 }
 
 
-def _k2_family(n: int):
-    """(q, t) with n = (q-1)^2 + (t-2), 0 <= t <= q-1, q >= 4, if any."""
-    s = isqrt(n + 2)
-    if s * s > n + 2 or n + 2 - s * s > s:
-        return None
-    q, t = s + 1, n + 2 - s * s
-    if q < 4:
-        return None
-    return q, t
-
-
-def _k_ge3_family(n: int, k: int):
-    """Prime powers q with n = q^2 - kq + t + a_k and 0 <= t <= q."""
+def _family(n: int, k: int) -> list[tuple[int, int]]:
+    """Every (q, t) with n = q^2 - kq + t + C(k,2) - k, q >= 2 and 0 <= t <= q, by q."""
     a_k = book_order_offset(k)
-    out = []
-    lo = max(2, isqrt(max(n, 1)) - k - 2)
-    for q in range(lo, isqrt(max(n, 1)) + k + 3):
-        t = n - q * q + k * q - a_k
-        if 0 <= t <= q and is_prime_power(q):
-            out.append((q, t))
-    return out
+    s = isqrt(max(n, 1))
+    return [
+        (q, t)
+        for q in range(max(2, s - k - 2), s + k + 3)
+        if 0 <= (t := n - q * q + k * q - a_k) <= q
+    ]
 
 
 def bound_report(n: int, k: int) -> BoundReport:
@@ -496,14 +482,10 @@ def bound_report(n: int, k: int) -> BoundReport:
         if n >= 2:
             g2 = g_sequence(n, 2).values[2]
             uppers.append((g2, "twice-iterated star bound g(g(n))"))
-        fam = _k2_family(n)
-        if fam is not None:
-            q, t = fam
-            uppers.append((q * q + t, f"induced polarity-subgraph bound (q={q}, t={t})"))
-            if is_prime_power(q):
-                # _k2_family already gives q >= 4 and t <= q - 1
-                _, lo, excl = _parity_window(q)
-                if lo <= t != excl:
+        for q, t in _family(n, 2):
+            if q >= 4 and t < q:
+                uppers.append((q * q + t, f"induced polarity-subgraph bound (q={q}, t={t})"))
+                if _in_window(q, t) and is_prime_power(q):
                     exacts.append((q * q + t, f"exact family value q^2 + t (q={q}, t={t})"))
         # n = q^2 - q + 1 special family for prime powers q
         s = isqrt(n)
@@ -521,19 +503,12 @@ def bound_report(n: int, k: int) -> BoundReport:
         t16 = theorem16_lower(n, k)
         if t16.in_regime:
             lowers.append((t16.value, "random polarity-thinning bound (asymptotic)"))
-        for q, t in _k_ge3_family(n, k):
-            # the exact family needs q at least Q(k, eps) for a feasible eps;
-            # at t = 0 that is q > Q(k, 1) = (320 k^4)^(k+1)
-            if t == 0:
-                meets = _cmp_threshold(q, k, Fraction(1)) > 0
-                adm = theorem15_admissible(k, q, t, Fraction(1, 2)).admissible if meets else False
-            else:
-                eps_max = 1 - Fraction(t, q)
-                meets = 0 < eps_max < 1 and _cmp_threshold(q, k, eps_max) >= 0
-                adm = theorem15_admissible(k, q, t, eps_max).admissible if meets else False
-            if meets:
+        for q, t in _family(n, k):
+            # the family needs q >= Q(k, eps) at an eps in (0, 1) with t <= (1 - eps)q,
+            # so at eps = 1 - t/q when t > 0, and q > Q(k, 1) = (320 k^4)^(k+1) at t = 0
+            if t < q and _cmp_threshold(q, k, 1 - Fraction(t, q)) >= (t == 0) and is_prime_power(q):
                 uppers.append((q * q + t, f"upper family q^2 + t (q={q}, t={t})"))
-                if adm:
+                if _in_window(q, t):
                     exacts.append((q * q + t, f"exact family q^2 + t (q={q}, t={t})"))
 
     for value, src in exacts:

@@ -348,6 +348,8 @@ def _cmd_bounds(args, run) -> tuple[int, dict, list[str]]:
         return 0, artifact, lines
     if args.n is None or args.k is None:
         raise C4BookError("bounds needs --n and --k (or --table)")
+    if (args.q is None) != (args.t is None):
+        raise C4BookError("bounds needs both --q and --t, or neither")
     report = bounds.bound_report(args.n, args.k)
     artifact = report._asdict()
     lines = [
@@ -356,7 +358,7 @@ def _cmd_bounds(args, run) -> tuple[int, dict, list[str]]:
     ]
     if report.exact is not None:
         lines.append(f"  exact: {report.exact}")
-    if args.q is not None and args.t is not None:
+    if args.q is not None:
         params = bounds.bounds_params(args.k, args.q, args.t, args.eps)
         artifact["params"] = {
             "a_k": params.a_k,

@@ -11,6 +11,7 @@ arithmetic.  Fields compare by (p, e, modulus).
 from __future__ import annotations
 
 from itertools import product
+from math import exp, isqrt, log
 
 from .errors import (
     CapExceeded,
@@ -23,35 +24,77 @@ from .errors import (
 
 DEFAULT_ORDER_CAP = 1 << 20
 
+# Miller-Rabin with every base 2..41, among them the 13 primes 2..41, decides
+# primality below this bound (Sorenson & Webster, Math. Comp. 86 (2017)).
+_MR_EXACT_BELOW = 3317044064679887385961981
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
+
+def iroot(x: int, b: int) -> int:
+    """floor(x^(1/b)) for integers x >= 0 and b >= 1, by Newton's method.
+
+    Newton's step shrinks r by about r/b while r is far above the root, so it
+    starts from a float estimate instead: x is cut to its top 64*b bits, the
+    b-th root of that is taken in floating point (relative error near 1e-14)
+    and the estimate is raised by 2^-40 of itself to lie above the root.
+    """
+    if x < 2:
+        return x
+    shift = max(0, x.bit_length() // b - 64)
+    est = exp(log(x >> shift * b) / b)
+    r = (int(est) + (int(est) >> 40) + 2) << shift
+    while True:
+        s = ((b - 1) * r + x // r ** (b - 1)) // b
+        if s >= r:
+            return r
+        r = s
+
+
+def _is_prime_above_trial(n: int) -> bool:
+    """Primality of an odd n with no factor below 2^16, by Miller-Rabin.
+
+    A base that witnesses compositeness proves it.  Passing every base proves
+    primality only below _MR_EXACT_BELOW; above it a passed base leaves the
+    answer open, so CapExceeded is raised at the first one.
+    """
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in range(2, 42):
+        x = pow(a, d, n)
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n >= _MR_EXACT_BELOW:
+            raise CapExceeded(
+                f"cannot decide whether a {n.bit_length()}-bit number is prime: "
+                f"Miller-Rabin on bases 2..41 is exact only below {_MR_EXACT_BELOW}"
+            )
     return True
 
 
 def prime_power_decompose(q: int) -> tuple[int, int]:
-    """Write q = p^e for prime p, or raise NotPrimePower."""
+    """Write q = p^e for prime p, or raise NotPrimePower.
+
+    Trial division below 2^16 finds a small p, and decides every q < 2^32.
+    Past that, every prime factor of q exceeds 2^16, so q = p^e needs
+    16e < log2(q).  Trying e from the largest down, the first exact e-th root
+    is no perfect power, so q is a prime power exactly when that root is prime.
+    """
     if q < 2:
         raise NotPrimePower(f"{q} is not a prime power")
-    p = q
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            p = d
-            break
-        d += 1
-    e = 0
-    rest = q
+    p = next((d for d in range(2, min(1 << 16, isqrt(q) + 1)) if q % d == 0), q)
+    if p >> 32:  # q >= 2^32 with no factor below 2^16
+        for e in range(q.bit_length() // 16, 0, -1):
+            p = iroot(q, e)
+            if p**e == q:
+                break
+        if not _is_prime_above_trial(p):
+            raise NotPrimePower(f"{q} is not a prime power")
+    e, rest = 0, q
     while rest % p == 0:
         rest //= p
         e += 1
@@ -66,6 +109,13 @@ def is_prime_power(q: int) -> bool:
     except NotPrimePower:
         return False
     return True
+
+
+def is_prime(n: int) -> bool:
+    try:
+        return prime_power_decompose(n)[1] == 1
+    except NotPrimePower:
+        return False
 
 
 # -- polynomial helpers (coefficient tuples, constant term first) --

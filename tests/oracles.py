@@ -5,9 +5,10 @@ canonical machinery: C4 detection enumerates vertex quadruples, book
 numbers use plain set arithmetic over combinations, common-neighbor
 counts test one vertex pair at a time, isomorphism classes come from
 minimizing over all vertex permutations, GF(p^e) arithmetic is
-polynomial multiplication and long division on coefficient tuples, and
-equitable refinement rescans every cell for every splitter.  Three
-exceptions: ``canonical_form_reference`` reuses ``canon._refine`` and
+polynomial multiplication and long division on coefficient tuples, prime
+powers come from trial division up to the square root, and equitable
+refinement rescans every cell for every splitter.  Three exceptions:
+``canonical_form_reference`` reuses ``canon._refine`` and
 ``canon._leaf_key`` so that it checks the search tree walk alone,
 ``children_reference`` labels with ``canon.canonical_form`` so that it
 checks the augmentation rule alone, and ``probe_reference`` is the
@@ -18,6 +19,7 @@ masks alone.
 
 from collections import deque
 from itertools import combinations, permutations
+from math import isqrt
 import random
 
 from c4book.canon import CanonicalForm, _leaf_key, _refine, canonical_form
@@ -338,6 +340,22 @@ def oracle_ramsey_value(k: int, n: int, max_order: int = 10) -> int:
         if not witness:
             return order
     raise AssertionError(f"no exhaustion up to order {max_order}")
+
+
+# -- prime powers by trial division up to sqrt(q) --
+
+
+def prime_power_decompose_reference(q: int):
+    """(p, e) with q = p^e for prime p, or None: the least divisor of q
+    above 1, found by trial division, must divide q to the last factor."""
+    if q < 2:
+        return None
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+    e = 0
+    while q % p == 0:
+        q //= p
+        e += 1
+    return (p, e) if q == 1 else None
 
 
 # -- naive GF(p^e) arithmetic on coefficient tuples (constant term first) --

@@ -1,5 +1,7 @@
 """Exact bound formulas, floors, parameter packs, and the aggregated report."""
 
+import hashlib
+import json
 import random
 import time
 from fractions import Fraction
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 import c4book as cb
-from c4book import bounds
+from c4book import bounds, gf
 from c4book.errors import CapExceeded, DomainError, NotPrimePower
 
 
@@ -156,7 +158,7 @@ def test_iroot_exact_at_large_degree():
     for b in (2, 3, 80, 4001, 40001):
         for root in (2, 6, 10**6 + 1):
             for x in (root**b - 1, root**b, root**b + 1):
-                r = bounds._iroot(x, b)
+                r = gf.iroot(x, b)
                 assert r**b <= x < (r + 1) ** b, (b, root, x)
 
 
@@ -309,6 +311,46 @@ def test_theorem15_table_rows_have_a_book(k):
             assert r["n"] == r["q"] ** 2 - k * r["q"] + r["t"] + comb(k, 2) - k
 
 
+def _digest(obj):
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "args, rows, digest",
+    [
+        ((2, 200, 3, Fraction(1, 2)), 154, "47be9d60e96dae722587355951c23e721bafab4423fa210f34eb77bebea5df4e"),
+        ((2, 200, 4, Fraction(1, 10)), 2133, "e06e9a9f908bc7beef2e2ea828d75d0d71bcb66162357b6e64871196e6f24d55"),
+        ((2, 128, 6, Fraction(3, 10)), 590, "78400623d933b72954d1298c3f19f96d2e09798d3279adea575279e316caff2b"),
+        ((7, 9, 3, Fraction(1, 4)), 9, "929715c45251b1ad918995c5812377f65e901f604e52d04b6c65e1409012f672"),
+    ],
+)
+def test_theorem15_table_pinned(args, rows, digest):
+    # computed when every t of every prime power was tested one by one
+    table = bounds.theorem15_table(*args)
+    assert len(table) == rows and _digest(table) == digest
+
+
+def test_theorem15_table_walks_each_window():
+    # testing every t of every prime power took 3.7 s (2-core VM, Python 3.11)
+    start = time.perf_counter()
+    bounds.theorem15_table(2, 3000, 3, Fraction(1, 2))
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        ((6, 6, 2, Fraction(1, 2)), DomainError),  # k < 3, with no prime power in range
+        ((10, 2, 3, Fraction(7, 2)), DomainError),  # eps > 1, with an empty range
+        ((2, bounds.TABLE_Q_CAP + 1, 3, Fraction(1, 2)), CapExceeded),
+        ((2, 10**9, 3, Fraction(1, 2)), CapExceeded),
+    ],
+)
+def test_theorem15_table_checks_its_arguments_first(args, error):
+    with pytest.raises(error):
+        bounds.theorem15_table(*args)
+
+
 def test_theorem15_table_shape():
     rows = bounds.theorem15_table(7, 9, 3, Fraction(1, 4))
     assert {(r["q"], r["t"]) for r in rows} == {
@@ -369,6 +411,51 @@ def test_report_sweep_consistency():
                 assert rep.lower == rep.upper == rep.exact
 
 
+def test_report_pinned():
+    # computed with a separate (q, t) lookup for k = 2 and for k >= 3
+    reports = [cb.bound_report(n, k)._asdict() for k in range(1, 9) for n in range(1, 601)]
+    assert _digest(reports) == "93c3c74b4170c781b04c6783b79ddb6cd5e1dba28c722e084574197f003b0aa0"
+
+
+BIG_PRIME = 10**20 + 39  # past trial division's reach, and above Q(3, 1/2)
+
+
+@pytest.mark.parametrize(
+    "n, k",
+    [
+        (BIG_PRIME**2 - 3 * BIG_PRIME + 5, 3),
+        ((BIG_PRIME - 1) ** 2 + 3, 2),
+        (BIG_PRIME**2, 1),
+    ],
+    ids=["k3", "k2", "k1"],
+)
+def test_report_at_a_large_prime_q(n, k):
+    # each one ran past a 15 s timeout when q was factored by trial division
+    start = time.perf_counter()
+    rep = cb.bound_report(n, k)
+    assert time.perf_counter() - start < 1
+    q = BIG_PRIME
+    assert rep.upper == (q * q + q + 1 if k == 1 else q * q + 5)
+    assert rep.exact == (q * q + q + 1 if k == 1 else None)  # t = 5 lies below the window
+
+
+def test_report_reaches_the_k3_exact_regime():
+    # q = 3 mod 4, so the window starts at t = (q + 1)/2, and q > Q(3, eps_max)
+    q = BIG_PRIME
+    t = q // 2 + 1
+    start = time.perf_counter()
+    rep = cb.bound_report(q * q - 3 * q + t, 3)
+    assert time.perf_counter() - start < 1
+    assert rep.exact == q * q + t
+    assert rep.lower_provenance == f"exact family q^2 + t (q={q}, t={t})"
+
+
+def test_report_refuses_an_undecided_prime_power():
+    q = 10**25 + 13  # prime, past the exact range of Miller-Rabin on bases 2..41
+    with pytest.raises(CapExceeded):
+        cb.bound_report(q * q, 1)
+
+
 def test_report_trivial_lower():
     rep = cb.bound_report(1, 3)
     assert rep.lower == 4
@@ -379,7 +466,7 @@ def test_report_at_huge_k_compares_threshold_from_logs():
     # q = 2^17, t = 5 is an exact-family pair, and Q(131072, eps) has about
     # 2.8 million digits: built exactly, it made this report take over a minute.
     n, k = 8589737989, 131072
-    assert bounds._k_ge3_family(n, k) == [(2**17, 5)]
+    assert bounds._family(n, k) == [(2**17, 5)]
     start = time.perf_counter()
     rep = cb.bound_report(n, k)
     assert time.perf_counter() - start < 2

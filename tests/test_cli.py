@@ -422,7 +422,7 @@ def test_bad_number_exit_2(capsys, tmp_path, monkeypatch, argv):
     ids=["er", "er-subgraph"],
 )
 def test_q_over_cap_refused_before_factoring(capsys, monkeypatch, argv):
-    # factoring this q by trial division takes about 20 s, so it must not start
+    # the cap must hold before q is factored
     real = gf.prime_power_decompose
 
     def guarded(q):
@@ -438,7 +438,7 @@ def test_q_over_cap_refused_before_factoring(capsys, monkeypatch, argv):
 
 @pytest.mark.parametrize("n", [16257, 10**40, 10**400], ids=["16257", "1e40", "1e400"])
 def test_random_delete_n_over_plane_cap_refused_before_prime_search(capsys, monkeypatch, n):
-    # the prime search for n = 10**40 runs trial division far past any timeout
+    # n needs a plane of order above 128, so no prime is sought
     monkeypatch.setattr(search, "smallest_admissible_prime", lambda n: pytest.fail("prime search started"))
     assert main(["construct", "random-delete", "--n", str(n), "--k", "2", "--m", "5"]) == 2
     assert main(["construct", "random-delete", "--n", str(n), "--k", "2"]) == 2
@@ -477,6 +477,26 @@ def test_readme_commands_match_parser():
 
 def test_usage_error_exit_2(capsys):
     assert main(["bounds"]) == 2  # missing --n/--k and no --table
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--n", "46", "--k", "3", "--q", "8"], "both --q and --t"),
+        (["--n", "46", "--k", "3", "--t", "6", "--eps", "1/4"], "both --q and --t"),
+        (["--table", "2", "4097", "3", "1/2"], "stops at q = 4096"),
+        (["--table", "2", "1000000000", "3", "1/2"], "stops at q = 4096"),
+        (["--table", "6", "6", "2", "1/2"], "k must be >= 3"),
+        (["--table", "10", "2", "3", "7/2"], "eps must lie strictly in (0, 1)"),
+        (["--k", "1", "--n", str((10**25 + 13) ** 2)], "cannot decide"),
+    ],
+    ids=["q-alone", "t-alone", "table-over-cap", "table-far-over-cap", "table-k2-no-prime-power",
+         "table-eps-empty-range", "undecided-prime-power"],
+)
+def test_bounds_refusals_exit_2(capsys, argv, message):
+    assert main(["bounds", *argv]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

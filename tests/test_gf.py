@@ -12,9 +12,17 @@ from c4book.errors import (
     DivisionByZero,
     DomainError,
     NonPrimeCharacteristic,
+    NotPrimePower,
 )
 
-from oracles import coeffs_of, index_of, naive_field_add, naive_field_mul, poly_mod
+from oracles import (
+    coeffs_of,
+    index_of,
+    naive_field_add,
+    naive_field_mul,
+    poly_mod,
+    prime_power_decompose_reference,
+)
 
 PRIME_POWERS_64 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32,
                    37, 41, 43, 47, 49, 53, 59, 61, 64]
@@ -219,8 +227,43 @@ def test_prime_power_decompose():
     assert gf.prime_power_decompose(8) == (2, 3)
     assert gf.prime_power_decompose(121) == (11, 2)
     assert gf.prime_power_decompose(13) == (13, 1)
-    from c4book.errors import NotPrimePower
-
     for bad in (1, 6, 12, 100):
         with pytest.raises(NotPrimePower):
             gf.prime_power_decompose(bad)
+
+
+def _decompose_or_none(q):
+    try:
+        return gf.prime_power_decompose(q)
+    except NotPrimePower:
+        return None
+
+
+def test_prime_power_decompose_matches_trial_division():
+    # trial division below 2^16 decides every q < 2^32 alone; from 2^32 on,
+    # a q with no factor below 2^16 goes through integer roots and Miller-Rabin
+    qs = [*range(-2, 30000), *range(2**32 - 300, 2**32 + 300)]
+    p, r = 65537, 65539  # the two least primes above 2^16
+    qs += [p**e for e in range(1, 6)] + [p * r, p**2 * r, (p * r) ** 2, p**3 * 2]
+    for q in qs:
+        assert _decompose_or_none(q) == prime_power_decompose_reference(q), q
+
+
+def test_prime_power_decompose_past_trial_division():
+    q = 10**20 + 39  # prime
+    assert gf.prime_power_decompose(q) == (q, 1)
+    assert gf.prime_power_decompose(q**3) == (q, 3)
+    assert gf.prime_power_decompose(2**61 - 1) == (2**61 - 1, 1)
+    assert gf.is_prime(q) and not gf.is_prime(q**2)
+    # strong pseudoprimes to the first 5, 9 and 12 prime bases
+    for n in (2152302898747, 3825123056546413051, 318665857834031151167461):
+        assert _decompose_or_none(n) is None, n
+    # above the exact range a base that fails still proves a composite
+    assert _decompose_or_none(2199023255579 * (10**25 + 13)) is None
+
+
+def test_prime_power_undecided_above_the_miller_rabin_bound():
+    for q in (10**25 + 13, (10**25 + 13) ** 2):  # 10^25 + 13 is prime
+        with pytest.raises(CapExceeded, match="cannot decide"):
+            gf.prime_power_decompose(q)
+    assert gf.prime_power_decompose(2**100) == (2, 100)  # a small factor decides

@@ -133,6 +133,12 @@ def test_er_loads_no_search_or_certificates():
     assert not _loaded(added, ["c4book.search", "c4book.ramsey", "c4book.canon", "c4book.bounds"])
 
 
+def test_bound_report_loads_only_bounds_and_gf():
+    added = _modules_loaded("bounds", "--n", "46", "--k", "3")
+    assert _loaded(added, [f"c4book.{name}" for name in LAYERS]) == ["c4book.bounds", "c4book.gf"]
+    assert "hashlib" not in added
+
+
 def test_serial_exact_search_loads_no_construction_or_pool():
     added = _modules_loaded("--jobs", "1", "search", "exact", "--k", "2", "--n", "3", "--N", "6")
     assert "c4book.search" in added
