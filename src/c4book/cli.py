@@ -350,6 +350,9 @@ def _cmd_bounds(args, run) -> tuple[int, dict, list[str]]:
         raise C4BookError("bounds needs --n and --k (or --table)")
     if (args.q is None) != (args.t is None):
         raise C4BookError("bounds needs both --q and --t, or neither")
+    params = None if args.q is None else bounds.bounds_params(args.k, args.q, args.t, args.eps)
+    if params is not None and params.n != args.n:
+        raise C4BookError(f"--q {args.q} --t {args.t} describe n = {params.n}, not --n {args.n}")
     report = bounds.bound_report(args.n, args.k)
     artifact = report._asdict()
     lines = [
@@ -358,8 +361,7 @@ def _cmd_bounds(args, run) -> tuple[int, dict, list[str]]:
     ]
     if report.exact is not None:
         lines.append(f"  exact: {report.exact}")
-    if args.q is not None:
-        params = bounds.bounds_params(args.k, args.q, args.t, args.eps)
+    if params is not None:
         artifact["params"] = {
             "a_k": params.a_k,
             "b_k": params.b_k,

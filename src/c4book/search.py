@@ -26,9 +26,9 @@ their order and their keys are those of ``tests/oracles.children_reference``.
 * Whether a child is accepted depends only on its isomorphism class, so a
   child whose class is surely rejected is skipped before it is labelled.
   Refinement splits by degree first and keeps cells in order, so w* has the
-  largest degree.  When the new vertex does not, w* is another vertex of
-  largest degree, and deleting it must leave the parent's degree sequence:
-  if no such vertex does, the child is rejected unlabelled.  A monotone
+  largest degree, top.  A new vertex of degree d < top is rejected: deleting
+  w* leaves e(child) - top edges, the parent has e(child) - d.  So masks
+  below the parent's largest degree (<= top) are not listed.  A monotone
   pruner, which must be isomorphism invariant, also runs before labelling.
 * The parent check after labelling: accept at once when a found
   automorphism of the child joins w* and the new vertex in one orbit;
@@ -311,27 +311,28 @@ class ExhaustionProof(NamedTuple):
     n: int | None = None
 
 
-def _c4_extension_masks(g: Graph) -> list[int]:
-    """Neighborhoods for a new vertex that keep the graph C4-free.
+def _c4_extension_masks(g: Graph, least: int) -> list[int]:
+    """Neighborhoods of at least `least` vertices keeping the graph C4-free.
 
     A new vertex creates a C4 exactly when two of its chosen neighbors
-    already share a common neighbor, so valid sets are the independent sets
-    of the 'shares a common neighbor' conflict graph.
+    already share a neighbor, so valid sets are the independent sets of the
+    'shares a neighbor' conflict graph.
     """
     n = g.n
     conflict = [_two_step(g.rows, u)[0] & ~(1 << u) for u in range(n)]
     out = []
 
-    def rec(cur, rest):
-        out.append(cur)
+    def rec(cur, rest, need):
+        if need <= 0:
+            out.append(cur)
         r = rest
-        while r:
+        while r and r.bit_count() >= need:
             low = r & -r
             v = low.bit_length() - 1
             r ^= low
-            rec(cur | low, r & ~conflict[v])
+            rec(cur | low, r & ~conflict[v], need - 1)
 
-    rec(0, (1 << n) - 1)
+    rec(0, (1 << n) - 1, least)
     return out
 
 
@@ -369,9 +370,9 @@ def _children(parent: Graph, parent_form: CanonicalForm, c4: bool, pruner=None):
     Children the pruner rejects are left out.  The shortcuts that spare
     labellings are described in the module docstring.
     """
-    masks = _c4_extension_masks(parent) if c4 else range(1 << parent.n)
-    gens = parent_form.generators
     parent_degrees = sorted(parent.degrees())
+    masks = _c4_extension_masks(parent, parent_degrees[-1]) if c4 else range(1 << parent.n)
+    gens = parent_form.generators
     seen = set()
     dead = set()
     new_index = parent.n
@@ -381,13 +382,7 @@ def _children(parent: Graph, parent_form: CanonicalForm, c4: bool, pruner=None):
         dead |= _orbit(mask, gens)
         child = parent.with_vertex(mask)
         degrees = child.degrees()
-        top = max(degrees)
-        # w* has degree top: reject when no choice of it can give the parent
-        if degrees[new_index] < top and all(
-            _degrees_without(child, v, degrees) != parent_degrees
-            for v in range(new_index)
-            if degrees[v] == top
-        ):
+        if degrees[new_index] < max(degrees):
             continue
         if pruner is not None and not pruner(child):
             continue
@@ -484,8 +479,7 @@ def enumerate_graphs(order: int, visitor=None, jobs: int = 1):
 
 
 def count_c4_free_classes(order: int, jobs: int = 1) -> int:
-    proof = enumerate_c4_free(order, jobs=jobs)
-    return proof.graphs_examined
+    return enumerate_c4_free(order, jobs=jobs).graphs_examined
 
 
 def exhaust_ramsey(order: int, k: int, n: int, jobs: int = 1):

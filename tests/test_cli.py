@@ -489,9 +489,10 @@ def test_usage_error_exit_2(capsys):
         (["--table", "6", "6", "2", "1/2"], "k must be >= 3"),
         (["--table", "10", "2", "3", "7/2"], "eps must lie strictly in (0, 1)"),
         (["--k", "1", "--n", str((10**25 + 13) ** 2)], "cannot decide"),
+        (["--n", "46", "--k", "3", "--q", "8", "--t", "2"], "describe n = 42, not --n 46"),
     ],
     ids=["q-alone", "t-alone", "table-over-cap", "table-far-over-cap", "table-k2-no-prime-power",
-         "table-eps-empty-range", "undecided-prime-power"],
+         "table-eps-empty-range", "undecided-prime-power", "q-t-other-n"],
 )
 def test_bounds_refusals_exit_2(capsys, argv, message):
     assert main(["bounds", *argv]) == 2

@@ -238,25 +238,40 @@ def test_enumerated_graphs_are_c4_free_and_pairwise_nonisomorphic():
     assert len(keys) == 44
 
 
+def _checked_children(parent, form, c4):
+    """search._children of one parent, checked against the reference."""
+    children = list(search._children(parent, form, c4))
+    got = [(g6_encode(child), child_form.key) for child, child_form in children]
+    want = [(g6_encode(child), key) for child, key in children_reference(parent, form.key, c4)]
+    assert got == want, g6_encode(parent)
+    for child, child_form in children:
+        assert child_form == canonical_form(child)
+    return children
+
+
 def _assert_children_match_reference(max_order, c4):
     """Walk the generation tree to max_order vertices, checking every parent."""
     seed = Graph.empty(1)
     stack = [(seed, canonical_form(seed))]
     while stack:
         parent, form = stack.pop()
-        if parent.n == max_order:
-            continue
-        children = list(search._children(parent, form, c4))
-        got = [(g6_encode(child), child_form.key) for child, child_form in children]
-        want = [(g6_encode(child), key) for child, key in children_reference(parent, form.key, c4)]
-        assert got == want, g6_encode(parent)
-        for child, child_form in children:
-            assert child_form == canonical_form(child)
-        stack.extend(children)
+        if parent.n < max_order:
+            stack.extend(_checked_children(parent, form, c4))
 
 
 def test_children_match_reference_c4_free_tree():
     _assert_children_match_reference(8, True)
+
+
+def test_children_match_reference_past_order_8():
+    # Fifteen parents on 9 vertices and fifteen of their children on 10, drawn
+    # with a fixed seed: the size bound on the extension masks cuts most here.
+    rng = random.Random(8)
+    seed = Graph.empty(1)
+    nines = rng.sample(list(search._kept(seed, canonical_form(seed), 9, 9, True, None)), 15)
+    tens = [child for parent, form in nines for child in _checked_children(parent, form, True)]
+    for parent, form in rng.sample(tens, 15):
+        _checked_children(parent, form, True)
 
 
 def test_children_match_reference_all_graphs_tree():
@@ -264,20 +279,38 @@ def test_children_match_reference_all_graphs_tree():
 
 
 def test_exhaustion_labelling_count(monkeypatch):
-    # Labelling every extension mask, and again every child whose last
-    # canonical vertex is not the new one, takes 6 612 labellings here.
-    # Orbit pruning and the parent check's shortcuts leave 2 289, and the
-    # degree test and the pruner before labelling leave 271.
-    calls = []
+    # At order 11, labelling every extension mask, and again every child whose
+    # last canonical vertex is not the new one, takes 6 612 labellings.  Orbit
+    # pruning and the parent check's shortcuts leave 2 289, and the degree
+    # test and the pruner before labelling leave 271.  The book checks (pruner
+    # and visitor) are pinned too: the size bound must not change what they see.
+    labellings, book_checks, built = [], [], []
+    book_free, with_vertex = search._book_free, Graph.with_vertex
 
-    def counting(g):
-        calls.append(g.n)
+    def labelling(g):
+        labellings.append(g.n)
         return canonical_form(g)
 
-    monkeypatch.setattr(search, "canonical_form", counting)
+    def checking(g, k, n):
+        book_checks.append(g.n)
+        return book_free(g, k=k, n=n)
+
+    def building(g, mask):
+        # a mask below the parent's largest degree gives a child that is rejected
+        assert mask.bit_count() >= max(g.degrees()), (g6_encode(g), mask)
+        built.append(mask)
+        return with_vertex(g, mask)
+
+    monkeypatch.setattr(search, "canonical_form", labelling)
+    monkeypatch.setattr(search, "_book_free", checking)
+    monkeypatch.setattr(Graph, "with_vertex", building)
     proof = search.exhaust_ramsey(11, 2, 4)
     assert isinstance(proof, search.ExhaustionProof) and proof.all_rejected
-    assert len(calls) <= 400
+    assert (len(labellings), len(book_checks), len(built)) == (271, 341, 514)
+    del labellings[:], book_checks[:], built[:]
+    witness = search.exhaust_ramsey(10, 2, 4)
+    assert g6_encode(witness) == b"I?qbCdWLG"
+    assert (len(labellings), len(book_checks), len(built)) == (55, 114, 154)
 
 
 def test_enumeration_cap():

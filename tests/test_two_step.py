@@ -45,6 +45,7 @@ def _graphs():
 
 def test_two_step_consumers_match_pair_loops():
     rng, graphs = _graphs()
+    least_rng = random.Random(21)  # a stream of its own leaves the caps drawn below as they were
     assert len(graphs) >= 2000
     friendship_verdicts, truncated, masks_checked = set(), 0, 0
     for g in graphs:
@@ -60,7 +61,12 @@ def test_two_step_consumers_match_pair_loops():
             assert (gp.count, gp.sample) == want, (g.rows, cap)
             truncated += gp.count > len(gp.sample)
         if g.n <= MASKS_MAX_ORDER:
-            assert _c4_extension_masks(g) == pair_loop_c4_extension_masks(g), g.rows
+            # the size bound keeps the masks of at least `least` vertices, in order
+            top = max(degs, default=0)
+            masks = pair_loop_c4_extension_masks(g)
+            for least in {0, top, top + 1, least_rng.randint(0, g.n + 1)}:
+                want = [m for m in masks if m.bit_count() >= least]
+                assert _c4_extension_masks(g, least) == want, (g.rows, least)
             masks_checked += 1
     assert friendship_verdicts == {True, False}
     assert truncated > 0
