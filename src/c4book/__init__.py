@@ -48,7 +48,6 @@ _EXPORTS = {
         "DeletionRun",
         "ExhaustionProof",
         "enumerate_c4_free",
-        "enumerate_graphs",
         "exhaust_ramsey",
         "greedy_min_degree_subgraph",
         "probe_script_Gq",

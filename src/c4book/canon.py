@@ -40,7 +40,9 @@ canonical witness.  A faster refinement is admissible only if it returns
 the same cells in the same order; rules that reorder cells, such as
 queueing all but the largest part of a split, change every canonical form.
 Orderly generation in ``search`` relies on that order too: the first split
-sorts by degree, so the last canonical vertex has the largest degree.
+sorts by degree, so the last canonical vertex has the largest degree, and
+every leaf refines the root partition in place, so that vertex lies in the
+root partition's last cell.
 """
 
 from __future__ import annotations
@@ -291,12 +293,14 @@ class _Search:
         return depth
 
 
-def canonical_form(g: Graph) -> CanonicalForm:
+def canonical_form(g: Graph, cells=None) -> CanonicalForm:
+    """The canonical form of g; cells, when given, is g's root partition
+    ``_refine(g.rows, [list(range(g.n))])``, which is then not computed again."""
     n = g.n
     if n == 0:
         return CanonicalForm(b"\x00", (), (), ())
     search = _Search(g.rows, n)
-    search.descend(_refine(g.rows, [list(range(n))]), [])
+    search.descend(cells or _refine(g.rows, [list(range(n))]), [])
     order = search.best_order
     labeling = [0] * n
     for i, v in enumerate(order):

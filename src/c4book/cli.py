@@ -428,6 +428,10 @@ def _cmd_random_delete(args, run) -> tuple[int, dict, list[str]]:
 
 def _cmd_search_exact(args, run) -> tuple[int, dict, list[str]]:
     from . import search
+    # search imports these only when it enumerates.  Compiled here, right
+    # after search, they reuse the memory its compile freed; compiled in the
+    # enumeration, they raised the op's peak RSS by 0.125 MiB.
+    from . import canon, ramsey  # noqa: F401
     from .graphcore import Graph
 
     result = search.exhaust_ramsey(args.order, args.k, args.n, jobs=args.jobs)

@@ -243,15 +243,6 @@ def is_friendship(g: Graph) -> Optional[int]:
     return k
 
 
-def fan_graph(k: int) -> Graph:
-    """The k-fan: vertex 0 joined to k disjoint edges (2i+1, 2i+2)."""
-    edges = []
-    for i in range(k):
-        a, b = 2 * i + 1, 2 * i + 2
-        edges += [(0, a), (0, b), (a, b)]
-    return Graph.from_edges(2 * k + 1, edges)
-
-
 # -- graph6 encoding (header-less, bit-exact per the public format) --
 
 

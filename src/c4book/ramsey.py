@@ -43,13 +43,18 @@ class LowerBoundCertificate(NamedTuple):
     construction_note: str = ""
 
 
-def complement_book_number(g: Graph, k: int, stop_at: int | None = None):
-    """Largest n with B_n^(k) embedded in the complement of g.
+def complement_book_number(
+    g: Graph, k: int, stop_at: int | None = None, spines: int = -1, c4_free: bool = False
+):
+    """Largest n with B_n^(k) embedded in the complement of g, spine in spines.
 
-    Equals the maximum, over k-sets independent in g, of the number of common
-    non-neighbors.  Spines are enumerated as cliques of the complement via
-    recursive bitset intersection, pruned by the counting-lemma bound; the
-    returned witness has the lexicographically smallest maximizing spine.
+    Equals the maximum, over k-sets independent in g and inside the vertex
+    mask spines (the default, -1, holds every vertex), of the number of
+    common non-neighbors; pages range over every vertex.  Spines are enumerated as
+    cliques of the complement via recursive bitset intersection, pruned by
+    the counting-lemma bound; the returned witness has the lexicographically
+    smallest maximizing spine.  c4_free=True vouches that g is C4-free, so
+    ``is_c4_free`` is not run for the bound below.
 
     The bound: let lam bound the common neighbors of any two vertices (1 when
     g is C4-free, n always) and delta be the minimum degree.  At depth j, mask
@@ -69,6 +74,15 @@ def complement_book_number(g: Graph, k: int, stop_at: int | None = None):
     always consistent (its spine is independent, its pages are exactly the
     spine's common non-neighbors and page_count equals the count), and
     count >= stop_at holds exactly when the true maximum reaches stop_at.
+
+    Restricting the spines finds every new book of a one-vertex extension.
+    Let g - v have no B_n^(k) in its complement.  A B_n^(k) in the
+    complement of g then uses v, as a spine vertex or as a page.  A spine
+    is independent in g, so a spine through v avoids N(v); a page is a
+    common non-neighbor of the spine, so a spine with page v avoids N(v)
+    too.  Either way the spine lies in {v} | non-nbrs(v), the mask ~rows[v],
+    and the search with spines = ~rows[v] reaches n pages exactly when the
+    full search does.  ``_extension_book_free`` makes that check.
     """
     n = g.n
     if not 1 <= k <= n:
@@ -81,7 +95,7 @@ def complement_book_number(g: Graph, k: int, stop_at: int | None = None):
     best_spine: tuple[int, ...] = ()
     best_pages = 0
     last = k - 1
-    lam = 1 if is_c4_free(g)[0] else n
+    lam = 1 if c4_free or is_c4_free(g)[0] else n
     delta = min(g.degrees())
     drop = []  # |mask| - drop[depth] bounds the pages of any completion
     for depth in range(k):
@@ -95,7 +109,7 @@ def complement_book_number(g: Graph, k: int, stop_at: int | None = None):
         cap = mask.bit_count() - drop[depth]  # most pages any completion can have
         if cap <= best_count:
             return False
-        m = mask >> start << start
+        m = (mask & spines) >> start << start
         if depth == last:
             # count the last spine vertex in place
             while m:
@@ -139,9 +153,17 @@ def is_ramsey_witness(g: Graph, k: int, n: int) -> bool:
     return is_c4_free(g)[0] and _book_free(g, k, n)
 
 
-def _book_free(g: Graph, k: int, n: int) -> bool:
-    """True iff the complement of g has no B_n^(k); no spine fits when k > g.n."""
-    return k > g.n or complement_book_number(g, k, stop_at=n)[0] < n
+def _book_free(g: Graph, k: int, n: int, spines: int = -1, c4_free: bool = False) -> bool:
+    """True iff the complement of g has no B_n^(k) with spine in spines; no
+    spine fits when k > g.n."""
+    return k > g.n or complement_book_number(g, k, n, spines, c4_free)[0] < n
+
+
+def _extension_book_free(g: Graph, k: int, n: int) -> bool:
+    """``_book_free`` for a C4-free g whose last vertex v extends a g - v with
+    no B_n^(k) in its complement: only spines in {v} | non-nbrs(v) are tried
+    (see ``complement_book_number``), and no C4 test is run."""
+    return _book_free(g, k, n, ~g.rows[-1], True)
 
 
 def certify_lower_bound(g: Graph, k: int, note: str = "") -> LowerBoundCertificate:

@@ -28,12 +28,32 @@ their order and their keys are those of ``tests/oracles.children_reference``.
   Refinement splits by degree first and keeps cells in order, so w* has the
   largest degree, top.  A new vertex of degree d < top is rejected: deleting
   w* leaves e(child) - top edges, the parent has e(child) - d.  So masks
-  below the parent's largest degree (<= top) are not listed.  A monotone
-  pruner, which must be isomorphism invariant, also runs before labelling.
+  below the parent's largest degree (<= top) are not listed.
+* The child's root equitable partition is computed once and handed to the
+  labelling.  w* lies in its last cell (see ``canon``), and every vertex u
+  of an equitable cell leaves one degree sequence in child - u: u's degree
+  and its number of neighbors in each cell, whose vertices share a degree,
+  are the same across the cell.  So when the new vertex is outside the last
+  cell, deleting the cell's first vertex shows what deleting w* leaves, and
+  a degree sequence other than the parent's rejects the child unlabelled.
+  When it is inside, deleting w* leaves the parent's degree sequence.
 * The parent check after labelling: accept at once when a found
-  automorphism of the child joins w* and the new vertex in one orbit;
-  reject at once when deleting w* leaves a degree sequence other than the
-  parent's; only otherwise label the child with w* deleted.
+  automorphism of the child joins w* and the new vertex in one orbit; only
+  otherwise label the child with w* deleted.
+* A pruner runs before the root partition.  It must be monotone, and
+  isomorphism invariant on the children it sees.  ``exhaust_ramsey``'s
+  rejects a child whose complement holds the book: a one-vertex extension
+  keeps every book of the complement, so a rejected graph has only rejected
+  completions.  Every child it sees extends a parent that it passed, or the
+  one-vertex seed, whose complement has no book.  So a book in the child's
+  complement uses the new vertex v.  If v is a spine vertex, the others are
+  not adjacent to it, as a spine is independent in the child; if v is a
+  page, no spine vertex is adjacent to it, as pages are common
+  non-neighbors of the spine.  Either way the spine lies in
+  {v} | non-nbrs(v).  The pruner searches only those spines
+  (``ramsey._extension_book_free``), and it runs no C4 test, as every child
+  is C4-free by construction.  The visitor, which decides the witness,
+  searches every spine.
 
 The annealing probe moves only between C4-free graphs, where two vertices
 share at most one neighbor.  So |N(x) | N(w)| = d(x) + d(w) - [x and w share
@@ -51,7 +71,6 @@ from contextlib import nullcontext
 from functools import partial
 from typing import TYPE_CHECKING, NamedTuple
 
-from .canon import CanonicalForm, canonical_form
 from .errors import (
     AsymptoticRegimeNotReached,
     AttemptsExhausted,
@@ -61,17 +80,19 @@ from .errors import (
     InternalInconsistency,
 )
 from .graphcore import Graph, _bits, _two_step
-from .ramsey import LowerBoundCertificate, _book_free, certify_lower_bound, is_ramsey_witness
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
+    from .canon import CanonicalForm
+    from .ramsey import LowerBoundCertificate
+
 # bounds, geometry, gf, fractions and hashlib are imported where the
-# constructions use them, so an exhaustive search loads none of them
+# constructions use them, so an exhaustive search loads none of them, and
+# canon and ramsey where the searches use them, so the probe loads neither
 
 GENERATOR_VERSION = "orderly-v1"
 ENUMERATION_ORDER_CAP = 13
-ALL_GRAPHS_ORDER_CAP = 8
 # probe_script_Gq shuffles all C(n, 2) vertex pairs, n = q^2 + q + 3: about 50 MiB at q = 32
 GQ_Q_CAP = 32
 
@@ -221,6 +242,7 @@ def random_delete_construction(
 
     from .geometry import DEFAULT_GRAPH_Q_CAP, er_graph
     from .gf import field_new
+    from .ramsey import certify_lower_bound
 
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
@@ -364,19 +386,20 @@ def _degrees_without(g: Graph, v: int, degrees: list) -> list:
     return sorted(out)
 
 
-def _children(parent: Graph, parent_form: CanonicalForm, c4: bool, pruner=None):
+def _children(parent: Graph, parent_form: CanonicalForm, pruner=None):
     """(child, canonical form) per isomorphism class of accepted one-vertex extensions.
 
     Children the pruner rejects are left out.  The shortcuts that spare
     labellings are described in the module docstring.
     """
+    from .canon import _refine, canonical_form
+
     parent_degrees = sorted(parent.degrees())
-    masks = _c4_extension_masks(parent, parent_degrees[-1]) if c4 else range(1 << parent.n)
     gens = parent_form.generators
     seen = set()
     dead = set()
     new_index = parent.n
-    for mask in masks:
+    for mask in _c4_extension_masks(parent, parent_degrees[-1]):
         if mask in dead:
             continue
         dead |= _orbit(mask, gens)
@@ -386,21 +409,23 @@ def _children(parent: Graph, parent_form: CanonicalForm, c4: bool, pruner=None):
             continue
         if pruner is not None and not pruner(child):
             continue
-        form = canonical_form(child)
+        cells = _refine(child.rows, [list(range(new_index + 1))])
+        last = cells[-1]  # holds w*, and the new vertex last if at all
+        if last[-1] != new_index and _degrees_without(child, last[0], degrees) != parent_degrees:
+            continue
+        form = canonical_form(child, cells)
         if form.key in seen:
             continue
         seen.add(form.key)
         w_star = form.order[-1]  # vertex at the last canonical position
         # accept when an automorphism of the child maps w* to the new vertex
         if w_star != new_index and 1 << w_star not in _orbit(1 << new_index, form.generators):
-            if _degrees_without(child, w_star, degrees) != parent_degrees:
-                continue
             if canonical_form(child.delete_vertex(w_star)).key != parent_form.key:
                 continue
         yield child, form
 
 
-def _kept(g: Graph, form: CanonicalForm, level: int, order: int, c4: bool, pruner):
+def _kept(g: Graph, form: CanonicalForm, level: int, order: int, pruner):
     """(graph, canonical form) of every kept graph on `level` vertices below g, in DFS order.
 
     The pruner sees only graphs with fewer than `order` vertices.
@@ -408,15 +433,15 @@ def _kept(g: Graph, form: CanonicalForm, level: int, order: int, c4: bool, prune
     if g.n == level:
         yield g, form
         return
-    for child, child_form in _children(g, form, c4, pruner if g.n + 1 < order else None):
-        yield from _kept(child, child_form, level, order, c4, pruner)
+    for child, child_form in _children(g, form, pruner if g.n + 1 < order else None):
+        yield from _kept(child, child_form, level, order, pruner)
 
 
-def _worker(chunk, order, c4, pruner, visitor):
+def _worker(chunk, order, pruner, visitor):
     """(first graph on `order` vertices the visitor accepts or None, graphs examined)."""
     examined = 0
     for root, form in chunk:
-        for g, _ in _kept(root, form, order, order, c4, pruner):
+        for g, _ in _kept(root, form, order, order, pruner):
             examined += 1
             if visitor is not None and visitor(g):
                 return g, examined
@@ -428,24 +453,25 @@ def _pool_size(jobs: int, chunks: int) -> int:
     return min(jobs, os.cpu_count() or 1, chunks)
 
 
-def _enumerate(order, c4, pruner, visitor, jobs, meta_k=None, meta_n=None):
+def _enumerate(order, pruner, visitor, jobs, meta_k=None, meta_n=None):
     """Walk the tree in chunks of its frontier; the serial walk is one chunk, the seed.
 
     Chunk results are read in frontier order, so the first witness returned
     is the first in DFS order whatever the worker count.  With one usable
     worker the chunks run in this process.
     """
-    cap = ENUMERATION_ORDER_CAP if c4 else ALL_GRAPHS_ORDER_CAP
-    if not 1 <= order <= cap:
-        raise CapExceeded(f"order must be in [1, {cap}], got {order}")
+    from .canon import canonical_form
+
+    if not 1 <= order <= ENUMERATION_ORDER_CAP:
+        raise CapExceeded(f"order must be in [1, {ENUMERATION_ORDER_CAP}], got {order}")
     if jobs < 1:
         raise DomainError(f"jobs must be >= 1, got {jobs}")
     split = 1 if jobs == 1 else max(1, min(order - 1, 6))
     seed = Graph.empty(1)
-    frontier = list(_kept(seed, canonical_form(seed), split, order, c4, pruner))
+    frontier = list(_kept(seed, canonical_form(seed), split, order, pruner))
     size = max(1, -(-len(frontier) // (4 * jobs)))
     chunks = [frontier[start : start + size] for start in range(0, len(frontier), size)]
-    work = partial(_worker, order=order, c4=c4, pruner=pruner, visitor=visitor)
+    work = partial(_worker, order=order, pruner=pruner, visitor=visitor)
     workers = _pool_size(jobs, len(chunks))
     examined = 0
     if workers > 1:
@@ -470,12 +496,7 @@ def enumerate_c4_free(order: int, visitor=None, jobs: int = 1):
     acceptance the full ExhaustionProof comes back.  With jobs > 1, the
     visitor must be picklable.
     """
-    return _enumerate(order, True, None, visitor, jobs)
-
-
-def enumerate_graphs(order: int, visitor=None, jobs: int = 1):
-    """Same engine with the C4 filter off: all graphs up to isomorphism."""
-    return _enumerate(order, False, None, visitor, jobs)
+    return _enumerate(order, None, visitor, jobs)
 
 
 def count_c4_free_classes(order: int, jobs: int = 1) -> int:
@@ -492,12 +513,12 @@ def exhaust_ramsey(order: int, k: int, n: int, jobs: int = 1):
         raise DomainError(f"k must be >= 1, got {k}")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    # Every enumerated graph is C4-free, so a witness is a graph whose
-    # complement is book-free.  The check is also a monotone pruner: a
-    # one-vertex extension keeps every book of the complement, so a rejected
-    # partial graph has only rejected completions.
-    visitor = partial(_book_free, k=k, n=n)
-    return _enumerate(order, True, visitor, visitor, jobs, meta_k=k, meta_n=n)
+    from .ramsey import _book_free, _extension_book_free
+
+    # See the module docstring: the visitor checks every spine, the pruner
+    # only the spines of books through the new vertex.
+    pruner = partial(_extension_book_free, k=k, n=n)
+    return _enumerate(order, pruner, partial(_book_free, k=k, n=n), jobs, meta_k=k, meta_n=n)
 
 
 # -- heuristic probe for specific witness families --
@@ -650,6 +671,8 @@ def probe_script_Gq(q: int, budget: int = 10**6, seed: int = 0):
             if energy == 0:
                 # every move keeps the graph C4-free, and zero energy means
                 # the complement is book-free
+                from .ramsey import is_ramsey_witness
+
                 g = Graph(n, rows, _trusted=True)
                 if not is_ramsey_witness(g, 2, pages):
                     raise InternalInconsistency(f"zero-energy graph on {n} vertices fails re-verification")

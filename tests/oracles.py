@@ -47,12 +47,17 @@ def naive_complement_book_number(g: Graph, k: int) -> int:
     return naive_book_witness(g, k)[0]
 
 
-def naive_book_witness(g: Graph, k: int):
-    """(book number, lexicographically smallest maximizing spine or ())."""
+def naive_book_witness(g: Graph, k: int, spine_vertices=None):
+    """(book number, lexicographically smallest maximizing spine or ()).
+
+    Spines are drawn from spine_vertices (every vertex by default); pages
+    from every vertex.
+    """
     n = g.n
     nbrs = {v: set(g.neighbors(v)) for v in range(n)}
     best, best_spine = None, ()
-    for spine in combinations(range(n), k):
+    allowed = range(n) if spine_vertices is None else sorted(spine_vertices)
+    for spine in combinations(allowed, k):
         if any(u in nbrs[v] for u, v in combinations(spine, 2)):
             continue  # not independent in g
         pages = [
@@ -166,6 +171,16 @@ def pair_loop_c4_extension_masks(g: Graph) -> list:
 
     rec(0, (1 << n) - 1)
     return out
+
+
+def all_extension_masks(g: Graph, least: int) -> list:
+    """Every vertex set of at least `least` vertices, in increasing mask order.
+
+    With it in place of ``search._c4_extension_masks`` the engine lists the
+    extensions of ``children_reference(c4=False)`` that can be accepted, in
+    their order, and so enumerates all graphs up to isomorphism.
+    """
+    return [mask for mask in range(1 << g.n) if mask.bit_count() >= least]
 
 
 def children_reference(parent: Graph, parent_key: bytes, c4: bool):
@@ -437,6 +452,15 @@ def complete_graph(n: int) -> Graph:
 
 def star_graph(leaves: int) -> Graph:
     return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def fan_graph(k: int) -> Graph:
+    """The k-fan: vertex 0 joined to k disjoint edges (2i+1, 2i+2)."""
+    edges = []
+    for i in range(k):
+        a, b = 2 * i + 1, 2 * i + 2
+        edges += [(0, a), (0, b), (a, b)]
+    return Graph.from_edges(2 * k + 1, edges)
 
 
 def petersen_graph() -> Graph:

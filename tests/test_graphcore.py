@@ -12,12 +12,13 @@ from hypothesis import given, settings, strategies as st
 import c4book as cb
 from c4book import graphcore
 from c4book.errors import EmptyQuerySet, MalformedGraph6
-from c4book.graphcore import Graph, fan_graph
+from c4book.graphcore import Graph
 
 from oracles import (
     _first_c4,
     complete_graph,
     cycle_graph,
+    fan_graph,
     naive_is_c4_free,
     path_graph,
     petersen_graph,

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import c4book as cb
+from c4book import ramsey
 from c4book.errors import DomainError, NotC4Free
 from c4book.graphcore import Graph
 
@@ -16,6 +17,7 @@ from oracles import (
     cycle_graph,
     naive_book_witness,
     naive_complement_book_number,
+    pair_loop_c4_extension_masks,
     random_c4_free,
     random_graph,
     star_graph,
@@ -181,6 +183,53 @@ def test_book_number_counting_bound_on_c4_free_graphs():
                     assert (count, witness.spine) == expected, (h.rows, k, stop_at)
                 if count > 0:
                     _assert_consistent_witness(h, k, count, witness)
+
+
+def test_book_number_spines_restriction_matches_oracle():
+    # Only spines inside the mask are searched, pages still range over every
+    # vertex; c4_free=True on a C4-free graph changes nothing but the work.
+    rng = random.Random(26)
+    narrowed = 0
+    for _ in range(400):
+        n = rng.randint(1, 11)
+        c4_free = rng.random() < 0.5
+        g = random_c4_free(rng, n, 0.4) if c4_free else random_graph(rng, n, rng.choice([0.2, 0.5]))
+        k = rng.randint(1, min(4, n))
+        allowed = [v for v in range(n) if rng.random() < 0.6]
+        spines = sum(1 << v for v in allowed) | -1 << n  # bits past n are no vertex
+        expected = naive_book_witness(g, k, allowed)
+        count, witness = cb.complement_book_number(g, k, None, spines, c4_free)
+        assert (count, witness.spine) == expected, (g.rows, k, allowed)
+        if count > 0:
+            _assert_consistent_witness(g, k, count, witness)
+        stop_at = rng.randint(0, n + 1)
+        count, _ = cb.complement_book_number(g, k, stop_at, spines, c4_free)
+        assert (count >= stop_at) == (expected[0] >= stop_at), (g.rows, k, allowed, stop_at)
+        narrowed += expected[0] < naive_complement_book_number(g, k)
+    assert narrowed > 50  # the mask does cut books
+
+
+def test_extension_book_free_matches_full_check():
+    # The pruner's premise: g - v, v the last vertex, has no B_n^(k) in its
+    # complement.  Then the books through v, whose spines lie in
+    # {v} | non-nbrs(v), decide the child exactly as the full search and
+    # the oracle do, for every C4-free one-vertex extension.
+    rng = random.Random(27)
+    children = 0
+    for k in range(1, 5):
+        for _ in range(20):
+            g = random_c4_free(rng, rng.randint(1, 10), rng.choice([0.2, 0.4]))
+            book = naive_complement_book_number(g, k) if k <= g.n else 0
+            for mask in pair_loop_c4_extension_masks(g):
+                child = g.with_vertex(mask)
+                true_count = naive_complement_book_number(child, k) if k <= child.n else 0
+                for n in (book + 1, book + 2):
+                    want = true_count < n
+                    assert ramsey._book_free(child, k, n) == want, (child.rows, k, n)
+                    assert ramsey._book_free(child, k, n, ~child.rows[-1], True) == want
+                    assert ramsey._extension_book_free(child, k, n) == want, (child.rows, k, n)
+                children += 1
+    assert children > 2000
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 import c4book as cb
-from c4book import search
+from c4book import canon, ramsey, search
 from c4book.canon import canonical_form, canonical_key
 from c4book.errors import (
     AsymptoticRegimeNotReached,
@@ -209,9 +209,9 @@ def test_c4_free_counts_match_brute_classifier():
         assert search.count_c4_free_classes(n) == classify_c4_free(n)
 
 
-def test_all_graph_counts_match_brute_classifier():
+def test_all_graph_counts_match_brute_classifier(enumerate_graphs):
     for n in range(1, 7):
-        got = search.enumerate_graphs(n).graphs_examined
+        got = enumerate_graphs(n).graphs_examined
         if n <= 6:
             assert got == brute_class_count_all(n)
         assert got == KNOWN_ALL_COUNTS[n]
@@ -239,8 +239,12 @@ def test_enumerated_graphs_are_c4_free_and_pairwise_nonisomorphic():
 
 
 def _checked_children(parent, form, c4):
-    """search._children of one parent, checked against the reference."""
-    children = list(search._children(parent, form, c4))
+    """search._children of one parent, checked against the reference.
+
+    With c4=False the caller has swapped in the all-graphs mask lister (the
+    enumerate_graphs fixture).
+    """
+    children = list(search._children(parent, form))
     got = [(g6_encode(child), child_form.key) for child, child_form in children]
     want = [(g6_encode(child), key) for child, key in children_reference(parent, form.key, c4)]
     assert got == want, g6_encode(parent)
@@ -268,12 +272,13 @@ def test_children_match_reference_past_order_8():
     # with a fixed seed: the size bound on the extension masks cuts most here.
     rng = random.Random(8)
     seed = Graph.empty(1)
-    nines = rng.sample(list(search._kept(seed, canonical_form(seed), 9, 9, True, None)), 15)
+    nines = rng.sample(list(search._kept(seed, canonical_form(seed), 9, 9, None)), 15)
     tens = [child for parent, form in nines for child in _checked_children(parent, form, True)]
     for parent, form in rng.sample(tens, 15):
         _checked_children(parent, form, True)
 
 
+@pytest.mark.usefixtures("enumerate_graphs")
 def test_children_match_reference_all_graphs_tree():
     _assert_children_match_reference(6, False)
 
@@ -281,19 +286,27 @@ def test_children_match_reference_all_graphs_tree():
 def test_exhaustion_labelling_count(monkeypatch):
     # At order 11, labelling every extension mask, and again every child whose
     # last canonical vertex is not the new one, takes 6 612 labellings.  Orbit
-    # pruning and the parent check's shortcuts leave 2 289, and the degree
-    # test and the pruner before labelling leave 271.  The book checks (pruner
-    # and visitor) are pinned too: the size bound must not change what they see.
-    labellings, book_checks, built = [], [], []
-    book_free, with_vertex = search._book_free, Graph.with_vertex
+    # pruning and the parent check's shortcuts leave 2 289; the degree test,
+    # the pruner and the root partition's degree test before labelling leave
+    # 219.  The book checks are pinned too, split into the pruner's (spines
+    # through the new vertex, no C4 test) and the visitor's (every spine):
+    # the size bound must not change what they see.  Both search seams are
+    # the layer modules' own names, which the lazy imports read at each call.
+    labellings, pruned, visited, built = [], [], [], []
+    labelled, book_free, with_vertex = canon.canonical_form, ramsey._book_free, Graph.with_vertex
 
-    def labelling(g):
+    def labelling(g, cells=None):
         labellings.append(g.n)
-        return canonical_form(g)
+        return labelled(g, cells)
 
-    def checking(g, k, n):
-        book_checks.append(g.n)
-        return book_free(g, k=k, n=n)
+    def checking(g, k, n, spines=-1, c4_free=False):
+        if spines == -1:
+            visited.append(g.n)
+        else:
+            # the pruner: spines in {v} | non-nbrs(v) of the new vertex v
+            assert spines == ~g.rows[-1] and c4_free, g6_encode(g)
+            pruned.append(g.n)
+        return book_free(g, k, n, spines, c4_free)
 
     def building(g, mask):
         # a mask below the parent's largest degree gives a child that is rejected
@@ -301,23 +314,23 @@ def test_exhaustion_labelling_count(monkeypatch):
         built.append(mask)
         return with_vertex(g, mask)
 
-    monkeypatch.setattr(search, "canonical_form", labelling)
-    monkeypatch.setattr(search, "_book_free", checking)
+    monkeypatch.setattr(canon, "canonical_form", labelling)
+    monkeypatch.setattr(ramsey, "_book_free", checking)
     monkeypatch.setattr(Graph, "with_vertex", building)
     proof = search.exhaust_ramsey(11, 2, 4)
     assert isinstance(proof, search.ExhaustionProof) and proof.all_rejected
-    assert (len(labellings), len(book_checks), len(built)) == (271, 341, 514)
-    del labellings[:], book_checks[:], built[:]
+    assert (len(labellings), len(pruned), len(visited), len(built)) == (219, 336, 5, 514)
+    del labellings[:], pruned[:], visited[:], built[:]
     witness = search.exhaust_ramsey(10, 2, 4)
     assert g6_encode(witness) == b"I?qbCdWLG"
-    assert (len(labellings), len(book_checks), len(built)) == (55, 114, 154)
+    assert (len(labellings), len(pruned), len(visited), len(built)) == (52, 108, 6, 154)
 
 
 def test_enumeration_cap():
     with pytest.raises(CapExceeded):
         cb.enumerate_c4_free(14)
     with pytest.raises(CapExceeded):
-        cb.enumerate_graphs(9)
+        search.exhaust_ramsey(14, 2, 4)
 
 
 def test_exhaust_ramsey_small_star_case():
@@ -375,8 +388,9 @@ def test_one_usable_worker_starts_no_process(monkeypatch):
     assert search.exhaust_ramsey(8, 2, 3, jobs=2) == want
 
 
-def test_pool_path_counts():
-    assert search.enumerate_graphs(7, jobs=2).graphs_examined == KNOWN_ALL_COUNTS[7]
+def test_pool_path_counts(enumerate_graphs, monkeypatch):
+    assert enumerate_graphs(7, jobs=2).graphs_examined == KNOWN_ALL_COUNTS[7]
+    monkeypatch.undo()  # back to the C4-free extension masks
     proof = _unpruned(7, 1, 4, jobs=2)
     assert proof.graphs_examined == KNOWN_C4_FREE_COUNTS[7]
 
@@ -472,7 +486,8 @@ def test_vertex_draw_is_randrange_stream():
 
 def test_probe_zero_energy_failing_reverification_is_inconsistent(monkeypatch):
     # zero energy must mean a witness; a failed re-check is a broken invariant
-    monkeypatch.setattr(search, "is_ramsey_witness", lambda g, k, n: False)
+    # the probe imports the check from ramsey only when it has a graph to check
+    monkeypatch.setattr(ramsey, "is_ramsey_witness", lambda g, k, n: False)
     with pytest.raises(InternalInconsistency):
         cb.probe_script_Gq(3, budget=400_000, seed=1)
 

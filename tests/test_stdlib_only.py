@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -141,16 +142,52 @@ def test_bound_report_loads_only_bounds_and_gf():
 
 def test_serial_exact_search_loads_no_construction_or_pool():
     added = _modules_loaded("--jobs", "1", "search", "exact", "--k", "2", "--n", "3", "--N", "6")
-    assert "c4book.search" in added
-    assert not _loaded(added, ["c4book.bounds", "c4book.geometry", "c4book.gf", *POOL])
+    assert _loaded(added, [f"c4book.{name}" for name in LAYERS]) == [
+        "c4book.canon",
+        "c4book.graphcore",
+        "c4book.ramsey",
+        "c4book.search",
+    ]
+    assert not _loaded(added, POOL)
     assert not added & set(HEAVY)
 
 
 def test_annealing_search_loads_no_heavy_stdlib():
+    # the budget runs out at q = 2 with seed 0, so no graph is re-verified and
+    # neither canon nor ramsey is loaded
     added = _modules_loaded("search", "gq", "--q", "2", "--budget", "100")
-    assert {"c4book.search", "c4book.geometry", "c4book.gf"} <= added
-    assert not _loaded(added, ["c4book.bounds", *POOL])
+    assert _loaded(added, [f"c4book.{name}" for name in LAYERS]) == [
+        "c4book.geometry",
+        "c4book.gf",
+        "c4book.graphcore",
+        "c4book.search",
+    ]
+    assert not _loaded(added, POOL)
     assert not added & set(HEAVY)
+
+
+# CPython's compile peak steps up by about 0.25 MiB once a module passes a
+# power of two in parser tokens, and the benchmark compiles every module an
+# op loads without a bytecode cache; the peak_rss_mib bound is 0.1 MiB.
+COMPILE_STEPS = {"search.py": 4096, "canon.py": 2048, "gf.py": 2048}
+
+
+def _parser_tokens(path: Path) -> int:
+    """Tokens the parser reads: every token but comments and non-logical newlines."""
+    with tokenize.open(path) as fh:
+        return sum(
+            tok.type not in (tokenize.COMMENT, tokenize.NL) for tok in tokenize.generate_tokens(fh.readline)
+        )
+
+
+@pytest.mark.parametrize("name, step", COMPILE_STEPS.items())
+def test_module_below_compile_memory_step(name, step):
+    count = _parser_tokens(PACKAGE_DIR / name)
+    assert count < step, (
+        f"{name} has {count} parser tokens, at or past the {step}-token step where its "
+        f"compile peak RSS rises about 0.25 MiB on every op that loads it; split the "
+        f"module by route (ROADMAP item 6) instead of growing it"
+    )
 
 
 def test_package_exports_resolve():

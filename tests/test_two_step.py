@@ -9,11 +9,12 @@ package is built on it; each is checked here against a reference in
 import random
 
 import c4book as cb
-from c4book.graphcore import Graph, fan_graph
+from c4book.graphcore import Graph
 from c4book.search import _c4_extension_masks
 
 from oracles import (
     complete_graph,
+    fan_graph,
     pair_loop_c4_extension_masks,
     pair_loop_friendship_condition,
     pair_loop_good_pairs,
