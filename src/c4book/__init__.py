@@ -24,7 +24,7 @@ _EXPORTS = {
         "theorem15_admissible",
         "theorem16_lower",
     ),
-    "geometry": ("absolute_points", "er_graph", "projective_points"),
+    "geometry": ("er_graph", "projective_points"),
     "gf": ("Field", "field_new"),
     "graphcore": (
         "Graph",

@@ -53,13 +53,22 @@ def _cmp_sqrt_expr(n: int, c: int, alpha: Fraction, v: int) -> int:
     return (diff > 0) - (diff < 0)
 
 
+# The exact floor builds c^b * n^a and b-th powers for alpha = a/b, so its
+# cost grows with b: at this cap it takes 1 to 2 s at n = 16 256, the largest
+# n that random_delete_construction accepts.
+ALPHA_DENOMINATOR_CAP = 10**5
+
+
 def _exponent(c: int, alpha) -> Fraction:
-    """alpha as an exact Fraction, once c >= 0 and 0 < alpha < 1/2 are checked."""
+    """alpha as an exact Fraction, once c >= 0, 0 < alpha < 1/2 and a
+    denominator of at most ALPHA_DENOMINATOR_CAP are checked."""
     alpha = Fraction(alpha)
     if c < 0:
         raise DomainError(f"need c >= 0, got {c}")
     if alpha <= 0 or alpha >= Fraction(1, 2):
         raise DomainError(f"alpha must lie in (0, 1/2), got {alpha}")
+    if alpha.denominator > ALPHA_DENOMINATOR_CAP:
+        raise CapExceeded(f"alpha's denominator must be at most {ALPHA_DENOMINATOR_CAP}, got {alpha}")
     return alpha
 
 
@@ -185,16 +194,24 @@ class GSequence(NamedTuple):
     cap_holds: bool
 
 
+# g_sequence keeps all k + 1 iterates: k = 2^20 takes about half a second
+# and 80 MiB.
+G_SEQUENCE_K_CAP = 2**20
+
+
 def g_sequence(n: int, k: int) -> GSequence:
     """g_0 = n, g_i = g_{i-1} + floor(sqrt(g_{i-1} - 1)) + 2, up to g_k.
 
     Also evaluates the closed-form cap n + k*floor(sqrt(n)) + (k^2+9k)/4
-    (rounded up) and flags any violation rather than assuming it.
+    (rounded up) and flags any violation rather than assuming it.  A k
+    above G_SEQUENCE_K_CAP is refused before any iterate is computed.
     """
     if n < 2:
         raise DomainError(f"g_sequence needs n >= 2, got {n}")
     if k < 0:
         raise DomainError(f"k must be >= 0, got {k}")
+    if k > G_SEQUENCE_K_CAP:
+        raise CapExceeded(f"g_sequence keeps every iterate; k must be at most {G_SEQUENCE_K_CAP}, got {k}")
     values = [n]
     for _ in range(k):
         g = values[-1]

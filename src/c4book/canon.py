@@ -15,7 +15,7 @@ Every leaf left in that subtree is the image of an explored leaf with the
 same key, so none can beat the incumbent: the search abandons every frame
 deeper than j and resumes at depth j.  Only strictly larger leaves replace
 the incumbent, so the first maximal leaf in DFS order, hence the key and
-labeling, is the one the full search finds (``tests/oracles.py`` keeps that
+order, is the one the full search finds (``tests/oracles.py`` keeps that
 search as ``canonical_form_reference``); only fewer generators are found.
 
 Refinement works on vertex masks.  A splitter's neighbor counts are
@@ -203,13 +203,9 @@ def _leaf_key(rows, order):
 
 class CanonicalForm(NamedTuple):
     key: bytes            # order byte(s) + packed canonical adjacency
-    labeling: tuple       # labeling[v] = canonical position of vertex v
     order: tuple          # order[i] = vertex at canonical position i
     generators: tuple     # discovered automorphisms (not always the full group;
                           # the backjump skips leaves that would add more)
-
-    def graph(self, g: Graph) -> Graph:
-        return Graph.from_edges(g.n, ((self.labeling[u], self.labeling[v]) for u, v in g.edges()))
 
 
 class _Search:
@@ -298,24 +294,12 @@ def canonical_form(g: Graph, cells=None) -> CanonicalForm:
     ``_refine(g.rows, [list(range(g.n))])``, which is then not computed again."""
     n = g.n
     if n == 0:
-        return CanonicalForm(b"\x00", (), (), ())
+        return CanonicalForm(b"\x00", (), ())
     search = _Search(g.rows, n)
     search.descend(cells or _refine(g.rows, [list(range(n))]), [])
-    order = search.best_order
-    labeling = [0] * n
-    for i, v in enumerate(order):
-        labeling[v] = i
     nbits = n * (n - 1) // 2
     key = n.to_bytes(8, "big") + search.best_key.to_bytes((nbits + 7) // 8 or 1, "big")
-    return CanonicalForm(key, tuple(labeling), tuple(order), tuple(search.gens))
-
-
-def canonical_key(g: Graph) -> bytes:
-    return canonical_form(g).key
-
-
-def canonical_graph(g: Graph) -> Graph:
-    return canonical_form(g).graph(g)
+    return CanonicalForm(key, tuple(search.best_order), tuple(search.gens))
 
 
 def graph_digest(g: Graph) -> str:

@@ -257,11 +257,12 @@ def _cmd_field(args, run) -> tuple[int, dict, list[str]]:
 def _cmd_er(args, run) -> tuple[int, dict, list[str]]:
     from . import geometry
 
-    field = geometry.plane_field(args.q)
-    g = geometry.er_graph(field)
-    absolutes = geometry.absolute_points(field)
+    g = geometry.er_graph(args.q)
+    degrees = g.degrees()
+    # er_graph checks that the absolute points are exactly the vertices of degree q
+    absolutes = [v for v, d in enumerate(degrees) if d == args.q]
     histogram: dict[int, int] = {}
-    for d in g.degrees():
+    for d in degrees:
         histogram[d] = histogram.get(d, 0) + 1
     artifact = {
         "q": args.q,

@@ -21,10 +21,6 @@ class DivisionByZero(C4BookError):
     """Multiplicative inverse of zero requested."""
 
 
-class EmptyQuerySet(DomainError):
-    """A nonempty vertex set was required."""
-
-
 class MalformedGraph6(C4BookError):
     """graph6 input could not be decoded.
 

@@ -32,21 +32,6 @@ def projective_points(field: Field) -> list[tuple[int, int, int]]:
     return points
 
 
-def absolute_points(field: Field) -> list[int]:
-    """Indices of self-orthogonal points; always exactly q+1 of them."""
-    t = field.tables
-    out = [
-        i
-        for i, (x, y, z) in enumerate(projective_points(field))
-        if not t.add(t.add(t.mul(x, x), t.mul(y, y)), t.mul(z, z))
-    ]
-    if len(out) != field.q + 1:
-        raise InternalInconsistency(
-            f"expected {field.q + 1} absolute points in PG(2,{field.q}), found {len(out)}"
-        )
-    return out
-
-
 def _bitmask(positions, nbytes: int) -> int:
     buf = bytearray(nbytes)
     for j in positions:
@@ -54,18 +39,7 @@ def _bitmask(positions, nbytes: int) -> int:
     return int.from_bytes(buf, "little")
 
 
-def plane_field(field_or_q) -> Field:
-    """The field of PG(2, q), given as a Field or as q.
-
-    A q over DEFAULT_GRAPH_Q_CAP is refused before it is factored.
-    """
-    q = field_or_q.q if isinstance(field_or_q, Field) else field_or_q
-    if q > DEFAULT_GRAPH_Q_CAP:
-        raise CapExceeded(f"q={q} polarity graph would have {q * q + q + 1} vertices")
-    return field_or_q if isinstance(field_or_q, Field) else field_new(*prime_power_decompose(q))
-
-
-def er_graph(field_or_q) -> Graph:
+def er_graph(q: int) -> Graph:
     """Orthogonal polarity graph on PG(2, q).
 
     Distinct points u, v are adjacent iff u.v = 0; absolute points carry no
@@ -73,10 +47,12 @@ def er_graph(field_or_q) -> Graph:
     one coordinate on element indices, so construction is O(N*q) table
     lookups rather than all-pairs.  The degree dichotomy (q+1 everywhere
     except degree q at the q+1 absolute points) is checked at build time,
-    not assumed.
+    not assumed, so the absolute points are exactly the vertices of degree
+    q.  A q over DEFAULT_GRAPH_Q_CAP is refused before it is factored.
     """
-    field = plane_field(field_or_q)
-    q = field.q
+    if q > DEFAULT_GRAPH_Q_CAP:
+        raise CapExceeded(f"q={q} polarity graph would have {q * q + q + 1} vertices")
+    field = field_new(*prime_power_decompose(q))
     t = field.tables
     qq = q * q
     n = qq + q + 1

@@ -21,7 +21,7 @@ from math import comb
 from typing import NamedTuple
 
 from .errors import DomainError, InternalInconsistency, NotC4Free
-from .graphcore import Graph, _bits, is_c4_free
+from .graphcore import Graph, _bits, complement, is_c4_free
 
 
 class BookWitness(NamedTuple):
@@ -88,7 +88,7 @@ def complement_book_number(
     if not 1 <= k <= n:
         raise DomainError(f"k must be in [1, {n}], got {k}")
     full = (1 << n) - 1
-    comp = [full ^ row ^ (1 << v) for v, row in enumerate(g.rows)]
+    comp = complement(g).rows
 
     target = n + 1 if stop_at is None else stop_at  # no spine has n + 1 pages
     best_count = -1
@@ -153,17 +153,18 @@ def is_ramsey_witness(g: Graph, k: int, n: int) -> bool:
     return is_c4_free(g)[0] and _book_free(g, k, n)
 
 
-def _book_free(g: Graph, k: int, n: int, spines: int = -1, c4_free: bool = False) -> bool:
-    """True iff the complement of g has no B_n^(k) with spine in spines; no
-    spine fits when k > g.n."""
-    return k > g.n or complement_book_number(g, k, n, spines, c4_free)[0] < n
+def _book_free(g: Graph, k: int, n: int, spines: int = -1) -> bool:
+    """True iff the complement of the C4-free g has no B_n^(k) with spine in
+    spines; no spine fits when k > g.n.  Every caller holds a C4-free graph,
+    so no C4 test is run."""
+    return k > g.n or complement_book_number(g, k, n, spines, c4_free=True)[0] < n
 
 
 def _extension_book_free(g: Graph, k: int, n: int) -> bool:
-    """``_book_free`` for a C4-free g whose last vertex v extends a g - v with
-    no B_n^(k) in its complement: only spines in {v} | non-nbrs(v) are tried
-    (see ``complement_book_number``), and no C4 test is run."""
-    return _book_free(g, k, n, ~g.rows[-1], True)
+    """``_book_free`` for a g whose last vertex v extends a g - v with no
+    B_n^(k) in its complement: only spines in {v} | non-nbrs(v) are tried
+    (see ``complement_book_number``)."""
+    return _book_free(g, k, n, ~g.rows[-1])
 
 
 def certify_lower_bound(g: Graph, k: int, note: str = "") -> LowerBoundCertificate:
@@ -196,7 +197,7 @@ def certify_lower_bound(g: Graph, k: int, note: str = "") -> LowerBoundCertifica
         construction_note=note,
     )
     if g.n <= 80 and k <= g.n:
-        nmax, _ = complement_book_number(g, k)
+        nmax, _ = complement_book_number(g, k, c4_free=True)
         if n_star - 1 < nmax:
             raise InternalInconsistency(
                 f"certificate unsound: n*-1 = {n_star - 1} < book number {nmax}"

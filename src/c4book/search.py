@@ -51,9 +51,9 @@ their order and their keys are those of ``tests/oracles.children_reference``.
   page, no spine vertex is adjacent to it, as pages are common
   non-neighbors of the spine.  Either way the spine lies in
   {v} | non-nbrs(v).  The pruner searches only those spines
-  (``ramsey._extension_book_free``), and it runs no C4 test, as every child
-  is C4-free by construction.  The visitor, which decides the witness,
-  searches every spine.
+  (``ramsey._extension_book_free``); the visitor, which decides the
+  witness, searches every spine.  Neither runs a C4 test, as every child is
+  C4-free by construction.
 
 The annealing probe moves only between C4-free graphs, where two vertices
 share at most one neighbor.  So |N(x) | N(w)| = d(x) + d(w) - [x and w share
@@ -241,7 +241,6 @@ def random_delete_construction(
     from fractions import Fraction
 
     from .geometry import DEFAULT_GRAPH_Q_CAP, er_graph
-    from .gf import field_new
     from .ramsey import certify_lower_bound
 
     if k < 1:
@@ -277,7 +276,7 @@ def random_delete_construction(
     if survivors < 1:
         raise DomainError(f"target order n + mk - k(k-3)/2 - 1 = {survivors} is below 1")
     p = smallest_admissible_prime(n)
-    base = er_graph(field_new(p, 1))
+    base = er_graph(p)
     order = base.n
     d = order - survivors
     if d < 0:
@@ -453,7 +452,7 @@ def _pool_size(jobs: int, chunks: int) -> int:
     return min(jobs, os.cpu_count() or 1, chunks)
 
 
-def _enumerate(order, pruner, visitor, jobs, meta_k=None, meta_n=None):
+def _enumerate(order, pruner, visitor, jobs):
     """Walk the tree in chunks of its frontier; the serial walk is one chunk, the seed.
 
     Chunk results are read in frontier order, so the first witness returned
@@ -485,7 +484,7 @@ def _enumerate(order, pruner, visitor, jobs, meta_k=None, meta_n=None):
                 if pool is not None:
                     pool.shutdown(cancel_futures=True)
                 return found
-    return ExhaustionProof(order, examined, True, GENERATOR_VERSION, meta_k, meta_n)
+    return ExhaustionProof(order, examined, True, GENERATOR_VERSION)
 
 
 def enumerate_c4_free(order: int, visitor=None, jobs: int = 1):
@@ -518,7 +517,8 @@ def exhaust_ramsey(order: int, k: int, n: int, jobs: int = 1):
     # See the module docstring: the visitor checks every spine, the pruner
     # only the spines of books through the new vertex.
     pruner = partial(_extension_book_free, k=k, n=n)
-    return _enumerate(order, pruner, partial(_book_free, k=k, n=n), jobs, meta_k=k, meta_n=n)
+    result = _enumerate(order, pruner, partial(_book_free, k=k, n=n), jobs)
+    return result._replace(k=k, n=n) if isinstance(result, ExhaustionProof) else result
 
 
 # -- heuristic probe for specific witness families --

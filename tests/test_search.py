@@ -9,7 +9,7 @@ import pytest
 
 import c4book as cb
 from c4book import canon, ramsey, search
-from c4book.canon import canonical_form, canonical_key
+from c4book.canon import canonical_form
 from c4book.errors import (
     AsymptoticRegimeNotReached,
     BudgetExhausted,
@@ -234,7 +234,7 @@ def test_enumerated_graphs_are_c4_free_and_pairwise_nonisomorphic():
     keys = set()
     for g in collected:
         assert cb.is_c4_free(g)[0]
-        keys.add(canonical_key(g))
+        keys.add(canonical_form(g).key)
     assert len(keys) == 44
 
 
@@ -289,7 +289,7 @@ def test_exhaustion_labelling_count(monkeypatch):
     # pruning and the parent check's shortcuts leave 2 289; the degree test,
     # the pruner and the root partition's degree test before labelling leave
     # 219.  The book checks are pinned too, split into the pruner's (spines
-    # through the new vertex, no C4 test) and the visitor's (every spine):
+    # through the new vertex) and the visitor's (every spine):
     # the size bound must not change what they see.  Both search seams are
     # the layer modules' own names, which the lazy imports read at each call.
     labellings, pruned, visited, built = [], [], [], []
@@ -299,14 +299,14 @@ def test_exhaustion_labelling_count(monkeypatch):
         labellings.append(g.n)
         return labelled(g, cells)
 
-    def checking(g, k, n, spines=-1, c4_free=False):
+    def checking(g, k, n, spines=-1):
         if spines == -1:
             visited.append(g.n)
         else:
             # the pruner: spines in {v} | non-nbrs(v) of the new vertex v
-            assert spines == ~g.rows[-1] and c4_free, g6_encode(g)
+            assert spines == ~g.rows[-1], g6_encode(g)
             pruned.append(g.n)
-        return book_free(g, k, n, spines, c4_free)
+        return book_free(g, k, n, spines)
 
     def building(g, mask):
         # a mask below the parent's largest degree gives a child that is rejected
@@ -434,7 +434,7 @@ def test_pruner_only_cuts_rejectable_branches():
     with_p = search.exhaust_ramsey(8, 2, 3)
     without_p = _unpruned(8, 2, 3)
     assert isinstance(with_p, Graph) and isinstance(without_p, Graph)
-    assert canonical_key(with_p) == canonical_key(without_p)
+    assert canonical_form(with_p).key == canonical_form(without_p).key
 
 
 # -- the witness-family probe --
