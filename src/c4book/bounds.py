@@ -1,8 +1,9 @@
 """Closed-form bounds for r(C4, B_n^(k)): every formula the toolkit evaluates.
 
-All arithmetic is exact: big integers everywhere, Fractions for the rational
-inputs (eps) and the threshold Q(k, eps), and an exact algebraic comparator
-for floors of sqrt(n) - c*n^alpha so no bound is ever off by one.
+Every answer is exact: big integers everywhere, Fractions for the rational
+inputs (eps, alpha) and the threshold Q(k, eps), and one sign test for
+sqrt(n) - c*n^alpha - v whose rounded tiers decide only outside their error
+bounds, ahead of an exact integer bracket, so no floor is ever off by one.
 """
 
 from __future__ import annotations
@@ -53,20 +54,66 @@ def _cmp_sqrt_expr(n: int, c: int, alpha: Fraction, v: int) -> int:
     return (diff > 0) - (diff < 0)
 
 
-# The exact floor builds c^b * n^a and b-th powers for alpha = a/b, so its
-# cost grows with b: at this cap it takes 1 to 2 s at n = 16 256, the largest
-# n that random_delete_construction accepts.
+def _sign_sqrt_expr(n: int, c: int, alpha: Fraction, v: int) -> int:
+    """Sign of sqrt(n) - c*n^alpha - v, as _cmp_sqrt_expr(n, c, alpha, v) gives it.
+
+    Tried first in floating point when n, c and v fit in 512 bits (so no
+    float overflows), then, for alpha = a/b with b >= 400, in decimal
+    arithmetic with about twenty digits more than n; a difference inside
+    both tiers' error bounds pays for the exact bracket.  Each rounded step
+    is correctly rounded or nearly so: with u the tier's unit roundoff and
+    x = alpha ln n, sqrt(n), v and c*n^alpha carry relative errors below 2u,
+    u and (3x + 2)u, so a difference above (4x + 16)u (sqrt(n) + |v| +
+    c*n^alpha) has the computed sign.  Next to a change of sign the
+    difference is about 1/n of the sides, which the decimal tier resolves.
+    Below b = 400 the exact bracket's b-th powers cost less than the decimal
+    logarithms at any size of n.  A square n or v = 0 can make the
+    difference exactly 0, which no rounded tier decides, so those skip the
+    decimal tier; the bracket decides them with one integer comparison.
+    """
+    if max(n, c, abs(v)).bit_length() <= 512:
+        root = math.sqrt(n)
+        x = float(alpha) * math.log(n)
+        power = c * math.exp(x)
+        gap = root - v - power
+        if abs(gap) > (4 * x + 16) * 2.0**-50 * (root + abs(v) + power):
+            return 1 if gap > 0 else -1
+    if alpha.denominator >= 400 and v != 0 and isqrt(n) ** 2 != n:
+        with localcontext(Context(prec=n.bit_length() // 3 + 20)) as ctx:
+            root = Decimal(n).sqrt()
+            x = Decimal(alpha.numerator) / alpha.denominator * Decimal(n).ln()
+            power = c * x.exp()
+            gap = root - v - power
+            if abs(gap) > (4 * x + 16) * (root + abs(v) + power) / 10 ** (ctx.prec - 1):
+                return 1 if gap > 0 else -1
+    return _cmp_sqrt_expr(n, c, alpha, v)
+
+
+# For alpha = a/b the floor's first guess builds c^b * n^a and takes its b-th
+# root, and an undecided comparison builds b-th powers, so the cost grows with
+# b: at this cap the floor takes about 0.2 s at n = 16 002, the largest n that
+# random_delete_construction accepts, nearly all of it in the guess.
 ALPHA_DENOMINATOR_CAP = 10**5
+
+
+def _rational(x, name: str = "eps", hi: Fraction = Fraction(1)) -> Fraction:
+    """x as an exact Fraction strictly inside (0, hi), the one reader of eps and alpha.
+
+    Floats are taken at their shortest decimal representation, so 0.3 means
+    exactly 3/10 and 0.2625 exactly 21/80.
+    """
+    x = Fraction(str(x)) if isinstance(x, float) else Fraction(x)
+    if not 0 < x < hi:
+        raise DomainError(f"{name} must lie strictly in (0, {hi}), got {x}")
+    return x
 
 
 def _exponent(c: int, alpha) -> Fraction:
     """alpha as an exact Fraction, once c >= 0, 0 < alpha < 1/2 and a
     denominator of at most ALPHA_DENOMINATOR_CAP are checked."""
-    alpha = Fraction(alpha)
     if c < 0:
         raise DomainError(f"need c >= 0, got {c}")
-    if alpha <= 0 or alpha >= Fraction(1, 2):
-        raise DomainError(f"alpha must lie in (0, 1/2), got {alpha}")
+    alpha = _rational(alpha, "alpha", Fraction(1, 2))
     if alpha.denominator > ALPHA_DENOMINATOR_CAP:
         raise CapExceeded(f"alpha's denominator must be at most {ALPHA_DENOMINATOR_CAP}, got {alpha}")
     return alpha
@@ -76,46 +123,19 @@ def floor_sqrt_minus_power(n: int, c: int = 6, alpha: Fraction = Fraction(21, 80
     """floor(sqrt(n) - c * n^alpha), exact for every n >= 1.
 
     With alpha = a/b, isqrt(n) - floor((c^b * n^a)^(1/b)) lies within one of
-    sqrt(n) - c*n^alpha, so it is the floor or one above it; the exact
-    comparator then walks it to the true floor.  Only integers are involved,
-    so the answer takes a few comparisons at any size of n.
+    sqrt(n) - c*n^alpha, so it is the floor or one above it; _sign_sqrt_expr,
+    whose every answer is exact, then walks it to the true floor in a few
+    comparisons at any size of n.
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     alpha = _exponent(c, alpha)
     guess = isqrt(n) - iroot(c**alpha.denominator * n**alpha.numerator, alpha.denominator)
-    while _cmp_sqrt_expr(n, c, alpha, guess) < 0:
+    while _sign_sqrt_expr(n, c, alpha, guess) < 0:
         guess -= 1
-    while _cmp_sqrt_expr(n, c, alpha, guess + 1) >= 0:
+    while _sign_sqrt_expr(n, c, alpha, guess + 1) >= 0:
         guess += 1
     return guess
-
-
-def _sign_above_one(n: int, c: int, alpha: Fraction) -> int:
-    """Sign of sqrt(n) - c*n^alpha - 1, as _cmp_sqrt_expr(n, c, alpha, 1) gives it.
-
-    Decided in floating point when it can be, else in decimal arithmetic with
-    twenty digits more than n, else exactly.  Each rounded step is correctly
-    rounded or nearly so; with u the tier's unit roundoff and x = alpha ln n,
-    the two sides carry relative errors below 2u and (3x + 2)u, so a
-    difference above (4x + 16)u times their sum has the computed sign.  Near
-    the least n the difference is about 1/n of the sides, so the decimal
-    tier decides there and the exact comparison is rarely paid for.
-    """
-    root = math.sqrt(n)
-    x = float(alpha) * math.log(n)
-    power = c * math.exp(x)
-    gap = root - 1 - power
-    if abs(gap) > (4 * x + 16) * 2.0**-50 * (root + power):
-        return 1 if gap > 0 else -1
-    with localcontext(Context(prec=len(str(n)) + 20)) as ctx:
-        root = Decimal(n).sqrt()
-        x = Decimal(alpha.numerator) / alpha.denominator * Decimal(n).ln()
-        power = c * x.exp()
-        gap = root - 1 - power
-        if abs(gap) > (4 * x + 16) * (root + power) / 10 ** (ctx.prec - 1):
-            return 1 if gap > 0 else -1
-    return _cmp_sqrt_expr(n, c, alpha, 1)
 
 
 # The least n has about log2(c) / (1/2 - alpha) bits, unbounded as alpha nears
@@ -129,7 +149,7 @@ def min_n_default_regime(c: int = 6, alpha: Fraction = Fraction(21, 80)) -> int:
 
     sqrt(n) - c*n^alpha is increasing once n^(1/2-alpha) > 2*c*alpha, so a
     bisection above that point is exact.  Each step compares sqrt(n) -
-    c*n^alpha with 1 by _sign_above_one.  An n of over MIN_N_BITS_CAP bits is
+    c*n^alpha with 1 by _sign_sqrt_expr.  An n of over MIN_N_BITS_CAP bits is
     refused once the search for an upper end passes it, and at once when
     n^(1/2-alpha) > c, which the least n needs, puts it clearly past the cap.
     """
@@ -138,7 +158,7 @@ def min_n_default_regime(c: int = 6, alpha: Fraction = Fraction(21, 80)) -> int:
         raise CapExceeded(f"the least n for c={c}, alpha={alpha} has over {MIN_N_BITS_CAP} bits")
     lo = 2
     hi = 4
-    while _sign_above_one(hi, c, alpha) < 0:
+    while _sign_sqrt_expr(hi, c, alpha, 1) < 0:
         if hi.bit_length() > MIN_N_BITS_CAP:
             raise CapExceeded(
                 f"the least n for c={c}, alpha={alpha} has over {MIN_N_BITS_CAP} bits"
@@ -146,26 +166,11 @@ def min_n_default_regime(c: int = 6, alpha: Fraction = Fraction(21, 80)) -> int:
         lo, hi = hi, hi * 4
     while lo + 1 < hi:
         mid = (lo + hi) // 2
-        if _sign_above_one(mid, c, alpha) >= 0:
+        if _sign_sqrt_expr(mid, c, alpha, 1) >= 0:
             hi = mid
         else:
             lo = mid
     return hi
-
-
-def _as_eps(eps) -> Fraction:
-    """Normalize eps to an exact Fraction in (0, 1).
-
-    Floats are taken at their shortest decimal representation, so 0.3 means
-    exactly 3/10.
-    """
-    if isinstance(eps, float):
-        eps = Fraction(str(eps))
-    else:
-        eps = Fraction(eps)
-    if not 0 < eps < 1:
-        raise DomainError(f"eps must lie strictly in (0, 1), got {eps}")
-    return eps
 
 
 # -- star case (k = 1) --
@@ -254,7 +259,7 @@ _THRESHOLD_LIMIT = 10**THRESHOLD_DIGITS_CAP
 
 
 def q_threshold(k: int, eps) -> Fraction:
-    eps = _as_eps(eps)
+    eps = _rational(eps)
     return Fraction(320 * k**4) ** (k + 1) / eps ** (2 * k)
 
 
@@ -309,7 +314,7 @@ def bounds_params(k: int, q: int, t: int, eps) -> BoundsParams:
         raise DomainError(f"bounds_params needs k >= 3, got {k}")
     if q < 2:
         raise DomainError(f"bounds_params needs q >= 2, got {q}")
-    eps = _as_eps(eps)
+    eps = _rational(eps)
     threshold = _reported_threshold(k, eps)
     a_k = book_order_offset(k)
     b_k = ladder_offset(k)
@@ -351,7 +356,7 @@ def theorem15_admissible(k: int, q: int, t: int, eps) -> Admissibility:
     """
     if k < 3:
         raise DomainError(f"k must be >= 3, got {k}")
-    eps = _as_eps(eps)
+    eps = _rational(eps)
     prime_power_decompose(q)  # raises NotPrimePower
     cls, lo, excl = _parity_window(q)
     hi = (1 - eps) * q
@@ -401,7 +406,7 @@ def theorem15_table(qmin: int, qmax: int, k: int, eps) -> list[dict]:
     """
     if k < 3:
         raise DomainError(f"k must be >= 3, got {k}")
-    eps = _as_eps(eps)
+    eps = _rational(eps)
     if qmax > TABLE_Q_CAP:
         raise CapExceeded(f"the table stops at q = {TABLE_Q_CAP}, got QMAX = {qmax}")
     a, b = eps.numerator, eps.denominator
@@ -466,6 +471,12 @@ KNOWN_EXACT = {
 
 def _family(n: int, k: int) -> list[tuple[int, int]]:
     """Every (q, t) with n = q^2 - kq + t + C(k,2) - k, q >= 2 and 0 <= t <= q, by q."""
+    # over real q, q^2 - kq + C(k,2) - k is least at q = k/2, where it is
+    # k(k - 6)/4, and t >= 0; so no member exists when 4n < k(k - 6).  That
+    # skips a scan of about 2k values of q at n = 1, where bound_report never
+    # calls g_sequence, whose cap on k would refuse a huge k.
+    if 4 * n < k * (k - 6):
+        return []
     a_k = book_order_offset(k)
     s = isqrt(max(n, 1))
     return [

@@ -235,12 +235,13 @@ def random_delete_construction(
     DEFAULT_GRAPH_Q_CAP admits it.  On success the surviving graph has
     order n + mk - k(k-3)/2 - 1 and its certificate guarantees a book-free
     complement at n* <= n pages, hence r(C4, B_n^(k)) >= order + 1.  An n
-    that no plane of order at most DEFAULT_GRAPH_Q_CAP admits is refused
-    before m or p is computed.
+    that no plane of prime order at most DEFAULT_GRAPH_Q_CAP admits (any n
+    above 16 002) is refused before m or p is computed.
     """
     from fractions import Fraction
 
     from .geometry import DEFAULT_GRAPH_Q_CAP, er_graph
+    from .gf import is_prime
     from .ramsey import certify_lower_bound
 
     if k < 1:
@@ -249,7 +250,8 @@ def random_delete_construction(
         raise DomainError(f"n must be >= 1, got {n}")
     if max_attempts < 1:
         raise DomainError(f"max_attempts must be >= 1, got {max_attempts}")
-    n_max = (2 * DEFAULT_GRAPH_Q_CAP - 1) ** 2 // 4  # largest n with (2q - 1)^2 >= 4n at the cap
+    # the largest n with (2p - 1)^2 >= 4n at the largest prime p <= the cap
+    n_max = (2 * max(filter(is_prime, range(DEFAULT_GRAPH_Q_CAP + 1))) - 1) ** 2 // 4
     if n > n_max:
         raise CapExceeded(f"n={n} needs a plane of order above {DEFAULT_GRAPH_Q_CAP}")
     alpha = Fraction(alpha)

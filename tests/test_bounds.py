@@ -167,6 +167,19 @@ def test_sqrt_comparator_ties():
     assert bounds._cmp_sqrt_expr(64, 2, Fraction(1, 6), 5) == -1
 
 
+def test_sqrt_comparator_below_v_squared():
+    # n < v^2 puts sqrt(n) - v below 0 <= c*n^alpha before any power is built
+    assert bounds._cmp_sqrt_expr(3, 1, Fraction(1, 4), 2) == -1
+
+
+def test_floats_read_at_their_shortest_decimal():
+    # 0.2625 is 21/80, not the binary fraction with denominator 2^54
+    assert bounds.floor_sqrt_minus_power(10**6, 6, 0.2625) == 774
+    assert bounds.floor_sqrt_minus_power(10**6, 6, Fraction(21, 80)) == 774
+    assert bounds.min_n_default_regime(6, 0.2625) == bounds.min_n_default_regime(6, Fraction(21, 80))
+    assert bounds.q_threshold(3, 0.3) == bounds.q_threshold(3, Fraction(3, 10))
+
+
 def test_iroot_exact_at_large_degree():
     for b in (2, 3, 80, 4001, 40001):
         for root in (2, 6, 10**6 + 1):
@@ -225,17 +238,21 @@ def test_min_n_default_regime_large_denominator_is_fast():
 
 def test_sign_above_one_matches_exact_comparison():
     # the rounded tiers decide only where they agree with the exact sign:
-    # far from the least n (floating point) and next to it (decimal)
+    # far from the least n (floating point) and next to it (decimal, which
+    # runs at denominators of 400 and more), at v = 1 and on both sides of
+    # the floor
     rng = random.Random(7)
-    for _ in range(40):
-        b = rng.randint(3, 40)
+    for i in range(50):
+        b = rng.randint(3, 40) if i < 40 else rng.randint(400, 800)
         alpha = Fraction(rng.randint(1, (b - 1) // 2), b)
         c = rng.randint(0, 12)
         h = bounds.min_n_default_regime(c, alpha)
         near = range(max(2, h - 3), h + 4)
         far = [rng.randint(2, 2 * h) for _ in range(5)]
         for n in [*near, *far]:
-            assert bounds._sign_above_one(n, c, alpha) == bounds._cmp_sqrt_expr(n, c, alpha, 1), (n, c, alpha)
+            v = bounds.floor_sqrt_minus_power(n, c, alpha)
+            for w in (1, v, v + 1):
+                assert bounds._sign_sqrt_expr(n, c, alpha, w) == bounds._cmp_sqrt_expr(n, c, alpha, w), (n, c, alpha, w)
 
 
 # -- parameter pack --
@@ -318,6 +335,12 @@ def test_theorem15_examples():
     assert cb.theorem15_admissible(3, 9, 4, Fraction(1, 10)).admissible
     with pytest.raises(NotPrimePower):
         cb.theorem15_admissible(3, 6, 0, Fraction(1, 2))
+
+
+def test_theorem15_reasons_outside_the_window():
+    # q = 7 is 3 mod 4, so its window starts at t = (q + 1)/2 = 4
+    assert cb.theorem15_admissible(3, 7, 3, Fraction(1, 10)).reason == "t=3 < 4"
+    assert cb.theorem15_admissible(3, 8, 6, 0.3).reason == "t=6 > (1-eps)q = 28/5"
 
 
 def test_theorem15_refuses_book_order_below_one():
@@ -486,6 +509,16 @@ def test_report_trivial_lower():
     rep = cb.bound_report(1, 3)
     assert rep.lower == 4
     assert rep.upper is None
+
+
+def test_report_at_one_page_and_huge_k_skips_the_family_scan():
+    # n = 1 never calls g_sequence, so its cap on k does not apply; the
+    # family needs 4n >= k(k - 6), and scanning about 2k values of q took
+    # 1.6 s at k = 10^7
+    start = time.perf_counter()
+    rep = cb.bound_report(1, 10**7)
+    assert time.perf_counter() - start < 0.3
+    assert (rep.lower, rep.upper, rep.exact) == (10**7 + 1, None, None)
 
 
 def test_report_at_huge_k_compares_threshold_from_logs():

@@ -284,6 +284,32 @@ def test_construct_er_subgraph(capsys, tmp_path):
     assert g.n == 18 and min(g.degrees()) >= 4
 
 
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["er-subgraph", "--q", "3", "--order", "10", "--min-deg", "3", "--budget", "1"],
+         "deletion search exceeded 1 nodes"),
+        (["er-subgraph", "--q", "2", "--order", "6", "--min-deg", "3"], "search space exhausted"),
+    ],
+    ids=["budget", "exhausted"],
+)
+def test_construct_er_subgraph_not_found_exit_1(capsys, argv, reason):
+    code, doc = run_json(capsys, "construct", *argv)
+    assert code == 1
+    assert doc["artifact"]["found"] is False
+    assert reason in doc["artifact"]["reason"]
+
+
+def test_construct_random_delete_attempts_exhausted_exit_1(capsys):
+    code, doc = run_json(
+        capsys, "construct", "random-delete", "--n", "100", "--k", "2", "--m", "9", "--max-attempts", "2"
+    )
+    assert code == 1
+    art = doc["artifact"]
+    assert art["found"] is False and art["reason"] == "AttemptsExhausted"
+    assert "in 2 attempts" in art["detail"]
+
+
 def test_construct_random_delete(capsys):
     code, doc = run_json(
         capsys, "construct", "random-delete", "--n", "100", "--k", "2",
@@ -319,7 +345,7 @@ def test_construct_random_delete_regime_beyond_plane_cap(capsys):
     assert code == 1
     assert doc["artifact"]["reason"] == "AsymptoticRegimeNotReached"
     assert "min_n_for_defaults" not in doc["artifact"]
-    assert "defaults need n above 16256" in doc["artifact"]["detail"]
+    assert "defaults need n above 16002" in doc["artifact"]["detail"]
 
 
 def test_search_exact_witness_and_exhaustion(capsys):
@@ -489,11 +515,17 @@ def test_readme_commands_match_parser():
         (["bounds", "--n", "2", "--k", "100000000"], "k must be at most 1048576"),
         (["construct", "random-delete", "--n", "100", "--k", "2", "--alpha", "1/10000000"],
          "denominator must be at most 100000"),
-        # n above 16 002 needs the prime 131, over the plane cap of 128
+        # n above 16 002 needs the prime 131, over the plane cap of 128: refused
+        # before the default floor or the prime is computed
         (["construct", "random-delete", "--n", "16100", "--k", "2", "--m", "5"],
-         "q=131 polarity graph would have"),
+         "n=16100 needs a plane of order above 128"),
+        (["construct", "random-delete", "--n", "16003", "--k", "2"],
+         "n=16003 needs a plane of order above 128"),
+        (["construct", "random-delete", "--n", "16256", "--k", "2", "--alpha", "26251/100000"],
+         "n=16256 needs a plane of order above 128"),
     ],
-    ids=["bounds-k", "random-delete-alpha-denominator", "random-delete-prime-over-cap"],
+    ids=["bounds-k", "random-delete-alpha-denominator", "random-delete-prime-over-cap",
+         "random-delete-default-floor-over-cap", "random-delete-slow-floor-over-cap"],
 )
 def test_size_caps_refused_at_once_exit_2(capsys, argv, message):
     start = time.monotonic()

@@ -295,5 +295,12 @@ def test_g6_malformed():
     assert err.value.offset == 1
 
 
+def test_g6_malformed_truncated_long_order_field():
+    # "~~" announces an order in the next six bytes; two are given
+    with pytest.raises(MalformedGraph6, match="truncated 6-byte order field") as err:
+        cb.g6_decode(b"~~??")
+    assert err.value.offset == 4
+
+
 def test_g6_decode_str_input():
     assert cb.g6_decode("Bw") == complete_graph(3)
