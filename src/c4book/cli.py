@@ -429,10 +429,10 @@ def _cmd_random_delete(args, run) -> tuple[int, dict, list[str]]:
 
 def _cmd_search_exact(args, run) -> tuple[int, dict, list[str]]:
     from . import search
-    # search imports these only when it enumerates.  Compiled here, right
-    # after search, they reuse the memory its compile freed; compiled in the
-    # enumeration, they raised the op's peak RSS by 0.125 MiB.
-    from . import canon, ramsey  # noqa: F401
+    # canon and ramsey are compiled inside the enumeration.  Imported here
+    # instead, they no longer lower the op's peak RSS, now that search
+    # compiles no other route: medians of 24 alternating runs at N = 11 and
+    # 10 were 15 722 and 15 732 KiB imported here, 15 704 and 15 728 KiB not.
     from .graphcore import Graph
 
     result = search.exhaust_ramsey(args.order, args.k, args.n, jobs=args.jobs)

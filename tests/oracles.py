@@ -13,7 +13,7 @@ refinement rescans every cell for every splitter.  Four exceptions:
 ``children_reference`` labels with ``canon.canonical_form`` so that it
 checks the augmentation rule alone, ``probe_reference`` is the
 annealing probe with a loop per move in place of maintained masks, reusing
-``search._energy`` and the polarity-graph build so that it checks the
+``_anneal._energy`` and the polarity-graph build so that it checks the
 masks alone, and ``absolute_points_reference`` takes the field's modulus
 and the vertex order of the points from ``gf`` and ``geometry`` so that it
 checks which points are absolute alone.
@@ -153,7 +153,7 @@ def pair_loop_c4_extension_masks(g: Graph) -> list:
     """Independent sets of the 'shares a common neighbor' graph, in search order.
 
     The conflict graph is built one pair at a time; the independent sets are
-    listed by the same recursion as ``search._c4_extension_masks``.
+    listed by the same recursion as ``_orderly._c4_extension_masks``.
     """
     n = g.n
     conflict = [0] * n
@@ -180,7 +180,7 @@ def pair_loop_c4_extension_masks(g: Graph) -> list:
 def all_extension_masks(g: Graph, least: int) -> list:
     """Every vertex set of at least `least` vertices, in increasing mask order.
 
-    With it in place of ``search._c4_extension_masks`` the engine lists the
+    With it in place of ``_orderly._c4_extension_masks`` the engine lists the
     extensions of ``children_reference(c4=False)`` that can be accepted, in
     their order, and so enumerates all graphs up to isomorphism.
     """
@@ -193,7 +193,7 @@ def children_reference(parent: Graph, parent_key: bytes, c4: bool):
     Every extension mask is labelled; a child whose key was seen is dropped,
     and a child whose canonically last vertex w* is not the new vertex is
     kept only if deleting w* labels back to the parent.
-    ``search._children`` must yield the same children in the same order.
+    ``_orderly._children`` must yield the same children in the same order.
     """
     masks = pair_loop_c4_extension_masks(parent) if c4 else range(1 << parent.n)
     seen = set()
@@ -662,7 +662,7 @@ def _toggle_delta(rows, full, limit, u, v):
 
 
 def probe_reference(q: int, budget: int = 10**6, seed: int = 0):
-    """``search.probe_script_Gq`` as it was before the maintained masks.
+    """``_anneal.probe_script_Gq`` as it was before the maintained masks.
 
     Each move tests C4-freeness with ``_can_add_edge``, a loop over N(u), and
     scores the toggle with ``_toggle_delta``, a loop over the vertices.  It
@@ -672,10 +672,10 @@ def probe_reference(q: int, budget: int = 10**6, seed: int = 0):
     import math
 
     from c4book.errors import InternalInconsistency
+    from c4book._anneal import _energy
     from c4book.geometry import er_graph
     from c4book.gf import is_prime_power
     from c4book.ramsey import is_ramsey_witness
-    from c4book.search import _energy
 
     n = q * q + q + 3
     pages = q * q - q + 1

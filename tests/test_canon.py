@@ -64,7 +64,7 @@ def test_canonical_graph_is_isomorphic_relabeling():
 
 def test_last_canonical_vertex_has_largest_degree():
     # refinement splits by degree first and keeps cells in order; orderly
-    # generation in search._children rejects children unlabelled on this
+    # generation in _orderly._children rejects children unlabelled on this
     rng = random.Random(14)
     for _ in range(300):
         g = random_graph(rng, rng.randint(1, 12), rng.random())

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import c4book as cb
-from c4book import geometry, gf, ramsey, search
+from c4book import _constructions, geometry, gf, ramsey
 from c4book.cli import _build_parser, main
 from c4book.graphcore import Graph, g6_encode
 
@@ -473,7 +473,7 @@ def test_q_over_cap_refused_before_factoring(capsys, monkeypatch, argv):
 @pytest.mark.parametrize("n", [16257, 10**40, 10**400], ids=["16257", "1e40", "1e400"])
 def test_random_delete_n_over_plane_cap_refused_before_prime_search(capsys, monkeypatch, n):
     # n needs a plane of order above 128, so no prime is sought
-    monkeypatch.setattr(search, "smallest_admissible_prime", lambda n: pytest.fail("prime search started"))
+    monkeypatch.setattr(_constructions, "smallest_admissible_prime", lambda n: pytest.fail("prime search started"))
     assert main(["construct", "random-delete", "--n", str(n), "--k", "2", "--m", "5"]) == 2
     assert main(["construct", "random-delete", "--n", str(n), "--k", "2"]) == 2
     assert "needs a plane of order above 128" in capsys.readouterr().err

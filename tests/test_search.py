@@ -1,5 +1,6 @@
 """Construction searches and the isomorph-free enumeration engine."""
 
+import inspect
 import random
 from fractions import Fraction
 from functools import partial
@@ -8,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 import c4book as cb
-from c4book import canon, ramsey, search
+from c4book import _anneal, _constructions, _orderly, canon, ramsey, search
 from c4book.canon import canonical_form
 from c4book.errors import (
     AsymptoticRegimeNotReached,
@@ -191,10 +192,10 @@ def test_random_delete_default_regime_boundary():
 
 
 def test_smallest_admissible_prime():
-    assert search.smallest_admissible_prime(100) == 11  # sqrt(100)+0.5 = 10.5
-    assert search.smallest_admissible_prime(90) == 11   # sqrt(90)+0.5 ~ 9.99 -> 10 not prime
-    assert search.smallest_admissible_prime(2) == 2
-    assert search.smallest_admissible_prime(9) == 5     # 3.5 -> 5
+    assert _constructions.smallest_admissible_prime(100) == 11  # sqrt(100)+0.5 = 10.5
+    assert _constructions.smallest_admissible_prime(90) == 11   # sqrt(90)+0.5 ~ 9.99 -> 10 not prime
+    assert _constructions.smallest_admissible_prime(2) == 2
+    assert _constructions.smallest_admissible_prime(9) == 5     # 3.5 -> 5
 
 
 # -- enumeration --
@@ -239,12 +240,12 @@ def test_enumerated_graphs_are_c4_free_and_pairwise_nonisomorphic():
 
 
 def _checked_children(parent, form, c4):
-    """search._children of one parent, checked against the reference.
+    """_orderly._children of one parent, checked against the reference.
 
     With c4=False the caller has swapped in the all-graphs mask lister (the
     enumerate_graphs fixture).
     """
-    children = list(search._children(parent, form))
+    children = list(_orderly._children(parent, form))
     got = [(g6_encode(child), child_form.key) for child, child_form in children]
     want = [(g6_encode(child), key) for child, key in children_reference(parent, form.key, c4)]
     assert got == want, g6_encode(parent)
@@ -272,7 +273,7 @@ def test_children_match_reference_past_order_8():
     # with a fixed seed: the size bound on the extension masks cuts most here.
     rng = random.Random(8)
     seed = Graph.empty(1)
-    nines = rng.sample(list(search._kept(seed, canonical_form(seed), 9, 9, None)), 15)
+    nines = rng.sample(list(_orderly._kept(seed, canonical_form(seed), 9, 9, None)), 15)
     tens = [child for parent, form in nines for child in _checked_children(parent, form, True)]
     for parent, form in rng.sample(tens, 15):
         _checked_children(parent, form, True)
@@ -383,7 +384,7 @@ def test_one_usable_worker_starts_no_process(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a one-worker search started a process pool")
 
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(_orderly.os, "cpu_count", lambda: 1)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert search.exhaust_ramsey(8, 2, 3, jobs=2) == want
 
@@ -396,13 +397,13 @@ def test_pool_path_counts(enumerate_graphs, monkeypatch):
 
 
 def test_pool_size_clamp(monkeypatch):
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
-    assert search._pool_size(1, 50) == 1
-    assert search._pool_size(3, 50) == 3
-    assert search._pool_size(100_000, 50) == 4
-    assert search._pool_size(100_000, 2) == 2
-    monkeypatch.setattr(search.os, "cpu_count", lambda: None)
-    assert search._pool_size(8, 50) == 1
+    monkeypatch.setattr(_orderly.os, "cpu_count", lambda: 4)
+    assert _orderly._pool_size(1, 50) == 1
+    assert _orderly._pool_size(3, 50) == 3
+    assert _orderly._pool_size(100_000, 50) == 4
+    assert _orderly._pool_size(100_000, 2) == 2
+    monkeypatch.setattr(_orderly.os, "cpu_count", lambda: None)
+    assert _orderly._pool_size(8, 50) == 1
 
 
 @pytest.mark.parametrize("k, n", [(0, 3), (-2, 3), (2, 0), (2, -4)])
@@ -462,8 +463,8 @@ def test_probe_trajectory_across_restarts(monkeypatch):
     # seed 3 finds its witness from its third start: a random start, then a
     # restart from a thinned polarity graph, then a random restart
     starts = []
-    energy = search._energy
-    monkeypatch.setattr(search, "_energy", lambda *a: starts.append(a) or energy(*a))
+    energy = _anneal._energy
+    monkeypatch.setattr(_anneal, "_energy", lambda *a: starts.append(a) or energy(*a))
     found = cb.probe_script_Gq(3, budget=400_000, seed=3)
     assert len(starts) == 3
     assert g6_encode(found) == b"NcR_CcAHgPADQ_K@dH?"
@@ -496,7 +497,7 @@ def _replay_toggles(rows, pages, toggles):
     """Energy changes the reference delta gives for the toggles, each checked by full recounts."""
     n = len(rows)
     full, limit = (1 << n) - 1, n - 2 - pages
-    energy = search._energy(rows, full, limit)
+    energy = _anneal._energy(rows, full, limit)
     assert energy == violating_pairs(rows, n, pages), (rows, pages)
     deltas = []
     for u, v in toggles:
@@ -506,7 +507,7 @@ def _replay_toggles(rows, pages, toggles):
         energy += delta
         deltas.append(delta)
         assert energy == violating_pairs(rows, n, pages), (rows, u, v, pages)
-        assert energy == search._energy(rows, full, limit), (rows, u, v, pages)
+        assert energy == _anneal._energy(rows, full, limit), (rows, u, v, pages)
     return deltas
 
 
@@ -553,10 +554,10 @@ def test_probe_matches_reference(q, monkeypatch):
             made.append(self)
 
     recording = SimpleNamespace(Random=Recording)
-    monkeypatch.setattr(search, "random", recording)
+    monkeypatch.setattr(_anneal, "random", recording)
     monkeypatch.setattr(oracles, "random", recording)
-    energy = search._energy
-    monkeypatch.setattr(search, "_energy", lambda *a: starts.append(a) or energy(*a))
+    energy = _anneal._energy
+    monkeypatch.setattr(_anneal, "_energy", lambda *a: starts.append(a) or energy(*a))
     for seed in (0, 1, 3):
         starts.clear()
         found = cb.probe_script_Gq(q, budget=160_000, seed=seed)
@@ -581,9 +582,9 @@ def test_join_and_cut_keep_two_step_masks():
         for _ in range(40):
             u, v = rng.sample(range(n), 2)
             if rows[u] >> v & 1:
-                search._cut(rows, two, u, v)
+                _anneal._cut(rows, two, u, v)
             elif not two[u] & rows[v]:
-                search._join(rows, two, u, v)
+                _anneal._join(rows, two, u, v)
             assert two == [_two_step(rows, x)[0] for x in range(n)], (rows, u, v)
         assert cb.is_c4_free(Graph(n, rows))[0]
 
@@ -605,7 +606,7 @@ def test_probe_q_below_two_rejected(q):
         cb.probe_script_Gq(q, budget=10)
 
 
-@pytest.mark.parametrize("q", [search.GQ_Q_CAP + 1, 127, 10**9])
+@pytest.mark.parametrize("q", [_anneal.GQ_Q_CAP + 1, 127, 10**9])
 def test_probe_q_above_cap_rejected_before_building(q):
     # 10**9 would need about 10**36 vertex pairs, so this only returns if the
     # cap is checked before the pair list is built
@@ -614,7 +615,7 @@ def test_probe_q_above_cap_rejected_before_building(q):
 
 
 def test_probe_q_cap_boundary(monkeypatch):
-    monkeypatch.setattr(search, "GQ_Q_CAP", 3)
+    monkeypatch.setattr(_anneal, "GQ_Q_CAP", 3)
     cb.probe_script_Gq(3, budget=1)  # at the cap: runs
     with pytest.raises(CapExceeded):
         cb.probe_script_Gq(4, budget=1)
@@ -626,3 +627,34 @@ def test_probe_deterministic():
     assert (a is None) == (b is None)
     if a is not None:
         assert a == b
+
+
+# -- the search facade --
+
+DELEGATES = {
+    "exhaust_ramsey": _orderly,
+    "greedy_min_degree_subgraph": _constructions,
+    "random_delete_construction": _constructions,
+    "probe_script_Gq": _anneal,
+}
+
+
+@pytest.mark.parametrize("name, route", DELEGATES.items(), ids=list(DELEGATES))
+def test_search_delegate_matches_its_route(name, route):
+    # defined in search, so the benchmark's tracer keeps its search.* spans
+    delegate = getattr(search, name)
+    assert delegate.__module__ == "c4book.search"
+    assert inspect.signature(delegate) == inspect.signature(getattr(route, name))
+
+
+def test_search_serves_only_public_names():
+    # a patch of a route's helper, constant or prime search must go to the
+    # route module; on search it fails loudly instead of reaching nothing
+    assert search.ExhaustionProof is _orderly.ExhaustionProof
+    assert search.DeletionRun is _constructions.DeletionRun
+    assert search.enumerate_c4_free is _orderly.enumerate_c4_free
+    assert search.count_c4_free_classes is _orderly.count_c4_free_classes
+    stale = ("_c4_extension_masks", "_energy", "GQ_Q_CAP", "ENUMERATION_ORDER_CAP", "smallest_admissible_prime")
+    for name in stale:
+        with pytest.raises(AttributeError, match=name):
+            getattr(search, name)

@@ -70,7 +70,10 @@ def test_package_does_not_import_dataclasses():
     assert not found, "dataclasses imported at " + ", ".join(found)
 
 
-LAYERS = ("bounds", "canon", "geometry", "gf", "graphcore", "ramsey", "search")
+# the underscored modules are search's routes, each loaded only by its ops
+LAYERS = (
+    "_anneal", "_constructions", "_orderly", "bounds", "canon", "geometry", "gf", "graphcore", "ramsey", "search"
+)
 POOL = ("multiprocessing", "concurrent.futures")
 # dataclasses loads inspect, fractions loads decimal, hashlib loads OpenSSL
 HEAVY = ("dataclasses", "fractions", "decimal", "hashlib")
@@ -130,16 +133,27 @@ def test_checking_a_graph_loads_no_construction(c6_file, argv, layers):
 
 def test_er_loads_no_search_or_certificates():
     added = _modules_loaded("er", "5")
-    assert {"c4book.geometry", "c4book.gf"} <= added
-    assert not _loaded(added, ["c4book.search", "c4book.ramsey", "c4book.canon", "c4book.bounds"])
+    assert _loaded(added, [f"c4book.{name}" for name in LAYERS]) == [
+        "c4book.geometry",
+        "c4book.gf",
+        "c4book.graphcore",
+    ]
 
 
 def test_random_delete_with_given_floor_loads_no_bounds():
     # only the default floor m = floor(sqrt(n) - c n^alpha) needs bounds;
     # the plane limit is decided from gf, which geometry loads anyway
     added = _modules_loaded("construct", "random-delete", "--n", "100", "--k", "2", "--m", "7")
-    assert {"c4book.geometry", "c4book.gf", "c4book.search"} <= added
-    assert "c4book.bounds" not in added
+    # canon for the certificate's graph_hash, ramsey for the certificate
+    assert _loaded(added, [f"c4book.{name}" for name in LAYERS]) == [
+        "c4book._constructions",
+        "c4book.canon",
+        "c4book.geometry",
+        "c4book.gf",
+        "c4book.graphcore",
+        "c4book.ramsey",
+        "c4book.search",
+    ]
 
 
 def test_bound_report_loads_only_bounds_and_gf():
@@ -151,6 +165,7 @@ def test_bound_report_loads_only_bounds_and_gf():
 def test_serial_exact_search_loads_no_construction_or_pool():
     added = _modules_loaded("--jobs", "1", "search", "exact", "--k", "2", "--n", "3", "--N", "6")
     assert _loaded(added, [f"c4book.{name}" for name in LAYERS]) == [
+        "c4book._orderly",
         "c4book.canon",
         "c4book.graphcore",
         "c4book.ramsey",
@@ -165,6 +180,7 @@ def test_annealing_search_loads_no_heavy_stdlib():
     # neither canon nor ramsey is loaded
     added = _modules_loaded("search", "gq", "--q", "2", "--budget", "100")
     assert _loaded(added, [f"c4book.{name}" for name in LAYERS]) == [
+        "c4book._anneal",
         "c4book.geometry",
         "c4book.gf",
         "c4book.graphcore",
@@ -180,10 +196,14 @@ def test_annealing_search_loads_no_heavy_stdlib():
 # peak_rss_mib may rise by 0.1 of the parent's median (perfbench/README.md),
 # so one step, about 1.6% of the search workload's 15.75 MiB peak, is a cost
 # that adds up across modules and commits rather than a bound crossed alone.
-# Each module below is listed at the next step above its size; cli.py is
+# Each module past 1 024 tokens is listed below at the next step above its
+# size, and search.py, the route modules' facade, at its own; cli.py is
 # compiled by every op.
 COMPILE_STEPS = {
-    "search.py": 4096,
+    "search.py": 512,
+    "_anneal.py": 2048,
+    "_constructions.py": 2048,
+    "_orderly.py": 2048,
     "canon.py": 2048,
     "gf.py": 2048,
     "cli.py": 4096,
@@ -207,6 +227,14 @@ def test_module_below_compile_memory_step(name, step):
         f"{name} has {count} parser tokens, at or past the {step}-token step where its "
         f"compile peak RSS rises about 0.25 MiB on every op that loads it; split the "
         f"module by route (ROADMAP item 6) instead of growing it"
+    )
+
+
+def test_every_large_module_has_a_compile_step():
+    large = {path.name: count for path in _sources() if (count := _parser_tokens(path)) > 1024}
+    unlisted = sorted(set(large) - set(COMPILE_STEPS))
+    assert not unlisted, "modules past 1 024 tokens without a step in COMPILE_STEPS: " + ", ".join(
+        f"{name} ({large[name]})" for name in unlisted
     )
 
 

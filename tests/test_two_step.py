@@ -10,7 +10,7 @@ import random
 
 import c4book as cb
 from c4book.graphcore import Graph
-from c4book.search import _c4_extension_masks
+from c4book._orderly import _c4_extension_masks
 
 from oracles import (
     complete_graph,
