@@ -18,6 +18,12 @@ their order and their keys are those of ``tests/oracles.children_reference``.
   automorphisms that the parent's labelling found gives an isomorphic
   child, so it is skipped unlabelled.  Any subgroup of the automorphism
   group is sound for this.
+* Inherited automorphisms: a parent automorphism g with g(mask) = mask,
+  extended to fix the new vertex, is an automorphism of the child.  The
+  parent's generators that fix the mask seed the child's labelling
+  (``canon.canonical_form``'s ``known``), whose orbit pruning then skips
+  subtrees before it finds an automorphism of its own.  The key and the
+  order stay; only the child's generators grow.
 * Whether a child is accepted depends only on its isomorphism class, so a
   child whose class is surely rejected is skipped before it is labelled.
   Refinement splits by degree first and keeps cells in order, so w* has the
@@ -67,7 +73,8 @@ if TYPE_CHECKING:
 # canon and ramsey are imported where the enumeration uses them
 
 GENERATOR_VERSION = "orderly-v1"
-ENUMERATION_ORDER_CAP = 13
+ENUMERATION_ORDER_CAP = 13  # enumerate_c4_free lists every class
+EXHAUSTION_ORDER_CAP = 20  # exhaust_ramsey's book pruner cuts most of the tree
 
 
 class ExhaustionProof(NamedTuple):
@@ -138,7 +145,7 @@ def _children(parent: Graph, parent_form: CanonicalForm, pruner=None):
     Children the pruner rejects are left out.  The shortcuts that spare
     labellings are described in the module docstring.
     """
-    from .canon import _refine, canonical_form
+    from .canon import _root, canonical_form
 
     parent_degrees = sorted(parent.degrees())
     gens = parent_form.generators
@@ -155,11 +162,16 @@ def _children(parent: Graph, parent_form: CanonicalForm, pruner=None):
             continue
         if pruner is not None and not pruner(child):
             continue
-        cells = _refine(child.rows, [list(range(new_index + 1))])
-        last = cells[-1]  # holds w*, and the new vertex last if at all
-        if last[-1] != new_index and _degrees_without(child, last[0], degrees) != parent_degrees:
+        root = _root(child.rows)
+        # the last cell holds w*, and the new vertex, the highest, if at all
+        last = next(m for m in reversed(root[0]) if m)
+        first = (last & -last).bit_length() - 1
+        if not last >> new_index and _degrees_without(child, first, degrees) != parent_degrees:
             continue
-        form = canonical_form(child, cells)
+        # a parent generator fixing the mask, with the new vertex fixed, is an
+        # automorphism of the child
+        known = [g + (new_index,) for g in gens if all(mask >> g[v] & 1 for v in _bits(mask))]
+        form = canonical_form(child, known, root)
         if form.key in seen:
             continue
         seen.add(form.key)
@@ -199,17 +211,18 @@ def _pool_size(jobs: int, chunks: int) -> int:
     return min(jobs, os.cpu_count() or 1, chunks)
 
 
-def _enumerate(order, pruner, visitor, jobs):
+def _enumerate(order, pruner, visitor, jobs, cap):
     """Walk the tree in chunks of its frontier; the serial walk is one chunk, the seed.
 
     Chunk results are read in frontier order, so the first witness returned
     is the first in DFS order whatever the worker count.  With one usable
-    worker the chunks run in this process.
+    worker the chunks run in this process.  An order outside [1, cap] is
+    refused.
     """
     from .canon import canonical_form
 
-    if not 1 <= order <= ENUMERATION_ORDER_CAP:
-        raise CapExceeded(f"order must be in [1, {ENUMERATION_ORDER_CAP}], got {order}")
+    if not 1 <= order <= cap:
+        raise CapExceeded(f"order must be in [1, {cap}], got {order}")
     if jobs < 1:
         raise DomainError(f"jobs must be >= 1, got {jobs}")
     split = 1 if jobs == 1 else max(1, min(order - 1, 6))
@@ -242,7 +255,7 @@ def enumerate_c4_free(order: int, visitor=None, jobs: int = 1):
     acceptance the full ExhaustionProof comes back.  With jobs > 1, the
     visitor must be picklable.
     """
-    return _enumerate(order, None, visitor, jobs)
+    return _enumerate(order, None, visitor, jobs, ENUMERATION_ORDER_CAP)
 
 
 def count_c4_free_classes(order: int, jobs: int = 1) -> int:
@@ -253,7 +266,9 @@ def exhaust_ramsey(order: int, k: int, n: int, jobs: int = 1):
     """Witness graph or ExhaustionProof for r(C4, B_n^(k)) vs order.
 
     A witness on `order` vertices proves r >= order + 1; an ExhaustionProof
-    with all_rejected proves r <= order.
+    with all_rejected proves r <= order.  The order is capped at
+    EXHAUSTION_ORDER_CAP, above enumerate_c4_free's, since the pruner cuts
+    every branch whose complement holds the book.
     """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
@@ -264,6 +279,6 @@ def exhaust_ramsey(order: int, k: int, n: int, jobs: int = 1):
     # See the module docstring: the visitor checks every spine, the pruner
     # only the spines of books through the new vertex.
     pruner = partial(_extension_book_free, k=k, n=n)
-    result = _enumerate(order, pruner, partial(_book_free, k=k, n=n), jobs)
+    result = _enumerate(order, pruner, partial(_book_free, k=k, n=n), jobs, EXHAUSTION_ORDER_CAP)
     return result._replace(k=k, n=n) if isinstance(result, ExhaustionProof) else result
 

@@ -122,15 +122,22 @@ def _exponent(c: int, alpha) -> Fraction:
 def floor_sqrt_minus_power(n: int, c: int = 6, alpha: Fraction = Fraction(21, 80)) -> int:
     """floor(sqrt(n) - c * n^alpha), exact for every n >= 1.
 
-    With alpha = a/b, isqrt(n) - floor((c^b * n^a)^(1/b)) lies within one of
-    sqrt(n) - c*n^alpha, so it is the floor or one above it; _sign_sqrt_expr,
-    whose every answer is exact, then walks it to the true floor in a few
-    comparisons at any size of n.
+    The first guess is isqrt(n) - floor(c * n^alpha) with c * n^alpha taken
+    in floating point, as 2^(log2 c + alpha log2 n), while that exponent is
+    below 40: its error there is under 10^-12 relative, so the guess is off
+    by at most two.  Above, with alpha = a/b, it is isqrt(n) -
+    floor((c^b * n^a)^(1/b)), which lies within one of sqrt(n) - c*n^alpha
+    but costs b-th powers.  _sign_sqrt_expr, whose every answer is exact,
+    then walks the guess to the true floor in a few comparisons.
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     alpha = _exponent(c, alpha)
-    guess = isqrt(n) - iroot(c**alpha.denominator * n**alpha.numerator, alpha.denominator)
+    bits = math.log2(c) + float(alpha) * math.log2(n) if c else -math.inf
+    if bits < 40:
+        guess = isqrt(n) - math.floor(2.0**bits)
+    else:
+        guess = isqrt(n) - iroot(c**alpha.denominator * n**alpha.numerator, alpha.denominator)
     while _sign_sqrt_expr(n, c, alpha, guess) < 0:
         guess -= 1
     while _sign_sqrt_expr(n, c, alpha, guess + 1) >= 0:
@@ -539,9 +546,10 @@ def bound_report(n: int, k: int) -> BoundReport:
                 if _in_window(q, t):
                     exacts.append((q * q + t, f"exact family q^2 + t (q={q}, t={t})"))
 
-    for value, src in exacts:
-        lowers.append((value, src))
-        uppers.append((value, src))
+    lowers += exacts
+    # min keeps the first least entry, so an upper bound that ties an exact
+    # value is credited to the exact value's source
+    uppers = exacts + uppers
 
     lower, lower_src = max(lowers, key=lambda it: it[0])
     upper, upper_src = (min(uppers, key=lambda it: it[0]) if uppers else (None, None))

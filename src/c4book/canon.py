@@ -18,13 +18,25 @@ the incumbent, so the first maximal leaf in DFS order, hence the key and
 order, is the one the full search finds (``tests/oracles.py`` keeps that
 search as ``canonical_form_reference``); only fewer generators are found.
 
+Known automorphisms seed the generators (``canonical_form``'s ``known``;
+orderly generation passes the parent's automorphisms that fix the new
+vertex's neighborhood).  Any subgroup of the automorphism group is sound
+for orbit pruning: a skipped subtree is the image of one explored earlier
+in DFS order, so the first maximal leaf, and with it the key and order, is
+the same; only the generators grow.
+
 Refinement works on vertex masks.  A splitter's neighbor counts are
 bit-sliced: one mask per bit of the count, summed over the splitter's rows
 by ripple-carry XOR/AND, so a cell splits by walking those masks from the
 high bit down, with no loop over its vertices.  Only the cells that a
 splitter's neighborhood reaches are visited, so a splitter costs in
 proportion to its neighborhood, not to the number of cells; that is what
-makes polarity graphs with hundreds of vertices affordable.
+makes polarity graphs with hundreds of vertices affordable.  The search
+keeps its partition in ``_refine``'s own form, ``(cmask, cell_of,
+active)``, from the root to every leaf: a branch copies the two lists and
+splits {v} off the target cell in place.  Every cell stays ascending, as
+the root starts from ``range(n)`` and splits are stable, so a cell's mask
+gives its vertices in the order the cell holds them.
 
 After a vertex v is individualized, only {v} is queued.  The partition it
 was split from came out of ``_refine``, so it is equitable: counts into any
@@ -47,58 +59,44 @@ root partition's last cell.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import NamedTuple
 
-from .graphcore import Graph, _g6_body, _g6_order_bytes
+from .graphcore import Graph, _bits, _g6_body, _g6_order_bytes
 
 
-def _refine(rows, cells, splitter=None):
-    """Equitable refinement via a worklist of splitter cells.
+def _refine(rows, cmask, cell_of, active, splitter=None):
+    """Equitable refinement via a worklist of splitter cells, in place.
 
     The ordered partition is a list of cells, each a vertex mask named by
     its start position: ``cmask[s]`` is the mask of the cell starting at
-    ``s`` and ``cell_of[v]`` the start of the cell holding ``v``.  Each
-    splitter S partitions the non-singleton cells that meet N(S) by
-    neighbor count into S: sub-cells replace their cell in position, ordered
-    by count, and are queued as new splitters.  The counts are bit-sliced:
-    ``planes[i]`` holds bit i of every active vertex's count, added up by
-    ripple-carry XOR/AND over S's rows.  A hit cell splits by walking the
-    planes from high to low, which yields its parts in ascending count
-    order.  A queued ``(start, stamp)`` entry goes stale once the cell at
-    that start splits (its parts are queued themselves).
+    ``s`` (0 where no cell starts) and ``cell_of[v]`` the start of the cell
+    holding ``v``; ``active`` holds the vertices in non-singleton cells, the
+    only ones that can split.  Each splitter S partitions the non-singleton
+    cells that meet N(S) by neighbor count into S: sub-cells replace their
+    cell in position, ordered by count, and are queued as new splitters.
+    The counts are bit-sliced: ``planes[i]`` holds bit i of every active
+    vertex's count, added up by ripple-carry XOR/AND over S's rows.  A hit
+    cell splits by walking the planes from high to low, which yields its
+    parts in ascending count order.  A queued ``(start, mask)`` entry goes
+    stale once the cell at that start splits, as a split cell only shrinks
+    (its parts are queued themselves).
 
-    Splits are stable, so each cell of the result lists its vertices in
-    their order in ``cells``, whose cells must be non-empty.  Every cell is
-    queued, or, given ``splitter``, only the cell starting there (see
-    ``_Search.descend``).
+    Splits are stable, so a cell's vertices keep their relative order; a
+    mask lists them ascending, which is their order wherever the cells
+    start ascending, as from the unit partition.  Every cell is queued, or,
+    given ``splitter``, only the cell starting there (see
+    ``_Search.descend``).  Returns the new ``active``.
     """
-    n = len(rows)
-    perm = []
-    cell_of = [0] * n
-    cmask = [0] * n
-    stamp = [0] * n
-    active = 0  # vertices in non-singleton cells, the only ones that can split
-    for c in cells:
-        s = len(perm)
-        perm.extend(c)
-        m = 0
-        for v in c:
-            m |= 1 << v
-            cell_of[v] = s
-        cmask[s] = m
-        if len(c) > 1:
-            active |= m
     if splitter is None:
-        queue = deque((s, 0) for s, m in enumerate(cmask) if m)
+        queue = [(s, m) for s, m in enumerate(cmask) if m]
     else:
-        queue = deque([(splitter, 0)])
-    while queue and active:
-        s, st = queue.popleft()
-        if stamp[s] != st:
+        queue = [(splitter, cmask[splitter])]
+    for s, m in queue:  # the loop reaches the parts queued below
+        if not active:
+            break
+        if cmask[s] != m:
             continue  # already split; its parts are (or were) queued
         planes = []
-        m = cmask[s]
         while m:
             low = m & -m
             m ^= low
@@ -136,7 +134,6 @@ def _refine(rows, cells, splitter=None):
                 parts = nxt
             if len(parts) == 1:
                 continue
-            stamp[t] += 1
             pos = t
             for part in parts:
                 cmask[pos] = part
@@ -149,12 +146,9 @@ def _refine(rows, cells, splitter=None):
                         m ^= low
                 if size == 1:
                     active ^= part
-                queue.append((pos, stamp[pos]))
+                queue.append((pos, part))
                 pos += size
-    out = [[] for _ in perm]
-    for v in perm:
-        out[cell_of[v]].append(v)
-    return [part for part in out if part]
+    return active
 
 
 def _pack_chunks(chunks):
@@ -204,29 +198,30 @@ def _leaf_key(rows, order):
 class CanonicalForm(NamedTuple):
     key: bytes            # order byte(s) + packed canonical adjacency
     order: tuple          # order[i] = vertex at canonical position i
-    generators: tuple     # discovered automorphisms (not always the full group;
-                          # the backjump skips leaves that would add more)
+    generators: tuple     # known or discovered automorphisms (not always the
+                          # full group; the backjump skips leaves that would add more)
 
 
 class _Search:
-    def __init__(self, rows, n):
+    def __init__(self, rows, n, known):
         self.rows = rows
         self.n = n
         self.best_key = -1
         self.best_order = None
         self.best_prefix = None  # the individualized vertices of the incumbent
-        self.gens = []
+        self.gens = list(known)
 
-    def descend(self, cells, prefix):
+    def descend(self, cmask, cell_of, active, prefix):
         """Explore the subtree at ``prefix``; return the depth to resume at.
 
-        The frame at depth d (``len(prefix) == d``) goes on to its next
+        The partition is ``_refine``'s ``(cmask, cell_of, active)``.  The
+        frame at depth d (``len(prefix) == d``) goes on to its next
         candidate when a child returns d or more, and returns at once when
         a child returns less.
         """
         depth = len(prefix)
-        if len(cells) == self.n:
-            order = [c[0] for c in cells]
+        if not active:
+            order = [m.bit_length() - 1 for m in cmask]
             key = _leaf_key(self.rows, order)
             if key > self.best_key:
                 self.best_key = key
@@ -247,12 +242,16 @@ class _Search:
                 return j
             return depth
         # the first largest cell, and its start: where {v} goes once split off
-        idx = at = pos = size = 0
-        for i, c in enumerate(cells):
-            if len(c) > size:
-                idx, at, size = i, pos, len(c)
-            pos += len(c)
-        cell = cells[idx]
+        at = size = 0
+        m = active
+        while m:
+            s = cell_of[(m & -m).bit_length() - 1]
+            m ^= cmask[s]
+            k = cmask[s].bit_count()
+            if k > size or k == size and s < at:
+                at, size = s, k
+        whole = cmask[at]
+        cell = list(_bits(whole))
         # Orbit pruning: skip v when a known automorphism fixing the
         # individualized prefix pointwise maps a tried sibling onto it.
         # Generators accumulate while the cell is scanned, so each new one
@@ -281,22 +280,43 @@ class _Search:
             rv = find(v)
             if any(find(u) == rv for u in tried):
                 continue
-            branched = cells[:idx] + [[v], [w for w in cell if w != v]] + cells[idx + 1 :]
-            resume = self.descend(_refine(self.rows, branched, at), prefix + [v])
+            # {v} at the cell's start, the rest of the cell after it
+            cm = cmask[:]
+            co = cell_of[:]
+            cm[at] = 1 << v
+            cm[at + 1] = whole ^ 1 << v
+            for w in cell:
+                co[w] = at + 1
+            co[v] = at
+            rest = active ^ (whole if size == 2 else 1 << v)
+            resume = self.descend(cm, co, _refine(self.rows, cm, co, rest, at), prefix + [v])
             if resume < depth:
                 return resume
             tried.append(v)
         return depth
 
 
-def canonical_form(g: Graph, cells=None) -> CanonicalForm:
-    """The canonical form of g; cells, when given, is g's root partition
-    ``_refine(g.rows, [list(range(g.n))])``, which is then not computed again."""
+def _root(rows):
+    """``(cmask, cell_of, active)`` of the unit partition refined; the graph is not empty."""
+    n = len(rows)
+    cmask = [0] * n
+    cmask[0] = (1 << n) - 1
+    cell_of = [0] * n
+    return cmask, cell_of, _refine(rows, cmask, cell_of, cmask[0] if n > 1 else 0)
+
+
+def canonical_form(g: Graph, known=(), root=None) -> CanonicalForm:
+    """The canonical form of g.
+
+    ``known`` holds automorphisms of g, as permutation tuples, that seed the
+    orbit pruning; ``root``, when given, is ``_root(g.rows)``, which is then
+    not computed again.  Neither changes the key or the order.
+    """
     n = g.n
     if n == 0:
         return CanonicalForm(b"\x00", (), ())
-    search = _Search(g.rows, n)
-    search.descend(cells or _refine(g.rows, [list(range(n))]), [])
+    search = _Search(g.rows, n, known)
+    search.descend(*(root or _root(g.rows)), [])
     nbits = n * (n - 1) // 2
     key = n.to_bytes(8, "big") + search.best_key.to_bytes((nbits + 7) // 8 or 1, "big")
     return CanonicalForm(key, tuple(search.best_order), tuple(search.gens))

@@ -7,16 +7,20 @@ counts test one vertex pair at a time, isomorphism classes come from
 minimizing over all vertex permutations, GF(p^e) arithmetic is
 polynomial multiplication and long division on coefficient tuples, prime
 powers come from trial division up to the square root, and equitable
-refinement rescans every cell for every splitter.  Four exceptions:
+refinement rescans every cell for every splitter.  Five exceptions:
 ``canonical_form_reference`` reuses ``canon._refine`` and
 ``canon._leaf_key`` so that it checks the search tree walk alone,
 ``children_reference`` labels with ``canon.canonical_form`` so that it
 checks the augmentation rule alone, ``probe_reference`` is the
 annealing probe with a loop per move in place of maintained masks, reusing
 ``_anneal._energy`` and the polarity-graph build so that it checks the
-masks alone, and ``absolute_points_reference`` takes the field's modulus
+masks alone, ``absolute_points_reference`` takes the field's modulus
 and the vertex order of the points from ``gf`` and ``geometry`` so that it
-checks which points are absolute alone.
+checks which points are absolute alone, and
+``floor_sqrt_minus_power_reference`` walks with ``bounds._sign_sqrt_expr``
+from an integer-root first guess so that it checks the first guess alone.
+``refine_cells`` is no reference: it is ``canon._refine`` on a partition
+given as lists, the form the reference refinement and the tests use.
 """
 
 from collections import deque
@@ -24,9 +28,10 @@ from itertools import combinations, permutations
 from math import isqrt
 import random
 
+from c4book.bounds import _sign_sqrt_expr
 from c4book.canon import CanonicalForm, _leaf_key, _refine, canonical_form
 from c4book.geometry import projective_points
-from c4book.gf import field_new
+from c4book.gf import field_new, iroot
 from c4book.graphcore import Graph
 
 
@@ -507,7 +512,8 @@ def refine_reference(rows, cells):
     non-singleton cell by neighbor count into it, sub-cells replace their
     cell in position ordered by count (stable inside a count) and are
     queued.  A splitter split before its turn is skipped, its parts being
-    queued.  ``canon._refine`` must return exactly this ordered partition.
+    queued.  ``canon._refine``, through ``refine_cells``, must return
+    exactly this ordered partition.
     """
     cells = [list(c) for c in cells]
     live = {id(c) for c in cells}
@@ -539,6 +545,35 @@ def refine_reference(rows, cells):
                 queue.append(part)
             i += len(parts)
     return cells
+
+
+def refine_cells(rows, cells, splitter=None):
+    """``canon._refine`` on a partition given as a list of vertex lists.
+
+    ``splitter`` is a cell's start position, as there.  Each output cell
+    lists its vertices in their order in ``cells``, whose cells must be
+    non-empty.
+    """
+    n = len(rows)
+    cmask, cell_of, active, start = [0] * n, [0] * n, 0, 0
+    for c in cells:
+        for v in c:
+            cmask[start] |= 1 << v
+            cell_of[v] = start
+        if len(c) > 1:
+            active |= cmask[start]
+        start += len(c)
+    _refine(rows, cmask, cell_of, active, splitter)
+    out = [[] for _ in range(n)]
+    for c in cells:
+        for v in c:
+            out[cell_of[v]].append(v)
+    return [c for c in out if c]
+
+
+def mask_cells(cmask):
+    """The cells of ``canon._refine``'s ``cmask`` as ascending vertex lists, in order."""
+    return [[v for v in range(m.bit_length()) if m >> v & 1] for m in cmask if m]
 
 
 def canonical_form_reference(g: Graph) -> CanonicalForm:
@@ -606,10 +641,10 @@ def canonical_form_reference(g: Graph) -> CanonicalForm:
             if any(u in orbit[v] for u in tried):
                 continue
             branched = cells[:idx] + [[v], [w for w in cell if w != v]] + cells[idx + 1 :]
-            descend(_refine(rows, branched), prefix + [v])
+            descend(refine_cells(rows, branched), prefix + [v])
             tried.append(v)
 
-    descend(_refine(rows, [list(range(n))]), [])
+    descend(refine_cells(rows, [list(range(n))]), [])
     key = n.to_bytes(8, "big") + best["key"].to_bytes((nbits + 7) // 8 or 1, "big")
     return CanonicalForm(key, tuple(best["order"]), tuple(tuple(x) for x in gens))
 
@@ -748,3 +783,20 @@ def probe_reference(q: int, budget: int = 10**6, seed: int = 0):
             else:
                 stall += 1
     return None
+
+
+# -- the exact floor of sqrt(n) - c n^alpha before its floating-point guess --
+
+
+def floor_sqrt_minus_power_reference(n: int, c: int, alpha) -> int:
+    """floor(sqrt(n) - c n^alpha) from the guess isqrt(n) - floor((c^b n^a)^(1/b)).
+
+    With alpha = a/b that guess is the floor or one above it; the exact sign
+    test walks it down, or up, to the floor.
+    """
+    guess = isqrt(n) - iroot(c**alpha.denominator * n**alpha.numerator, alpha.denominator)
+    while _sign_sqrt_expr(n, c, alpha, guess) < 0:
+        guess -= 1
+    while _sign_sqrt_expr(n, c, alpha, guess + 1) >= 0:
+        guess += 1
+    return guess

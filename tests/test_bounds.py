@@ -14,6 +14,8 @@ import c4book as cb
 from c4book import bounds, gf
 from c4book.errors import CapExceeded, DomainError, NotPrimePower
 
+import oracles
+
 
 # -- star bound --
 
@@ -156,6 +158,23 @@ def test_floor_sqrt_minus_power_other_exponents_against_high_precision():
                 x = Decimal(n).sqrt() - c * Decimal(n) ** power
                 want = int(x.to_integral_value("ROUND_FLOOR"))
                 assert bounds.floor_sqrt_minus_power(n, c, alpha) == want, (n, c, alpha)
+
+
+def test_floor_sqrt_minus_power_first_guess_against_the_integer_root():
+    # the floating-point first guess below 2^40, the integer root above:
+    # both walk to the floor the integer-root guess walks to
+    rng = random.Random(24)
+    small = list(range(1, 120)) + [2074, 2075, 16002, 16256] + [rng.randrange(2, 10**6) for _ in range(20)]
+    large = [rng.randrange(10**9, 10**k) for k in (12, 20, 40, 90) for _ in range(4)]
+    large += [s * s + d for s in (10**6 + 3, 2**40, 10**18 + 9) for d in (-1, 0, 1)] + [2**80, 10**200 + 7]
+    cs = (0, 1, 6, 2**20, 2**45)
+    alphas = (Fraction(1, 3), Fraction(21, 80), Fraction(49, 100), Fraction(1, 81))
+    cases = [(n, c, alpha) for alpha in alphas for c in cs for n in small + large]
+    # the reference's b-th powers grow with the denominator b: fewer cases there
+    cases += [(n, c, alpha) for alpha in (Fraction(199, 400), Fraction(4999, 10000)) for c in cs[:3] for n in small[::7]]
+    cases += [(16002, 6, Fraction(49999, 100000))]
+    for n, c, alpha in cases:
+        assert bounds.floor_sqrt_minus_power(n, c, alpha) == oracles.floor_sqrt_minus_power_reference(n, c, alpha)
 
 
 def test_sqrt_comparator_ties():
@@ -461,9 +480,27 @@ def test_report_sweep_consistency():
 
 
 def test_report_pinned():
-    # computed with a separate (q, t) lookup for k = 2 and for k >= 3
+    # computed with a separate (q, t) lookup for k = 2 and for k >= 3; an
+    # upper bound that ties an exact value names the exact value's source
     reports = [cb.bound_report(n, k)._asdict() for k in range(1, 9) for n in range(1, 601)]
-    assert _digest(reports) == "93c3c74b4170c781b04c6783b79ddb6cd5e1dba28c722e084574197f003b0aa0"
+    assert _digest(reports) == "a0b05c33e684f8d00db6d43d5e0e4708264f589260ecc8faacf1551ae4c92533"
+
+
+def test_report_credits_a_tied_upper_bound_to_the_exact_value():
+    # the twice-iterated star bound is 27 too, but 27 is the family's exact value
+    rep = cb.bound_report(16, 2)
+    assert (rep.lower, rep.upper, rep.exact) == (27, 27, 27)
+    assert rep.upper_provenance == "exact family value q^2 + t (q=5, t=2)"
+    # at n = q^2 the star bound ties the polarity-graph family's value
+    rep = cb.bound_report(16, 1)
+    assert (rep.upper, rep.exact) == (21, 21)
+    assert rep.upper_provenance == "polarity-graph family, n = q^2 with q = 4"
+    # k = 3, where the upper family bound ties the exact family value
+    q = BIG_PRIME
+    t = q // 2 + 1
+    rep = cb.bound_report(q * q - 3 * q + t, 3)
+    assert rep.upper == rep.exact == q * q + t
+    assert rep.upper_provenance == f"exact family q^2 + t (q={q}, t={t})"
 
 
 BIG_PRIME = 10**20 + 39  # past trial division's reach, and above Q(3, 1/2)

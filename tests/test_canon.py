@@ -1,5 +1,6 @@
 """Canonical forms: invariance, discrimination, digests."""
 
+import functools
 import hashlib
 import random
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import c4book as cb
 from c4book import canon
-from c4book.canon import _refine, canonical_form, graph_digest
+from c4book.canon import canonical_form, graph_digest
 from c4book.geometry import er_graph
 from c4book.graphcore import Graph, g6_encode, induced_subgraph
 from c4book.search import greedy_min_degree_subgraph
@@ -16,9 +17,13 @@ from c4book.search import greedy_min_degree_subgraph
 from oracles import (
     canonical_form_reference,
     cycle_graph,
+    line_graph_of_petersen,
+    mask_cells,
     path_graph,
+    petersen_graph,
     perm_canonical_mask,
     random_graph,
+    refine_cells,
     refine_reference,
     relabeled,
     shuffled_copy,
@@ -120,21 +125,21 @@ def test_refine_matches_reference_on_random_graphs():
         n = rng.randint(1, 18)
         g = random_graph(rng, n, rng.random())
         for cells in ([list(range(n))], random_partition(rng, n)):
-            assert _refine(g.rows, cells) == refine_reference(g.rows, cells)
+            assert refine_cells(g.rows, cells) == refine_reference(g.rows, cells)
 
 
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
 def test_refine_matches_reference_on_polarity_graphs(q):
     rows = er_graph(q).rows
     unit = [list(range(len(rows)))]
-    equitable = _refine(rows, unit)
+    equitable = refine_cells(rows, unit)
     assert equitable == refine_reference(rows, unit)
     # one vertex individualized in the first largest cell, as the search does
     idx = max(range(len(equitable)), key=lambda i: (len(equitable[i]), -i))
     cell = equitable[idx]
     for v in cell:
         cells = equitable[:idx] + [[v], [w for w in cell if w != v]] + equitable[idx + 1 :]
-        assert _refine(rows, cells) == refine_reference(rows, cells)
+        assert refine_cells(rows, cells) == refine_reference(rows, cells)
 
 
 # Certificates carry these digests as graph_hash, so a faster refinement or
@@ -227,12 +232,23 @@ def test_form_matches_reference_on_relabeled_polarity_graphs(q):
 def test_search_refinements_match_reference(monkeypatch):
     # below the root the search queues only the individualized vertex; the
     # reference queues every cell, and each refinement must come out the same
+    # the search's partitions are masks; inside it every cell is ascending,
+    # so mask_cells gives each cell in the order the reference would see
     refine = canon._refine
     splitters = []
 
-    def checked(rows, cells, splitter=None):
-        out = refine(rows, cells, splitter)
-        assert out == refine_reference(rows, cells)
+    def assert_state(cmask, cell_of, active):
+        # cell_of names each vertex's cell start, active the non-singleton cells
+        starts = {v: s for s, m in enumerate(cmask) if m for v in mask_cells([m])[0]}
+        assert starts == dict(enumerate(cell_of))
+        assert active == sum(m for m in cmask if m.bit_count() > 1)
+
+    def checked(rows, cmask, cell_of, active, splitter=None):
+        assert_state(cmask, cell_of, active)
+        cells = mask_cells(cmask)
+        out = refine(rows, cmask, cell_of, active, splitter)
+        assert mask_cells(cmask) == refine_reference(rows, cells)
+        assert_state(cmask, cell_of, out)
         splitters.append(splitter)
         return out
 
@@ -274,8 +290,8 @@ def test_refine_is_equivariant(case, data):
     order = data.draw(st.permutations(range(g.n)))
     cells = [c for c in ([v for v in order if labels[v] == i] for i in range(4)) if c]
     moved = [[perm[v] for v in c] for c in cells]
-    expected = [[perm[v] for v in c] for c in _refine(g.rows, cells)]
-    assert _refine(relabeled(g, perm).rows, moved) == expected
+    expected = [[perm[v] for v in c] for c in refine_cells(g.rows, cells)]
+    assert refine_cells(relabeled(g, perm).rows, moved) == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -284,3 +300,38 @@ def test_form_matches_reference_on_random_graphs(case):
     g, perm = case
     assert_same_form(g)
     assert_same_form(relabeled(g, perm))
+
+
+# Known automorphisms only seed the orbit pruning: any subset of the group's
+# elements leaves the first maximal leaf, hence the key and the order.  The
+# q = 8 family witness is where a known automorphism that does not fix the
+# individualized prefix would prune a subtree it must not.
+SYMMETRIC = [family_witness(8), cycle_graph(24), Graph.empty(7), petersen_graph(), line_graph_of_petersen()]
+SYMMETRIC += [er_graph(q) for q in (2, 3, 4, 5)] + [shuffled_copy(er_graph(q), random.Random(q)) for q in (5, 7)]
+
+
+@functools.cache
+def symmetric_reference_generators(i):
+    return canonical_form_reference(SYMMETRIC[i]).generators
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(graphs_with_permutation(max_n=10).map(lambda case: relabeled(*case)), st.integers(0, len(SYMMETRIC) - 1)),
+    st.data(),
+)
+def test_known_automorphisms_leave_key_and_order(g, data):
+    if isinstance(g, int):
+        g, gens = SYMMETRIC[g], symmetric_reference_generators(g)
+    else:
+        gens = canonical_form_reference(g).generators
+    chosen = data.draw(st.lists(st.booleans(), min_size=len(gens), max_size=len(gens)))
+    known = [gen for gen, keep in zip(gens, chosen) if keep]
+    form, plain = canonical_form(g, known=known), canonical_form(g)
+    assert (form.key, form.order) == (plain.key, plain.order)
+    # the known generators come first, and every generator is an automorphism
+    assert form.generators[: len(known)] == tuple(known)
+    for gen in form.generators:
+        assert sorted(gen) == list(range(g.n))
+        for u, v in g.edges():
+            assert g.has_edge(gen[u], gen[v])

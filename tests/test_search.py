@@ -11,6 +11,7 @@ import pytest
 import c4book as cb
 from c4book import _anneal, _constructions, _orderly, canon, ramsey, search
 from c4book.canon import canonical_form
+from c4book.cli import main
 from c4book.errors import (
     AsymptoticRegimeNotReached,
     BudgetExhausted,
@@ -250,7 +251,14 @@ def _checked_children(parent, form, c4):
     want = [(g6_encode(child), key) for child, key in children_reference(parent, form.key, c4)]
     assert got == want, g6_encode(parent)
     for child, child_form in children:
-        assert child_form == canonical_form(child)
+        # the parent's automorphisms seed the child's labelling, so its
+        # generators may differ from an unseeded labelling's; key and order may not
+        plain = canonical_form(child)
+        assert (child_form.key, child_form.order) == (plain.key, plain.order)
+        for gen in child_form.generators:
+            assert sorted(gen) == list(range(child.n))
+            for u, v in child.edges():
+                assert child.has_edge(gen[u], gen[v])
     return children
 
 
@@ -293,12 +301,21 @@ def test_exhaustion_labelling_count(monkeypatch):
     # through the new vertex) and the visitor's (every spine):
     # the size bound must not change what they see.  Both search seams are
     # the layer modules' own names, which the lazy imports read at each call.
-    labellings, pruned, visited, built = [], [], [], []
+    labellings, pruned, visited, built, leaves, refinements = [], [], [], [], [], []
     labelled, book_free, with_vertex = canon.canonical_form, ramsey._book_free, Graph.with_vertex
+    leaf_key, refine = canon._leaf_key, canon._refine
 
-    def labelling(g, cells=None):
+    def labelling(g, known=(), root=None):
         labellings.append(g.n)
-        return labelled(g, cells)
+        return labelled(g, known, root)
+
+    def leaf(rows, order):
+        leaves.append(len(rows))
+        return leaf_key(rows, order)
+
+    def refining(rows, cmask, cell_of, active, splitter=None):
+        refinements.append(len(rows))
+        return refine(rows, cmask, cell_of, active, splitter)
 
     def checking(g, k, n, spines=-1):
         if spines == -1:
@@ -316,22 +333,59 @@ def test_exhaustion_labelling_count(monkeypatch):
         return with_vertex(g, mask)
 
     monkeypatch.setattr(canon, "canonical_form", labelling)
+    monkeypatch.setattr(canon, "_leaf_key", leaf)
+    monkeypatch.setattr(canon, "_refine", refining)
     monkeypatch.setattr(ramsey, "_book_free", checking)
     monkeypatch.setattr(Graph, "with_vertex", building)
     proof = search.exhaust_ramsey(11, 2, 4)
     assert isinstance(proof, search.ExhaustionProof) and proof.all_rejected
     assert (len(labellings), len(pruned), len(visited), len(built)) == (219, 336, 5, 514)
-    del labellings[:], pruned[:], visited[:], built[:]
+    # the cost of those labellings: each child's labelling starts from the
+    # parent generators that fix its mask (641 leaves and 1 320 refinements
+    # without them)
+    assert (len(leaves), len(refinements)) == (395, 902)
+    del labellings[:], pruned[:], visited[:], built[:], leaves[:], refinements[:]
     witness = search.exhaust_ramsey(10, 2, 4)
     assert g6_encode(witness) == b"I?qbCdWLG"
     assert (len(labellings), len(pruned), len(visited), len(built)) == (52, 108, 6, 154)
+    assert (len(leaves), len(refinements)) == (100, 207)
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(capsys):
+    # the unpruned enumeration stops at 13, the pruned exhaustion at 20
     with pytest.raises(CapExceeded):
         cb.enumerate_c4_free(14)
-    with pytest.raises(CapExceeded):
-        search.exhaust_ramsey(14, 2, 4)
+    with pytest.raises(CapExceeded, match=r"\[1, 20\], got 21"):
+        search.exhaust_ramsey(21, 2, 4)
+    assert main(["search", "exact", "--k", "2", "--n", "4", "--N", "21"]) == 2
+    err = capsys.readouterr().err
+    assert "order must be in [1, 20], got 21" in err and "Traceback" not in err
+
+
+def test_exhaustion_above_the_enumeration_cap():
+    # r(C4, B_2^(4)) = 16 = q^2 + t at (q, t) = (4, 0): a witness on 15
+    # vertices, and no C4-free graph on 16 whose complement is B_2^(4)-free
+    witness = search.exhaust_ramsey(15, 4, 2)
+    assert g6_encode(witness) == b"N?BDA_obAQDPcoXGBE?"
+    assert cb.is_ramsey_witness(witness, 4, 2)
+    assert oracles.naive_is_c4_free(witness)
+    assert naive_complement_book_number(witness, 4) < 2
+    proof = search.exhaust_ramsey(16, 4, 2)
+    assert isinstance(proof, search.ExhaustionProof)
+    assert proof.all_rejected and (proof.order, proof.k, proof.n) == (16, 4, 2)
+
+
+@pytest.mark.slow
+def test_exhaustion_decides_r_c4_b4_3():
+    # r(C4, B_4^(3)) = 16 = q^2 + t at (q, t) = (4, 0); about 1 s.  The
+    # witness on 15 vertices is the one found for B_2^(4)
+    witness = search.exhaust_ramsey(15, 3, 4)
+    assert g6_encode(witness) == b"N?BDA_obAQDPcoXGBE?"
+    assert cb.is_ramsey_witness(witness, 3, 4)
+    assert oracles.naive_is_c4_free(witness)
+    assert naive_complement_book_number(witness, 3) < 4
+    proof = search.exhaust_ramsey(16, 3, 4)
+    assert isinstance(proof, search.ExhaustionProof) and proof.all_rejected
 
 
 def test_exhaust_ramsey_small_star_case():
