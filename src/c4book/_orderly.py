@@ -38,9 +38,9 @@ their order and their keys are those of ``tests/oracles.children_reference``.
   cell, deleting the cell's first vertex shows what deleting w* leaves, and
   a degree sequence other than the parent's rejects the child unlabelled.
   When it is inside, deleting w* leaves the parent's degree sequence.
-* The parent check after labelling: accept at once when a found
-  automorphism of the child joins w* and the new vertex in one orbit; only
-  otherwise label the child with w* deleted.
+* The parent check after labelling: accept at once when the child's
+  generators join w* and the new vertex in one orbit (``canon._orbits``);
+  only otherwise label the child with w* deleted.
 * A pruner runs before the root partition.  It must be monotone, and
   isomorphism invariant on the children it sees.  ``exhaust_ramsey``'s
   rejects a child whose complement holds the book: a one-vertex extension
@@ -112,7 +112,7 @@ def _c4_extension_masks(g: Graph, least: int) -> list[int]:
 
 
 def _orbit(mask: int, gens) -> set:
-    """The vertex sets that the group of the permutations gens maps mask to."""
+    """The extension masks that the group of the permutations gens maps mask to."""
     orbit = {mask}
     stack = [mask]
     while stack:
@@ -145,7 +145,7 @@ def _children(parent: Graph, parent_form: CanonicalForm, pruner=None):
     Children the pruner rejects are left out.  The shortcuts that spare
     labellings are described in the module docstring.
     """
-    from .canon import _root, canonical_form
+    from .canon import _orbits, _root, canonical_form
 
     parent_degrees = sorted(parent.degrees())
     gens = parent_form.generators
@@ -177,7 +177,7 @@ def _children(parent: Graph, parent_form: CanonicalForm, pruner=None):
         seen.add(form.key)
         w_star = form.order[-1]  # vertex at the last canonical position
         # accept when an automorphism of the child maps w* to the new vertex
-        if w_star != new_index and 1 << w_star not in _orbit(1 << new_index, form.generators):
+        if w_star != new_index and not _orbits(1 << new_index, form.generators) >> w_star & 1:
             if canonical_form(child.delete_vertex(w_star)).key != parent_form.key:
                 continue
         yield child, form

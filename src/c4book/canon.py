@@ -18,12 +18,17 @@ the incumbent, so the first maximal leaf in DFS order, hence the key and
 order, is the one the full search finds (``tests/oracles.py`` keeps that
 search as ``canonical_form_reference``); only fewer generators are found.
 
-Known automorphisms seed the generators (``canonical_form``'s ``known``;
-orderly generation passes the parent's automorphisms that fix the new
-vertex's neighborhood).  Any subgroup of the automorphism group is sound
-for orbit pruning: a skipped subtree is the image of one explored earlier
-in DFS order, so the first maximal leaf, and with it the key and order, is
-the same; only the generators grow.
+Orbit pruning keeps one vertex mask per frame: the orbits of the tried
+candidates under the generators that fix the individualized prefix
+pointwise, closed under them by ``_orbits`` whenever one joins.  Such an
+automorphism maps the refined partition, and so the target cell, onto
+itself, so the mask stays inside the cell.  Known automorphisms seed the
+generators (``canonical_form``'s ``known``; orderly generation passes the
+parent's automorphisms that fix the new vertex's neighborhood).  Any
+subgroup of the automorphism group is sound for orbit pruning: a skipped
+subtree is the image of one explored earlier in DFS order, so the first
+maximal leaf, and with it the key and order, is the same; only the
+generators grow.
 
 Refinement works on vertex masks.  A splitter's neighbor counts are
 bit-sliced: one mask per bit of the count, summed over the splitter's rows
@@ -51,7 +56,7 @@ labeling, and through it the ``graph_hash`` in each certificate and every
 canonical witness.  A faster refinement is admissible only if it returns
 the same cells in the same order; rules that reorder cells, such as
 queueing all but the largest part of a split, change every canonical form.
-Orderly generation in ``search`` relies on that order too: the first split
+Orderly generation in ``_orderly`` relies on that order too: the first split
 sorts by degree, so the last canonical vertex has the largest degree, and
 every leaf refines the root partition in place, so that vertex lies in the
 root partition's last cell.
@@ -85,7 +90,7 @@ def _refine(rows, cmask, cell_of, active, splitter=None):
     mask lists them ascending, which is their order wherever the cells
     start ascending, as from the unit partition.  Every cell is queued, or,
     given ``splitter``, only the cell starting there (see
-    ``_Search.descend``).  Returns the new ``active``.
+    ``_search``).  Returns the new ``active``.
     """
     if splitter is None:
         queue = [(s, m) for s, m in enumerate(cmask) if m]
@@ -202,16 +207,29 @@ class CanonicalForm(NamedTuple):
                           # full group; the backjump skips leaves that would add more)
 
 
-class _Search:
-    def __init__(self, rows, n, known):
-        self.rows = rows
-        self.n = n
-        self.best_key = -1
-        self.best_order = None
-        self.best_prefix = None  # the individualized vertices of the incumbent
-        self.gens = list(known)
+def _orbits(mask, gens):
+    """The union of the orbits of mask's vertices under the group of the permutations gens."""
+    todo = mask
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        v = low.bit_length() - 1
+        for g in gens:
+            w = 1 << g[v]
+            if not mask & w:
+                mask |= w
+                todo |= w
+    return mask
 
-    def descend(self, cmask, cell_of, active, prefix):
+
+def _search(rows, known, root):
+    """``(key, order, generators)`` of the search below ``root``, the key an int."""
+    n = len(rows)
+    gens = list(known)
+    # the incumbent's key, order and individualized vertices
+    best_key, best_order, best_prefix = -1, None, None
+
+    def descend(cmask, cell_of, active, prefix):
         """Explore the subtree at ``prefix``; return the depth to resume at.
 
         The partition is ``_refine``'s ``(cmask, cell_of, active)``.  The
@@ -219,23 +237,22 @@ class _Search:
         candidate when a child returns d or more, and returns at once when
         a child returns less.
         """
+        nonlocal best_key, best_order, best_prefix
         depth = len(prefix)
         if not active:
             order = [m.bit_length() - 1 for m in cmask]
-            key = _leaf_key(self.rows, order)
-            if key > self.best_key:
-                self.best_key = key
-                self.best_order = order
-                self.best_prefix = prefix
-            elif key == self.best_key:
-                g = [0] * self.n
-                for a, b in zip(self.best_order, order):
+            key = _leaf_key(rows, order)
+            if key > best_key:
+                best_key, best_order, best_prefix = key, order, prefix
+            elif key == best_key:
+                g = [0] * n
+                for a, b in zip(best_order, order):
                     g[a] = b
-                self.gens.append(tuple(g))
+                gens.append(tuple(g))
                 # g fixes the common prefix pointwise and maps the incumbent's
                 # subtree at the next depth onto this leaf's: backjump there.
                 j = 0
-                for a, b in zip(prefix, self.best_prefix):
+                for a, b in zip(prefix, best_prefix):
                     if a != b:
                         break
                     j += 1
@@ -251,49 +268,39 @@ class _Search:
             if k > size or k == size and s < at:
                 at, size = s, k
         whole = cmask[at]
-        cell = list(_bits(whole))
         # Orbit pruning: skip v when a known automorphism fixing the
         # individualized prefix pointwise maps a tried sibling onto it.
-        # Generators accumulate while the cell is scanned, so each new one
-        # is folded into this frame's union-find before the next candidate.
-        parent = {v: v for v in cell}
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
+        # ``pruned`` is the tried siblings' orbits under ``stab``, those
+        # automorphisms; ones found while the cell is scanned join ``stab``
+        # before the next candidate.
+        stab = []
+        pruned = 0
         folded = 0
-        tried = []
-        for v in cell:
-            for g in self.gens[folded:]:
-                if any(g[x] != x for x in prefix):
-                    continue
-                for u in cell:
-                    w = g[u]
-                    if w in parent:
-                        ru, rw = find(u), find(w)
-                        if ru != rw:
-                            parent[ru] = rw
-            folded = len(self.gens)
-            rv = find(v)
-            if any(find(u) == rv for u in tried):
+        for v in _bits(whole):
+            fixing = [g for g in gens[folded:] if all(g[x] == x for x in prefix)]
+            folded = len(gens)
+            if fixing:
+                stab += fixing
+                pruned = _orbits(pruned, stab)
+            if pruned >> v & 1:
                 continue
             # {v} at the cell's start, the rest of the cell after it
             cm = cmask[:]
             co = cell_of[:]
             cm[at] = 1 << v
             cm[at + 1] = whole ^ 1 << v
-            for w in cell:
+            for w in _bits(whole):
                 co[w] = at + 1
             co[v] = at
             rest = active ^ (whole if size == 2 else 1 << v)
-            resume = self.descend(cm, co, _refine(self.rows, cm, co, rest, at), prefix + [v])
+            resume = descend(cm, co, _refine(rows, cm, co, rest, at), prefix + [v])
             if resume < depth:
                 return resume
-            tried.append(v)
+            pruned |= _orbits(1 << v, stab)
         return depth
+
+    descend(*root, [])
+    return best_key, tuple(best_order), tuple(gens)
 
 
 def _root(rows):
@@ -315,11 +322,10 @@ def canonical_form(g: Graph, known=(), root=None) -> CanonicalForm:
     n = g.n
     if n == 0:
         return CanonicalForm(b"\x00", (), ())
-    search = _Search(g.rows, n, known)
-    search.descend(*(root or _root(g.rows)), [])
+    key, order, gens = _search(g.rows, known, root or _root(g.rows))
     nbits = n * (n - 1) // 2
-    key = n.to_bytes(8, "big") + search.best_key.to_bytes((nbits + 7) // 8 or 1, "big")
-    return CanonicalForm(key, tuple(search.best_order), tuple(search.gens))
+    key = n.to_bytes(8, "big") + key.to_bytes((nbits + 7) // 8 or 1, "big")
+    return CanonicalForm(key, order, gens)
 
 
 def graph_digest(g: Graph) -> str:

@@ -356,9 +356,10 @@ def _cmd_bounds(args, run) -> tuple[int, dict, list[str]]:
         raise C4BookError(f"--q {args.q} --t {args.t} describe n = {params.n}, not --n {args.n}")
     report = bounds.bound_report(args.n, args.k)
     artifact = report._asdict()
+    upper = f"  upper {report.upper} ({report.upper_provenance})"
     lines = [
         f"r(C4, B_{args.n}^({args.k})): lower {report.lower} ({report.lower_provenance})",
-        f"  upper {report.upper} ({report.upper_provenance})",
+        "  upper: none known" if report.upper is None else upper,
     ]
     if report.exact is not None:
         lines.append(f"  exact: {report.exact}")

@@ -576,6 +576,16 @@ def mask_cells(cmask):
     return [[v for v in range(m.bit_length()) if m >> v & 1] for m in cmask if m]
 
 
+def orbits_reference(mask: int, gens) -> int:
+    """``canon._orbits`` as a set closure: apply every generator until nothing new appears."""
+    closed = {v for v in range(mask.bit_length()) if mask >> v & 1}
+    while True:
+        grown = closed | {g[v] for g in gens for v in closed}
+        if grown == closed:
+            return sum(1 << v for v in closed)
+        closed = grown
+
+
 def canonical_form_reference(g: Graph) -> CanonicalForm:
     """The canonical search without backjumping on automorphism leaves.
 

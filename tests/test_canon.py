@@ -19,6 +19,7 @@ from oracles import (
     cycle_graph,
     line_graph_of_petersen,
     mask_cells,
+    orbits_reference,
     path_graph,
     petersen_graph,
     perm_canonical_mask,
@@ -335,3 +336,40 @@ def test_known_automorphisms_leave_key_and_order(g, data):
         assert sorted(gen) == list(range(g.n))
         for u, v in g.edges():
             assert g.has_edge(gen[u], gen[v])
+
+
+@st.composite
+def masks_with_generators(draw, max_n=12):
+    """(mask, gens): a vertex mask and up to 4 random permutations of n <= max_n points."""
+    n = draw(st.integers(1, max_n))
+    gens = draw(st.lists(st.permutations(range(n)).map(tuple), max_size=4))
+    return draw(st.integers(0, (1 << n) - 1)), gens
+
+
+@settings(max_examples=300, deadline=None)
+@given(masks_with_generators())
+def test_orbits_match_set_closure(case):
+    mask, gens = case
+    closed = canon._orbits(mask, gens)
+    assert closed == orbits_reference(mask, gens)
+    assert canon._orbits(closed, gens) == closed
+
+
+@pytest.mark.parametrize("n", [1, 5, 12])
+def test_orbits_of_the_trivial_group(n):
+    identity = tuple(range(n))
+    for mask in (0, 1, (1 << n) - 1, 0b10110 & ((1 << n) - 1)):
+        assert canon._orbits(mask, ()) == mask
+        assert canon._orbits(mask, [identity]) == mask
+
+
+def test_orbits_of_a_cycle_and_of_er_17_generators():
+    # the rotation of a 6-cycle joins every vertex; its square splits the parities
+    rotation = (1, 2, 3, 4, 5, 0)
+    square = tuple(rotation[v] for v in rotation)
+    assert canon._orbits(1, [rotation]) == 0b111111
+    assert canon._orbits(1, [square]) == 0b010101
+    assert canon._orbits(0b11, [square]) == 0b111111
+    gens = canonical_form(er_graph(17)).generators
+    for v in (0, 17, 300):
+        assert canon._orbits(1 << v, gens) == orbits_reference(1 << v, gens)

@@ -271,6 +271,15 @@ def test_bounds_report_and_table(capsys):
     assert {row["t"] for row in doc["artifact"]["table"]} == {0, 2, 3, 4, 5, 6}
 
 
+def test_bounds_table_without_an_upper_bound(capsys):
+    # every n = 1 report has no upper bound: the table says so, the JSON keeps null
+    assert main(["bounds", "--n", "1", "--k", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "  upper: none known" in out and "None" not in out
+    code, doc = run_json(capsys, "bounds", "--n", "1", "--k", "3")
+    assert code == 0 and doc["artifact"]["upper"] is None
+
+
 def test_construct_er_subgraph(capsys, tmp_path):
     out = str(tmp_path / "sub.g6")
     code, doc = run_json(

@@ -306,8 +306,9 @@ def test_exhaustion_labelling_count(monkeypatch):
     leaf_key, refine = canon._leaf_key, canon._refine
 
     def labelling(g, known=(), root=None):
-        labellings.append(g.n)
-        return labelled(g, known, root)
+        form = labelled(g, known, root)
+        labellings.append(len(form.generators))
+        return form
 
     def leaf(rows, order):
         leaves.append(len(rows))
@@ -344,11 +345,15 @@ def test_exhaustion_labelling_count(monkeypatch):
     # parent generators that fix its mask (641 leaves and 1 320 refinements
     # without them)
     assert (len(leaves), len(refinements)) == (395, 902)
+    # and what they find: a pruning change that reaches the same leaves through
+    # other automorphisms moves this count
+    assert sum(labellings) == 422
     del labellings[:], pruned[:], visited[:], built[:], leaves[:], refinements[:]
     witness = search.exhaust_ramsey(10, 2, 4)
     assert g6_encode(witness) == b"I?qbCdWLG"
     assert (len(labellings), len(pruned), len(visited), len(built)) == (52, 108, 6, 154)
     assert (len(leaves), len(refinements)) == (100, 207)
+    assert sum(labellings) == 94
 
 
 def test_enumeration_cap(capsys):
