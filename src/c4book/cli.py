@@ -6,6 +6,15 @@ All numeric output is exact; artifacts are JSON with embedded graph6
 strings, and identical invocations with identical seeds are byte-identical
 (wall time lives in a separate "timing" section).
 
+The command line is one table, `_COMMANDS`: each command, its words joined
+by spaces, maps to its handler, help line and option rows (positionals
+included), and `_parse` reads argv against it, so no op loads argparse.
+Global options (`--format`, `--jobs`) come before the command words and a
+command's own options after them, as `--opt value` or `--opt=value`;
+options are not abbreviated.  `-h`/`--help` prints the help of its level
+and exits 0; a usage error prints a usage line and an `error:` line and
+exits 2.
+
 Each handler imports the modules it runs, so a process loads only those.
 The same holds for fractions and hashlib: a Fraction is built only for the
 options that take one, and a digest only for the files that are hashed.
@@ -13,10 +22,11 @@ options that take one, and a digest only for the files that are hashed.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
+from collections import Counter
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -101,14 +111,17 @@ class _Run:
 def _budget_int(text: str) -> int:
     """A search limit: a positive whole count, scientific notation allowed."""
     try:
-        number = float(text)
-        value = int(number)
-    except (OverflowError, ValueError):
-        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}") from None
-    if value != number:
-        raise argparse.ArgumentTypeError(f"not a whole number: {text!r}")
+        value = int(text)  # exact at any size; a float keeps only 53 bits
+    except ValueError:
+        try:
+            number = float(text)
+            value = int(number)
+        except (OverflowError, ValueError):
+            raise ValueError(f"not a finite number: {text!r}") from None
+        if value != number:
+            raise ValueError(f"not a whole number: {text!r}")
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
+        raise ValueError(f"must be >= 1, got {text!r}")
     return value
 
 
@@ -119,113 +132,18 @@ def _fraction(text: str):
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from None
+        raise ValueError(f"not an exact rational: {text!r}") from None
 
 
-class _TableArgs(argparse.Action):
+def _table(qmin, qmax, k, eps):
     """--table QMIN QMAX K EPS as three ints and an exact Fraction."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        *ints, eps = values
-        try:
-            setattr(namespace, self.dest, (*map(int, ints), _fraction(eps)))
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            parser.error(f"argument {option_string}: {exc}")
+    return int(qmin), int(qmax), int(k), _fraction(eps)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="c4book",
-        description="Construct and verify extremal graphs for r(C4, B_n^(k)).",
-    )
-    parser.add_argument("--format", choices=("table", "json"), default="table")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers for searches")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("field", help="finite field info and operation tables")
-    p.set_defaults(handler=_cmd_field)
-    p.add_argument("p", type=int)
-    p.add_argument("e", type=int)
-    p.add_argument("--table", action="store_true", help="print add/mul tables (q <= 64)")
-
-    p = sub.add_parser("er", help="polarity graph of PG(2, q)")
-    p.set_defaults(handler=_cmd_er)
-    p.add_argument("q", type=int)
-    p.add_argument("--out", metavar="FILE.g6")
-
-    p = sub.add_parser("check", help="structural checks on a graph6 file")
-    p.set_defaults(handler=_cmd_check)
-    p.add_argument("file")
-    p.add_argument("--c4", action="store_true")
-    p.add_argument("--kst", action="store_true")
-    p.add_argument("--friendship", action="store_true")
-
-    p = sub.add_parser("verify", help="is FILE a (C4, B_n^(k))-Ramsey witness?")
-    p.set_defaults(handler=_cmd_verify)
-    p.add_argument("file")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("certify", help="lower-bound certificate for FILE")
-    p.set_defaults(handler=_cmd_certify)
-    p.add_argument("file")
-    p.add_argument("--k", type=int, required=True)
-
-    p = sub.add_parser("bounds", help="bound report / admissible-(q,t) table")
-    p.set_defaults(handler=_cmd_bounds)
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--q", type=int)
-    p.add_argument("--t", type=int)
-    p.add_argument("--eps", type=_fraction, default="1/2")
-    p.add_argument(
-        "--table",
-        nargs=4,
-        action=_TableArgs,
-        metavar=("QMIN", "QMAX", "K", "EPS"),
-        help="predicted exact values r = q^2 + t over admissible (q, t)",
-    )
-
-    p = sub.add_parser("construct", help="build extremal graphs")
-    csub = p.add_subparsers(dest="construct_command", required=True)
-
-    c = csub.add_parser("er-subgraph", help="induced subgraph of ER_q with a degree floor")
-    c.set_defaults(handler=_cmd_er_subgraph)
-    c.add_argument("--q", type=int, required=True)
-    c.add_argument("--order", type=int, required=True)
-    c.add_argument("--min-deg", type=int, required=True)
-    c.add_argument("--budget", type=_budget_int, default=10**7)
-    c.add_argument("--out", metavar="FILE.g6")
-
-    c = csub.add_parser("random-delete", help="randomized thinning of ER_p")
-    c.set_defaults(handler=_cmd_random_delete)
-    c.add_argument("--n", type=int, required=True)
-    c.add_argument("--k", type=int, required=True)
-    c.add_argument("--m", type=int)
-    c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--c", dest="c_const", type=int, default=6)
-    c.add_argument("--alpha", type=_fraction, default="21/80")
-    c.add_argument("--max-attempts", type=_budget_int, default=1000)
-    c.add_argument("--out", metavar="FILE.g6")
-
-    p = sub.add_parser("search", help="exhaustive or heuristic witness search")
-    ssub = p.add_subparsers(dest="search_command", required=True)
-
-    s = ssub.add_parser("exact", help="decide r(C4, B_n^(k)) vs a given order")
-    s.set_defaults(handler=_cmd_search_exact)
-    s.add_argument("--k", type=int, required=True)
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--N", dest="order", type=int, required=True)
-    s.add_argument("--out", metavar="FILE.g6")
-
-    s = ssub.add_parser("gq", help="hunt for a member of the q^2+q+3 witness family")
-    s.set_defaults(handler=_cmd_search_gq)
-    s.add_argument("--q", type=int, required=True)
-    s.add_argument("--budget", type=_budget_int, default=10**6)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--out", metavar="FILE.g6")
-
-    return parser
+def _format(text: str) -> str:
+    if text not in ("table", "json"):
+        raise ValueError(f"invalid choice: {text!r} (choose from 'table', 'json')")
+    return text
 
 
 def _cmd_field(args, run) -> tuple[int, dict, list[str]]:
@@ -242,15 +160,10 @@ def _cmd_field(args, run) -> tuple[int, dict, list[str]]:
     if args.table:
         if field.q > 64:
             raise C4BookError("operation tables are printed only for q <= 64")
-        t, elems = field.tables, range(field.q)
-        add_table = [[t.add(a, b) for b in elems] for a in elems]
-        mul_table = [[t.mul(a, b) for b in elems] for a in elems]
-        artifact["add_table"] = add_table
-        artifact["mul_table"] = mul_table
-        lines.append("add:")
-        lines += ["  " + " ".join(f"{x:3d}" for x in row) for row in add_table]
-        lines.append("mul:")
-        lines += ["  " + " ".join(f"{x:3d}" for x in row) for row in mul_table]
+        elems = range(field.q)
+        for op in ("add", "mul"):
+            table = artifact[f"{op}_table"] = [[getattr(field.tables, op)(a, b) for b in elems] for a in elems]
+            lines += [f"{op}:"] + ["  " + " ".join(f"{x:3d}" for x in row) for row in table]
     return 0, artifact, lines
 
 
@@ -261,20 +174,18 @@ def _cmd_er(args, run) -> tuple[int, dict, list[str]]:
     degrees = g.degrees()
     # er_graph checks that the absolute points are exactly the vertices of degree q
     absolutes = [v for v, d in enumerate(degrees) if d == args.q]
-    histogram: dict[int, int] = {}
-    for d in degrees:
-        histogram[d] = histogram.get(d, 0) + 1
+    histogram = sorted(Counter(degrees).items())
     artifact = {
         "q": args.q,
         "order": g.n,
         "size": g.edge_count(),
-        "degree_histogram": {str(k): v for k, v in sorted(histogram.items())},
+        "degree_histogram": {str(k): v for k, v in histogram},
         "absolute_points": absolutes,
     }
     run.attach_graph(artifact, g, args.out)
     lines = [
         f"ER_{args.q}: order {g.n}, size {g.edge_count()}",
-        "degrees: " + ", ".join(f"{k}x{v}" for k, v in sorted(histogram.items())),
+        "degrees: " + ", ".join(f"{k}x{v}" for k, v in histogram),
         f"absolute points ({len(absolutes)}): {absolutes}",
     ]
     if args.out:
@@ -477,16 +388,135 @@ def _cmd_search_gq(args, run) -> tuple[int, dict, list[str]]:
     return 0, artifact, [f"witness on {found.n} vertices found and re-verified"]
 
 
+def _opt(name, convert=int, default=..., metavar=None, dest=None):
+    """One row of an option table: (name, dest, converter, default, metavar).
+
+    A name without "--" is a positional.  The metavar names the option's
+    values, one word each, and so gives its arity; "" makes a flag that
+    stores True.  The converter takes the value texts.  A text default
+    passes through the converter too, None and False stay as they are, and
+    ... makes the option required.
+    """
+    dest = dest or name.lstrip("-").replace("-", "_")
+    return name, dest, convert, default, dest.upper() if metavar is None else metavar
+
+
+_FILE, _OUT = _opt("file", str), _opt("--out", str, None, "FILE.g6")
+
+# Each command, "" for the words before any command, maps to its handler,
+# its help line and its option rows; only a leaf has a handler.
+_COMMANDS = {
+    "": (None, "Construct and verify extremal graphs for r(C4, B_n^(k)); --jobs sets a search's workers.",
+         _opt("--format", _format, "table", "{table,json}"), _opt("--jobs", int, "1")),
+    "field": (_cmd_field, "finite field info; --table adds operation tables (q <= 64)",
+              _opt("p"), _opt("e"), _opt("--table", None, False, "")),
+    "er": (_cmd_er, "polarity graph of PG(2, q)", _opt("q"), _OUT),
+    "check": (_cmd_check, "structural checks on a graph6 file",
+              _FILE, *(_opt(flag, None, False, "") for flag in ("--c4", "--kst", "--friendship"))),
+    "verify": (_cmd_verify, "is FILE a (C4, B_n^(k))-Ramsey witness?", _FILE, _opt("--k"), _opt("--n")),
+    "certify": (_cmd_certify, "lower-bound certificate for FILE", _FILE, _opt("--k")),
+    "bounds": (_cmd_bounds, "bound report; --table lists predicted r = q^2 + t over admissible (q, t)",
+               *(_opt(flag, int, None) for flag in ("--n", "--k", "--q", "--t")),
+               _opt("--eps", _fraction, "1/2"), _opt("--table", _table, None, "QMIN QMAX K EPS")),
+    "construct": (None, "build extremal graphs"),
+    "construct er-subgraph": (_cmd_er_subgraph, "induced subgraph of ER_q with a degree floor",
+                              _opt("--q"), _opt("--order"), _opt("--min-deg"),
+                              _opt("--budget", _budget_int, "1e7"), _OUT),
+    "construct random-delete": (_cmd_random_delete, "randomized thinning of ER_p",
+                                _opt("--n"), _opt("--k"), _opt("--m", int, None), _opt("--seed", int, "0"),
+                                _opt("--c", int, "6", dest="c_const"), _opt("--alpha", _fraction, "21/80"),
+                                _opt("--max-attempts", _budget_int, "1000"), _OUT),
+    "search": (None, "exhaustive or heuristic witness search"),
+    "search exact": (_cmd_search_exact, "decide r(C4, B_n^(k)) vs a given order",
+                     _opt("--k"), _opt("--n"), _opt("--N", dest="order"), _OUT),
+    "search gq": (_cmd_search_gq, "hunt for a member of the q^2+q+3 witness family",
+                  _opt("--q"), _opt("--budget", _budget_int, "1e6"), _opt("--seed", int, "0"), _OUT),
+}
+
+
+class _UsageError(Exception):
+    """argv does not fit the command table; args are (command, message)."""
+
+
+def _help(command: str) -> list[str]:
+    """The usage line of a command, its help line, and one line per subcommand."""
+    _, about, *options = _COMMANDS[command]
+    subs = [key for key in _COMMANDS if key and key.rpartition(" ")[0] == command]
+    words = ["usage: c4book", *command.split()]
+    for name, _, _, default, metavar in options:
+        word = f"{name} {metavar}".rstrip() if name[0] == "-" else name
+        words.append(word if default is ... else f"[{word}]")
+    if subs:
+        words.append("COMMAND ...")
+    return [" ".join(words), "", about] + [f"  {key:25}{_COMMANDS[key][1]}" for key in subs]
+
+
+def _parse(argv: list[str]):
+    """(handler, args) for argv, or (None, None) once -h/--help has printed its level's help.
+
+    Each level reads its own options: the global ones come before the first
+    command word, a command's own after the last.  A token that starts with
+    "--" is an option, written "--opt value" or "--opt=value", and takes the
+    next tokens as its values; any other token, "-3" included, is a value.
+    Raises _UsageError.
+    """
+    command, args, todo = "", SimpleNamespace(), argv[::-1]
+    while True:
+        handler, _, *options = _COMMANDS[command]
+        rows = {row[0]: row for row in options}
+        positionals = [name for name in rows if name[0] != "-"]
+        for _, dest, convert, default, _ in options:
+            setattr(args, dest, convert(default) if isinstance(default, str) else default)
+        while todo and (handler or todo[-1][:1] == "-"):
+            token = todo.pop()
+            if token in ("-h", "--help"):
+                print("\n".join(_help(command)))
+                return None, None
+            if token[:2] == "--":
+                name, eq, text = token.partition("=")
+                if name not in rows:
+                    raise _UsageError(command, f"unrecognized option {name}")
+                if eq:
+                    if not rows[name][4]:
+                        raise _UsageError(command, f"argument {name}: takes no value")
+                    todo.append(text)  # read below as the first value
+            elif positionals:
+                name = positionals.pop(0)
+                todo.append(token)  # read back below as the positional's value
+            else:
+                raise _UsageError(command, f"unrecognized argument {token!r}")
+            _, dest, convert, _, metavar = rows[name]
+            arity = len(metavar.split())
+            if len(todo) < arity:
+                raise _UsageError(command, f"argument {name}: expected {arity} value(s)")
+            try:
+                setattr(args, dest, convert(*[todo.pop() for _ in range(arity)]) if arity else True)
+            except ValueError as exc:
+                raise _UsageError(command, f"argument {name}: {exc}") from None
+        missing = [name for name, dest, *_ in options if getattr(args, dest) is ...]
+        if missing:
+            raise _UsageError(command, "the following arguments are required: " + ", ".join(missing))
+        if handler:
+            return handler, args
+        word = todo.pop() if todo else ""
+        if not word or f"{command} {word}".lstrip() not in _COMMANDS:
+            raise _UsageError(command, f"{word!r} is not a command" if word else "a command is required")
+        command = f"{command} {word}".lstrip()
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+        handler, args = _parse(argv)
+    except _UsageError as exc:
+        command, message = exc.args
+        print(_help(command)[0], f"c4book {command}".rstrip() + f": error: {message}", sep="\n", file=sys.stderr)
+        return 2
+    if handler is None:
+        return 0
     run = _Run(argv)
     try:
-        code, artifact, lines = args.handler(args, run)
+        code, artifact, lines = handler(args, run)
     except (C4BookError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,6 +1,5 @@
 """End-to-end command-line behavior: exit codes, JSON artifacts, determinism."""
 
-import argparse
 import hashlib
 import json
 import shlex
@@ -11,7 +10,7 @@ import pytest
 
 import c4book as cb
 from c4book import _constructions, geometry, gf, ramsey
-from c4book.cli import _build_parser, main
+from c4book.cli import _COMMANDS, _budget_int, _parse, _UsageError, main
 from c4book.graphcore import Graph, g6_encode
 
 from oracles import absolute_points_reference, cycle_graph, prime_power_decompose_reference, star_graph
@@ -495,27 +494,110 @@ def _readme_commands():
     return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("c4book ")]
 
 
-def _command_paths(parser, prefix=()):
-    """Every (sub)command word sequence that ends at a leaf parser."""
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            return {
-                path for name, sub in action.choices.items() for path in _command_paths(sub, prefix + (name,))
-            }
-    return {prefix}
+# every command word sequence that ends at a handler
+LEAVES = [tuple(command.split()) for command, (handler, *_) in _COMMANDS.items() if handler]
 
 
-def test_readme_commands_match_parser():
-    parser = _build_parser()
+def test_readme_commands_match_parser(capsys):
     commands = _readme_commands()
-    assert commands
+    assert commands and len(LEAVES) == 10
     for argv in commands:
         try:
-            parser.parse_args(argv)
-        except SystemExit:
-            pytest.fail(f"README line does not parse: c4book {shlex.join(argv)}")
-    for path in _command_paths(parser):
+            _parse(argv)
+        except _UsageError as exc:
+            pytest.fail(f"README line does not parse: c4book {shlex.join(argv)}: {exc.args[1]}")
+    for path in LEAVES:
         assert any(tuple(argv[: len(path)]) == path for argv in commands), path
+
+
+@pytest.mark.parametrize(
+    "path", [(), ("search",), ("construct",), *LEAVES], ids=lambda path: "-".join(path) or "top"
+)
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_at_every_level(capsys, path, flag):
+    assert main([*path, flag]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(" ".join(("usage: c4book",) + path))
+    usage_words = out.splitlines()[0].replace("[", " ").replace("]", " ").split()
+    for name, *_ in _COMMANDS[" ".join(path)][2:]:
+        assert name in usage_words
+    for command in _COMMANDS:
+        if command and command.rpartition(" ")[0] == " ".join(path):
+            assert f"  {command} " in out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "a command is required"),
+        (["search"], "a command is required"),
+        (["frobnicate"], "'frobnicate' is not a command"),
+        (["bounds", "--n", "3", "--k", "2", "--bogus"], "unrecognized option --bogus"),
+        (["verify", "c6.g6", "--k", "1"], "required: --n"),
+        (["field", "3"], "required: e"),
+        (["search", "exact", "--k", "2", "--n", "3", "--N"], "argument --N: expected 1 value"),
+        (["bounds", "--table", "7", "9", "3"], "argument --table: expected 4 value"),
+        (["search", "exact", "--k", "two", "--n", "3", "--N", "8"], "argument --k: invalid literal for int()"),
+        (["field", "3", "2", "4"], "unrecognized argument '4'"),
+        (["check", "--c4=yes", "c6.g6"], "argument --c4: takes no value"),
+        (["--format", "xml", "bounds", "--n", "3", "--k", "2"], "argument --format: invalid choice: 'xml'"),
+        (["bounds", "--n", "3", "--k", "2", "--format", "json"], "unrecognized option --format"),
+        (["--form", "json", "bounds", "--n", "3", "--k", "2"], "unrecognized option --form"),
+        (["search", "gq", "--q", "2", "--budget", "-1e3"], "argument --budget: must be >= 1, got '-1e3'"),
+        (["search", "gq", "--q", "2", "--budget", "1.5"], "argument --budget: not a whole number"),
+    ],
+    ids=["no-command", "no-subcommand", "unknown-command", "unknown-option", "missing-option",
+         "missing-positional", "option-without-value", "table-short", "bad-int", "extra-positional",
+         "flag-with-value", "format-xml", "global-option-after-command", "abbreviation",
+         "budget-negative-exponent", "budget-fraction"],
+)
+def test_usage_error_exit_2_with_usage_line(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 2
+    assert lines[0].startswith("usage: c4book") and ": error: " in lines[1] and message in lines[1]
+
+
+@pytest.mark.parametrize(
+    "spaced, joined",
+    [
+        (["bounds", "--n", "46", "--k", "3"], ["bounds", "--n", "46", "--k=3"]),
+        (["--format", "json", "search", "exact", "--k", "2", "--n", "3", "--N", "8"],
+         ["--format=json", "search", "exact", "--k=2", "--n=3", "--N=8"]),
+        (["bounds", "--table", "7", "9", "3", "0.25"], ["bounds", "--table=7", "9", "3", "0.25"]),
+    ],
+    ids=["option", "global-and-leaf", "table"],
+)
+def test_option_equals_value(capsys, spaced, joined):
+    assert run_json(capsys, *spaced)[1]["artifact"] == run_json(capsys, *joined)[1]["artifact"]
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("9007199254740993", 2**53 + 1),  # a float rounds it to 2**53
+        ("10000000000000000000001", 10**22 + 1),
+        ("1_000", 1000),
+        ("1e3", 1000),
+        ("2.0", 2),
+    ],
+)
+def test_budget_int_is_exact(text, value):
+    assert _budget_int(text) == value
+    _, args = _parse(["search", "gq", "--q", "2", "--budget", text])
+    assert args.budget == value and type(args.budget) is int
+
+
+def test_defaults_pass_through_the_converter():
+    from fractions import Fraction
+
+    _, args = _parse(["construct", "random-delete", "--n", "100", "--k", "2"])
+    assert (args.alpha, args.c_const, args.seed, args.m, args.max_attempts, args.out) == (
+        Fraction(21, 80), 6, 0, None, 1000, None
+    )
+    _, args = _parse(["bounds", "--n", "3", "--k", "2"])
+    assert (args.eps, args.table, args.format, args.jobs) == (Fraction(1, 2), None, "table", 1)
 
 
 @pytest.mark.parametrize(
@@ -532,9 +614,13 @@ def test_readme_commands_match_parser():
          "n=16003 needs a plane of order above 128"),
         (["construct", "random-delete", "--n", "16256", "--k", "2", "--alpha", "26251/100000"],
          "n=16256 needs a plane of order above 128"),
+        # a value that starts with "-" is a value, so its range is checked
+        (["construct", "random-delete", "--n", "100", "--k", "2", "--alpha", "-1/2"],
+         "alpha must lie strictly in (0, 1/2), got -1/2"),
     ],
     ids=["bounds-k", "random-delete-alpha-denominator", "random-delete-prime-over-cap",
-         "random-delete-default-floor-over-cap", "random-delete-slow-floor-over-cap"],
+         "random-delete-default-floor-over-cap", "random-delete-slow-floor-over-cap",
+         "random-delete-alpha-negative"],
 )
 def test_size_caps_refused_at_once_exit_2(capsys, argv, message):
     start = time.monotonic()
@@ -559,9 +645,11 @@ def test_usage_error_exit_2(capsys):
         (["--table", "10", "2", "3", "7/2"], "eps must lie strictly in (0, 1)"),
         (["--k", "1", "--n", str((10**25 + 13) ** 2)], "cannot decide"),
         (["--n", "46", "--k", "3", "--q", "8", "--t", "2"], "describe n = 42, not --n 46"),
+        (["--n", "46", "--k", "3", "--q", "8", "--t", "6", "--eps", "-1/4"],
+         "eps must lie strictly in (0, 1), got -1/4"),
     ],
     ids=["q-alone", "t-alone", "table-over-cap", "table-far-over-cap", "table-k2-no-prime-power",
-         "table-eps-empty-range", "undecided-prime-power", "q-t-other-n"],
+         "table-eps-empty-range", "undecided-prime-power", "q-t-other-n", "eps-negative"],
 )
 def test_bounds_refusals_exit_2(capsys, argv, message):
     assert main(["bounds", *argv]) == 2

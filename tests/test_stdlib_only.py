@@ -131,6 +131,23 @@ def test_checking_a_graph_loads_no_construction(c6_file, argv, layers):
     assert added & set(HEAVY) == {"hashlib"}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (),
+        ("verify", "{file}", "--k", "1", "--n", "4"),
+        ("search", "exact", "--k", "2", "--n", "3", "--N", "6"),
+        ("search", "gq", "--q", "2", "--budget", "100"),
+    ],
+    ids=["import", "verify", "search-exact", "search-gq"],
+)
+def test_cli_loads_no_argparse_or_locale(c6_file, argv):
+    # the command table is read without argparse, whose first message
+    # lookup loads gettext and locale
+    added = _modules_loaded(*(a.format(file=c6_file) for a in argv))
+    assert not added & {"argparse", "gettext", "locale"}
+
+
 def test_er_loads_no_search_or_certificates():
     added = _modules_loaded("er", "5")
     assert _loaded(added, [f"c4book.{name}" for name in LAYERS]) == [
