@@ -22,11 +22,9 @@ from .errors import (
 from .graphcore import Graph, _bits
 
 if TYPE_CHECKING:
-    from fractions import Fraction
-
     from .ramsey import LowerBoundCertificate
 
-# bounds, geometry, gf, ramsey, fractions and hashlib are imported where the
+# bounds, geometry, gf, ramsey and hashlib are imported where the
 # constructions use them, so the deletion search loads none of them
 
 
@@ -122,8 +120,8 @@ def greedy_min_degree_subgraph(g: Graph, target_order: int, min_deg: int, budget
 class DeletionRun(NamedTuple):
     n: int
     k: int
-    alpha: Fraction          # effective exponent applied to n (default 21/80)
-    c: int
+    alpha: str               # the default floor's exponent, "21/80"
+    c: int                   # the default floor's coefficient, 6
     p: int                   # smallest prime >= sqrt(n) + 1/2
     order: int               # p^2 + p + 1
     m: int                   # degree floor of the surviving subgraph
@@ -156,23 +154,18 @@ def random_delete_construction(
     k: int,
     seed: int = 0,
     m: int | None = None,
-    c: int = 6,
-    alpha: Fraction | str = "21/80",
     max_attempts: int = 1000,
 ) -> tuple[Graph, DeletionRun, LowerBoundCertificate]:
     """Delete d random vertices from ER_p until no survivor drops below m.
 
-    Default m = floor(sqrt(n) - c*n^alpha); when that is nonpositive the
-    asymptotic regime is not reached and the error reports the least n that
-    would make the defaults usable, if a plane of order at most
-    DEFAULT_GRAPH_Q_CAP admits it.  On success the surviving graph has
+    Default m = floor(sqrt(n) - 6 n^(21/80)); below n = 2 075 that is
+    nonpositive, the asymptotic regime is not reached and the error reports
+    that least n (bounds.MIN_N_DEFAULT).  On success the surviving graph has
     order n + mk - k(k-3)/2 - 1 and its certificate guarantees a book-free
     complement at n* <= n pages, hence r(C4, B_n^(k)) >= order + 1.  An n
     that no plane of prime order at most DEFAULT_GRAPH_Q_CAP admits (any n
     above 16 002) is refused before m or p is computed.
     """
-    from fractions import Fraction
-
     from .geometry import DEFAULT_GRAPH_Q_CAP, er_graph
     from .gf import is_prime
     from .ramsey import certify_lower_bound
@@ -187,23 +180,14 @@ def random_delete_construction(
     n_max = (2 * max(filter(is_prime, range(DEFAULT_GRAPH_Q_CAP + 1))) - 1) ** 2 // 4
     if n > n_max:
         raise CapExceeded(f"n={n} needs a plane of order above {DEFAULT_GRAPH_Q_CAP}")
-    alpha = Fraction(alpha)
     if m is None:
-        from .bounds import floor_sqrt_minus_power, min_n_default_regime
+        from .bounds import MIN_N_DEFAULT, floor_sqrt_minus_power
 
-        m = floor_sqrt_minus_power(n, c, alpha)
+        m = floor_sqrt_minus_power(n)
         if m < 1:
-            # the floor grows with n past its minimum, so the defaults hold
-            # from some n on; when that is past n_max, say only that
-            if floor_sqrt_minus_power(n_max, c, alpha) < 1:
-                raise AsymptoticRegimeNotReached(
-                    f"default degree floor is {m} at n={n}; defaults need n above "
-                    f"{n_max}, which needs a plane of order above {DEFAULT_GRAPH_Q_CAP}"
-                )
-            min_n = min_n_default_regime(c, alpha)
             raise AsymptoticRegimeNotReached(
-                f"default degree floor is {m} at n={n}; defaults need n >= {min_n}",
-                min_n=min_n,
+                f"default degree floor is {m} at n={n}; defaults need n >= {MIN_N_DEFAULT}",
+                min_n=MIN_N_DEFAULT,
             )
     if m < 1:
         raise DomainError(f"degree floor m must be >= 1, got {m}")
@@ -241,8 +225,8 @@ def random_delete_construction(
             run = DeletionRun(
                 n=n,
                 k=k,
-                alpha=alpha,
-                c=c,
+                alpha="21/80",
+                c=6,
                 p=p,
                 order=order,
                 m=m,

@@ -1,15 +1,15 @@
 """Closed-form bounds for r(C4, B_n^(k)): every formula the toolkit evaluates.
 
 Every answer is exact: big integers everywhere, Fractions for the rational
-inputs (eps, alpha) and the threshold Q(k, eps), and one sign test for
-sqrt(n) - c*n^alpha - v whose rounded tiers decide only outside their error
-bounds, ahead of an exact integer bracket, so no floor is ever off by one.
+input eps and the threshold Q(k, eps), and one sign test for
+sqrt(n) - 6*n^(21/80) - v whose floating-point tier decides only outside
+its error bound, ahead of an exact integer bracket, so no floor is ever off
+by one.
 """
 
 from __future__ import annotations
 
 import math
-from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from math import comb, isqrt
 from typing import NamedTuple
@@ -17,7 +17,7 @@ from typing import NamedTuple
 from .errors import CapExceeded, DomainError
 from .gf import iroot, is_prime_power, prime_power_decompose
 
-# -- exact floors of sqrt(n) - c * n^alpha --
+# -- exact floors of sqrt(n) - 6 * n^(21/80) --
 
 
 def _cmp_sqrt_expr(n: int, c: int, alpha: Fraction, v: int) -> int:
@@ -58,18 +58,13 @@ def _sign_sqrt_expr(n: int, c: int, alpha: Fraction, v: int) -> int:
     """Sign of sqrt(n) - c*n^alpha - v, as _cmp_sqrt_expr(n, c, alpha, v) gives it.
 
     Tried first in floating point when n, c and v fit in 512 bits (so no
-    float overflows), then, for alpha = a/b with b >= 400, in decimal
-    arithmetic with about twenty digits more than n; a difference inside
-    both tiers' error bounds pays for the exact bracket.  Each rounded step
-    is correctly rounded or nearly so: with u the tier's unit roundoff and
-    x = alpha ln n, sqrt(n), v and c*n^alpha carry relative errors below 2u,
-    u and (3x + 2)u, so a difference above (4x + 16)u (sqrt(n) + |v| +
-    c*n^alpha) has the computed sign.  Next to a change of sign the
-    difference is about 1/n of the sides, which the decimal tier resolves.
-    Below b = 400 the exact bracket's b-th powers cost less than the decimal
-    logarithms at any size of n.  A square n or v = 0 can make the
-    difference exactly 0, which no rounded tier decides, so those skip the
-    decimal tier; the bracket decides them with one integer comparison.
+    float overflows); a difference inside the error bound pays for the exact
+    bracket.  Each float step is correctly rounded or nearly so: with u the
+    unit roundoff and x = alpha ln n, sqrt(n), v and c*n^alpha carry
+    relative errors below 2u, u and (3x + 2)u, so a difference above
+    (4x + 16)u (sqrt(n) + |v| + c*n^alpha) has the computed sign.  A square
+    n or v = 0 can make the difference exactly 0, which no rounded test
+    decides; the bracket decides those with one integer comparison.
     """
     if max(n, c, abs(v)).bit_length() <= 512:
         root = math.sqrt(n)
@@ -78,106 +73,53 @@ def _sign_sqrt_expr(n: int, c: int, alpha: Fraction, v: int) -> int:
         gap = root - v - power
         if abs(gap) > (4 * x + 16) * 2.0**-50 * (root + abs(v) + power):
             return 1 if gap > 0 else -1
-    if alpha.denominator >= 400 and v != 0 and isqrt(n) ** 2 != n:
-        with localcontext(Context(prec=n.bit_length() // 3 + 20)) as ctx:
-            root = Decimal(n).sqrt()
-            x = Decimal(alpha.numerator) / alpha.denominator * Decimal(n).ln()
-            power = c * x.exp()
-            gap = root - v - power
-            if abs(gap) > (4 * x + 16) * (root + abs(v) + power) / 10 ** (ctx.prec - 1):
-                return 1 if gap > 0 else -1
     return _cmp_sqrt_expr(n, c, alpha, v)
 
 
-# For alpha = a/b the floor's first guess builds c^b * n^a and takes its b-th
-# root, and an undecided comparison builds b-th powers, so the cost grows with
-# b: at this cap the floor takes about 0.2 s at n = 16 002, the largest n that
-# random_delete_construction accepts, nearly all of it in the guess.
-ALPHA_DENOMINATOR_CAP = 10**5
-
-
-def _rational(x, name: str = "eps", hi: Fraction = Fraction(1)) -> Fraction:
-    """x as an exact Fraction strictly inside (0, hi), the one reader of eps and alpha.
+def _rational(eps) -> Fraction:
+    """eps as an exact Fraction strictly inside (0, 1), the one reader of eps.
 
     Floats are taken at their shortest decimal representation, so 0.3 means
-    exactly 3/10 and 0.2625 exactly 21/80.
+    exactly 3/10.
     """
-    x = Fraction(str(x)) if isinstance(x, float) else Fraction(x)
-    if not 0 < x < hi:
-        raise DomainError(f"{name} must lie strictly in (0, {hi}), got {x}")
-    return x
+    eps = Fraction(str(eps)) if isinstance(eps, float) else Fraction(eps)
+    if not 0 < eps < 1:
+        raise DomainError(f"eps must lie strictly in (0, 1), got {eps}")
+    return eps
 
 
-def _exponent(c: int, alpha) -> Fraction:
-    """alpha as an exact Fraction, once c >= 0, 0 < alpha < 1/2 and a
-    denominator of at most ALPHA_DENOMINATOR_CAP are checked."""
-    if c < 0:
-        raise DomainError(f"need c >= 0, got {c}")
-    alpha = _rational(alpha, "alpha", Fraction(1, 2))
-    if alpha.denominator > ALPHA_DENOMINATOR_CAP:
-        raise CapExceeded(f"alpha's denominator must be at most {ALPHA_DENOMINATOR_CAP}, got {alpha}")
-    return alpha
+_ALPHA = Fraction(21, 80)
 
 
-def floor_sqrt_minus_power(n: int, c: int = 6, alpha: Fraction = Fraction(21, 80)) -> int:
-    """floor(sqrt(n) - c * n^alpha), exact for every n >= 1.
+def floor_sqrt_minus_power(n: int) -> int:
+    """floor(sqrt(n) - 6 * n^(21/80)), exact for every n >= 1.
 
-    The first guess is isqrt(n) - floor(c * n^alpha) with c * n^alpha taken
-    in floating point, as 2^(log2 c + alpha log2 n), while that exponent is
-    below 40: its error there is under 10^-12 relative, so the guess is off
-    by at most two.  Above, with alpha = a/b, it is isqrt(n) -
-    floor((c^b * n^a)^(1/b)), which lies within one of sqrt(n) - c*n^alpha
-    but costs b-th powers.  _sign_sqrt_expr, whose every answer is exact,
-    then walks the guess to the true floor in a few comparisons.
+    The first guess is isqrt(n) - floor(6 * n^(21/80)) with the power taken
+    in floating point, as 2^(log2 6 + (21/80) log2 n), while that exponent
+    is below 40: its error there is under 10^-12 relative, so the guess is
+    off by at most two.  Above (n past about 2^142) it is isqrt(n) -
+    floor((6^80 * n^21)^(1/80)), which lies within one of sqrt(n) -
+    6*n^(21/80).  _sign_sqrt_expr, whose every answer is exact, then walks
+    the guess to the true floor in a few comparisons.
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    alpha = _exponent(c, alpha)
-    bits = math.log2(c) + float(alpha) * math.log2(n) if c else -math.inf
+    bits = math.log2(6) + 0.2625 * math.log2(n)
     if bits < 40:
         guess = isqrt(n) - math.floor(2.0**bits)
     else:
-        guess = isqrt(n) - iroot(c**alpha.denominator * n**alpha.numerator, alpha.denominator)
-    while _sign_sqrt_expr(n, c, alpha, guess) < 0:
+        guess = isqrt(n) - iroot(6**80 * n**21, 80)
+    while _sign_sqrt_expr(n, 6, _ALPHA, guess) < 0:
         guess -= 1
-    while _sign_sqrt_expr(n, c, alpha, guess + 1) >= 0:
+    while _sign_sqrt_expr(n, 6, _ALPHA, guess + 1) >= 0:
         guess += 1
     return guess
 
 
-# The least n has about log2(c) / (1/2 - alpha) bits, unbounded as alpha nears
-# 1/2: alpha = (b-1)/(2b) needs about 5b bits.  Every n that a plane of order
-# up to geometry.DEFAULT_GRAPH_Q_CAP admits lies far below this cap.
-MIN_N_BITS_CAP = 256
-
-
-def min_n_default_regime(c: int = 6, alpha: Fraction = Fraction(21, 80)) -> int:
-    """Least n at which floor(sqrt(n) - c*n^alpha) reaches 1 under defaults.
-
-    sqrt(n) - c*n^alpha is increasing once n^(1/2-alpha) > 2*c*alpha, so a
-    bisection above that point is exact.  Each step compares sqrt(n) -
-    c*n^alpha with 1 by _sign_sqrt_expr.  An n of over MIN_N_BITS_CAP bits is
-    refused once the search for an upper end passes it, and at once when
-    n^(1/2-alpha) > c, which the least n needs, puts it clearly past the cap.
-    """
-    alpha = _exponent(c, alpha)
-    if c > 1 and math.log2(c) > (MIN_N_BITS_CAP + 1) * float(Fraction(1, 2) - alpha):
-        raise CapExceeded(f"the least n for c={c}, alpha={alpha} has over {MIN_N_BITS_CAP} bits")
-    lo = 2
-    hi = 4
-    while _sign_sqrt_expr(hi, c, alpha, 1) < 0:
-        if hi.bit_length() > MIN_N_BITS_CAP:
-            raise CapExceeded(
-                f"the least n for c={c}, alpha={alpha} has over {MIN_N_BITS_CAP} bits"
-            )
-        lo, hi = hi, hi * 4
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if _sign_sqrt_expr(mid, c, alpha, 1) >= 0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+# The least n with floor_sqrt_minus_power(n) >= 1.  sqrt(n) - 6*n^(21/80)
+# increases once n^(19/80) > 2 * 6 * 21/80, that is from n = 126 on, so the
+# floor stays at least 1 from here on.
+MIN_N_DEFAULT = 2075
 
 
 # -- star case (k = 1) --

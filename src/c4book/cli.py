@@ -44,15 +44,6 @@ if TYPE_CHECKING:
 JSON_SCHEMA_VERSION = 1
 
 
-def _json_default(obj):
-    """Exact rationals (DeletionRun.alpha) serialise as "p/q" strings."""
-    from fractions import Fraction
-
-    if isinstance(obj, Fraction):
-        return str(obj)
-    raise TypeError(f"{type(obj).__name__} is not JSON serialisable")
-
-
 class _Run:
     """Collects manifest data for one invocation."""
 
@@ -103,7 +94,7 @@ class _Run:
                 "manifest": manifest,
                 "timing": {"wall_time_ms": round(1000 * (time.monotonic() - self.start), 3)},
             }
-            print(json.dumps(doc, indent=2, sort_keys=True, default=_json_default))
+            print(json.dumps(doc, indent=2, sort_keys=True))
         else:
             print("\n".join(lines))
 
@@ -138,6 +129,14 @@ def _fraction(text: str):
 def _table(qmin, qmax, k, eps):
     """--table QMIN QMAX K EPS as three ints and an exact Fraction."""
     return int(qmin), int(qmax), int(k), _fraction(eps)
+
+
+def _jobs(text: str) -> int:
+    """A worker count of at least 1, refused below that for every command."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"jobs must be >= 1, got {value}")
+    return value
 
 
 def _format(text: str) -> str:
@@ -322,8 +321,6 @@ def _cmd_random_delete(args, run) -> tuple[int, dict, list[str]]:
             args.k,
             seed=args.seed,
             m=args.m,
-            c=args.c_const,
-            alpha=args.alpha,
             max_attempts=args.max_attempts,
         )
     except (AsymptoticRegimeNotReached, AttemptsExhausted) as exc:
@@ -407,7 +404,7 @@ _FILE, _OUT = _opt("file", str), _opt("--out", str, None, "FILE.g6")
 # its help line and its option rows; only a leaf has a handler.
 _COMMANDS = {
     "": (None, "Construct and verify extremal graphs for r(C4, B_n^(k)); --jobs sets a search's workers.",
-         _opt("--format", _format, "table", "{table,json}"), _opt("--jobs", int, "1")),
+         _opt("--format", _format, "table", "{table,json}"), _opt("--jobs", _jobs, "1")),
     "field": (_cmd_field, "finite field info; --table adds operation tables (q <= 64)",
               _opt("p"), _opt("e"), _opt("--table", None, False, "")),
     "er": (_cmd_er, "polarity graph of PG(2, q)", _opt("q"), _OUT),
@@ -422,9 +419,10 @@ _COMMANDS = {
     "construct er-subgraph": (_cmd_er_subgraph, "induced subgraph of ER_q with a degree floor",
                               _opt("--q"), _opt("--order"), _opt("--min-deg"),
                               _opt("--budget", _budget_int, "1e7"), _OUT),
-    "construct random-delete": (_cmd_random_delete, "randomized thinning of ER_p",
+    "construct random-delete": (_cmd_random_delete,
+                                "randomized thinning of ER_p; --m sets the degree floor, "
+                                "floor(sqrt(n) - 6 n^0.2625) by default",
                                 _opt("--n"), _opt("--k"), _opt("--m", int, None), _opt("--seed", int, "0"),
-                                _opt("--c", int, "6", dest="c_const"), _opt("--alpha", _fraction, "21/80"),
                                 _opt("--max-attempts", _budget_int, "1000"), _OUT),
     "search": (None, "exhaustive or heuristic witness search"),
     "search exact": (_cmd_search_exact, "decide r(C4, B_n^(k)) vs a given order",

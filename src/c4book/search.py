@@ -17,8 +17,6 @@ from importlib import import_module
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from fractions import Fraction
-
     from ._constructions import DeletionRun
     from .graphcore import Graph
     from .ramsey import LowerBoundCertificate
@@ -57,14 +55,12 @@ def random_delete_construction(
     k: int,
     seed: int = 0,
     m: int | None = None,
-    c: int = 6,
-    alpha: Fraction | str = "21/80",
     max_attempts: int = 1000,
 ) -> tuple[Graph, DeletionRun, LowerBoundCertificate]:
     """Thin ER_p at random to a degree floor and certify it; see ``_constructions``."""
     from . import _constructions
 
-    return _constructions.random_delete_construction(n, k, seed, m, c, alpha, max_attempts)
+    return _constructions.random_delete_construction(n, k, seed, m, max_attempts)
 
 
 def probe_script_Gq(q: int, budget: int = 10**6, seed: int = 0):

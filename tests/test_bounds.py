@@ -113,7 +113,9 @@ def test_remark_cap_scalar_agreement():
                 assert gs.cap_holds
 
 
-# -- exact floors of sqrt(n) - c n^alpha --
+# -- exact floors of sqrt(n) - 6 n^(21/80) --
+
+PAPER_C, PAPER_ALPHA = 6, Fraction(21, 80)
 
 
 def test_floor_sqrt_minus_power_spot_values():
@@ -126,8 +128,9 @@ def test_floor_sqrt_minus_power_spot_values():
     assert bounds.floor_sqrt_minus_power(10**40 + 12345) == 99999999810263340389
     assert bounds.floor_sqrt_minus_power((10**18 + 9) ** 2) == 999999983089702421
     assert bounds.floor_sqrt_minus_power((10**18 + 9) ** 2 - 1) == 999999983089702421
-    assert bounds.floor_sqrt_minus_power(10**38 + 7, 1, Fraction(1, 4)) == 9999999996837722339
-    assert bounds.floor_sqrt_minus_power(10**32, 3, Fraction(1, 3)) == 9999860752334991
+    # past 2^142.5 the first guess is an integer root (values from 200-digit decimals)
+    assert bounds.floor_sqrt_minus_power(2**143) == 3339217362088273379871
+    assert bounds.floor_sqrt_minus_power(10**50 + 1) == 9999999999919988714070200
 
 
 def test_floor_sqrt_minus_power_exact_integer_case():
@@ -135,7 +138,7 @@ def test_floor_sqrt_minus_power_exact_integer_case():
     n = 2**80
     want = 2**40 - 6 * 2**21
     assert bounds.floor_sqrt_minus_power(n) == want
-    assert bounds._cmp_sqrt_expr(n, 6, Fraction(21, 80), want) == 0
+    assert bounds._cmp_sqrt_expr(n, PAPER_C, PAPER_ALPHA, want) == 0
 
 
 def test_floor_sqrt_minus_power_against_high_precision():
@@ -147,40 +150,24 @@ def test_floor_sqrt_minus_power_against_high_precision():
         assert bounds.floor_sqrt_minus_power(n) == int(x.to_integral_value("ROUND_FLOOR"))
 
 
-def test_floor_sqrt_minus_power_other_exponents_against_high_precision():
-    from decimal import Decimal, getcontext
-
-    getcontext().prec = 300
-    for alpha in (Fraction(1, 3), Fraction(2, 7), Fraction(1, 81), Fraction(40, 81), Fraction(1, 4001)):
-        power = Decimal(alpha.numerator) / Decimal(alpha.denominator)
-        for n in (10, 97, 2075, 16256, 10**12 + 3, 10**50 + 1):
-            for c in (1, 6):
-                x = Decimal(n).sqrt() - c * Decimal(n) ** power
-                want = int(x.to_integral_value("ROUND_FLOOR"))
-                assert bounds.floor_sqrt_minus_power(n, c, alpha) == want, (n, c, alpha)
-
-
 def test_floor_sqrt_minus_power_first_guess_against_the_integer_root():
-    # the floating-point first guess below 2^40, the integer root above:
-    # both walk to the floor the integer-root guess walks to
+    # the floating-point first guess below 2^40 (n below about 2^142.5), the
+    # integer root above: both walk to the floor the integer-root guess walks to
     rng = random.Random(24)
     small = list(range(1, 120)) + [2074, 2075, 16002, 16256] + [rng.randrange(2, 10**6) for _ in range(20)]
     large = [rng.randrange(10**9, 10**k) for k in (12, 20, 40, 90) for _ in range(4)]
-    large += [s * s + d for s in (10**6 + 3, 2**40, 10**18 + 9) for d in (-1, 0, 1)] + [2**80, 10**200 + 7]
-    cs = (0, 1, 6, 2**20, 2**45)
-    alphas = (Fraction(1, 3), Fraction(21, 80), Fraction(49, 100), Fraction(1, 81))
-    cases = [(n, c, alpha) for alpha in alphas for c in cs for n in small + large]
-    # the reference's b-th powers grow with the denominator b: fewer cases there
-    cases += [(n, c, alpha) for alpha in (Fraction(199, 400), Fraction(4999, 10000)) for c in cs[:3] for n in small[::7]]
-    cases += [(16002, 6, Fraction(49999, 100000))]
-    for n, c, alpha in cases:
-        assert bounds.floor_sqrt_minus_power(n, c, alpha) == oracles.floor_sqrt_minus_power_reference(n, c, alpha)
+    large += [s * s + d for s in (10**6 + 3, 2**40, 10**18 + 9) for d in (-1, 0, 1)]
+    large += [2**80, 2**142, 2**143 + 1, 10**200 + 7]
+    for n in small + large:
+        assert bounds.floor_sqrt_minus_power(n) == oracles.floor_sqrt_minus_power_reference(
+            n, PAPER_C, PAPER_ALPHA
+        ), n
 
 
 def test_sqrt_comparator_ties():
     # sqrt(8) = 2 * 8^(1/6): a tie at a non-square n, decided from squares
     assert bounds._cmp_sqrt_expr(8, 2, Fraction(1, 6), 0) == 0
-    assert bounds.floor_sqrt_minus_power(8, 2, Fraction(1, 6)) == 0
+    assert oracles.floor_sqrt_minus_power_reference(8, 2, Fraction(1, 6)) == 0
     # sqrt(64) - 2 * 64^(1/6) = 4 at a square n
     assert bounds._cmp_sqrt_expr(64, 2, Fraction(1, 6), 4) == 0
     assert bounds._cmp_sqrt_expr(64, 2, Fraction(1, 6), 5) == -1
@@ -192,11 +179,10 @@ def test_sqrt_comparator_below_v_squared():
 
 
 def test_floats_read_at_their_shortest_decimal():
-    # 0.2625 is 21/80, not the binary fraction with denominator 2^54
-    assert bounds.floor_sqrt_minus_power(10**6, 6, 0.2625) == 774
-    assert bounds.floor_sqrt_minus_power(10**6, 6, Fraction(21, 80)) == 774
-    assert bounds.min_n_default_regime(6, 0.2625) == bounds.min_n_default_regime(6, Fraction(21, 80))
+    # 0.3 is 3/10, not the binary fraction with denominator 2^54
     assert bounds.q_threshold(3, 0.3) == bounds.q_threshold(3, Fraction(3, 10))
+    assert bounds.bounds_params(3, 10, 2, 0.3).eps == Fraction(3, 10)
+    assert bounds.theorem15_table(7, 9, 3, 0.25) == bounds.theorem15_table(7, 9, 3, Fraction(1, 4))
 
 
 def test_iroot_exact_at_large_degree():
@@ -208,70 +194,27 @@ def test_iroot_exact_at_large_degree():
 
 
 def test_min_n_default_regime_boundary():
-    mn = bounds.min_n_default_regime()
-    assert bounds.floor_sqrt_minus_power(mn) >= 1
-    assert bounds.floor_sqrt_minus_power(mn - 1) < 1
-
-
-def test_min_n_default_regime_capped():
-    # at alpha = (b-1)/(2b) the least n has about 5b bits; uncapped, b = 200 took 26 s
-    start = time.monotonic()
-    with pytest.raises(CapExceeded):
-        bounds.min_n_default_regime(6, Fraction(199, 400))
-    assert time.monotonic() - start < 1
-    # b = 49 is just inside the cap, and its answer is still exact
-    alpha = Fraction(24, 49)
-    mn = bounds.min_n_default_regime(6, alpha)
-    assert 250 < mn.bit_length() <= bounds.MIN_N_BITS_CAP
-    assert bounds.floor_sqrt_minus_power(mn, 6, alpha) >= 1
-    assert bounds.floor_sqrt_minus_power(mn - 1, 6, alpha) < 1
-
-
-def test_alpha_denominator_over_cap_refused_before_any_power():
-    # c^b * n^a and b-th powers grow with the denominator b: 1/10^6 took 31 s
-    over = Fraction(1, bounds.ALPHA_DENOMINATOR_CAP + 1)
-    start = time.monotonic()
-    for alpha in (over, Fraction(1, 10**7), Fraction(10**99, 3 * 10**99 + 1)):
-        with pytest.raises(CapExceeded):
-            bounds.floor_sqrt_minus_power(16256, 6, alpha)
-        with pytest.raises(CapExceeded):
-            bounds.min_n_default_regime(6, alpha)
-    assert time.monotonic() - start < 1
-    assert bounds.floor_sqrt_minus_power(100, 6, Fraction(1, bounds.ALPHA_DENOMINATOR_CAP)) == 3
-
-
-def test_min_n_default_regime_large_denominator_is_fast():
-    # each exact comparison costs about b times the bits of n: these took
-    # 7.8 s to refuse and 90 s to answer when every step was exact
-    start = time.monotonic()
-    with pytest.raises(CapExceeded):
-        bounds.min_n_default_regime(6, Fraction(9999, 20000))
-    assert time.monotonic() - start < 1
-    alpha = Fraction(4899, 10000)
-    start = time.monotonic()
-    h = bounds.min_n_default_regime(6, alpha)
-    assert time.monotonic() - start < 1
-    assert h.bit_length() == 256
-    assert bounds._cmp_sqrt_expr(h, 6, alpha, 1) >= 0 > bounds._cmp_sqrt_expr(h - 1, 6, alpha, 1)
+    # MIN_N_DEFAULT is the least n at which the floor reaches 1, and the
+    # floor stays at least 1 over every larger n that a plane admits
+    mn = bounds.MIN_N_DEFAULT
+    assert mn == 2075
+    assert all(bounds.floor_sqrt_minus_power(n) < 1 for n in range(1, mn))
+    assert all(bounds.floor_sqrt_minus_power(n) >= 1 for n in range(mn, 16003))
 
 
 def test_sign_above_one_matches_exact_comparison():
-    # the rounded tiers decide only where they agree with the exact sign:
-    # far from the least n (floating point) and next to it (decimal, which
-    # runs at denominators of 400 and more), at v = 1 and on both sides of
-    # the floor
+    # the floating-point tier decides only where it agrees with the exact
+    # sign: next to the least n, at v = 1 and on both sides of the floor
+    # from the smallest n up to past 512 bits, where the tier no longer runs
     rng = random.Random(7)
-    for i in range(50):
-        b = rng.randint(3, 40) if i < 40 else rng.randint(400, 800)
-        alpha = Fraction(rng.randint(1, (b - 1) // 2), b)
-        c = rng.randint(0, 12)
-        h = bounds.min_n_default_regime(c, alpha)
-        near = range(max(2, h - 3), h + 4)
-        far = [rng.randint(2, 2 * h) for _ in range(5)]
-        for n in [*near, *far]:
-            v = bounds.floor_sqrt_minus_power(n, c, alpha)
-            for w in (1, v, v + 1):
-                assert bounds._sign_sqrt_expr(n, c, alpha, w) == bounds._cmp_sqrt_expr(n, c, alpha, w), (n, c, alpha, w)
+    near = range(bounds.MIN_N_DEFAULT - 3, bounds.MIN_N_DEFAULT + 4)
+    far = [rng.randrange(2, 10**e) for e in (2, 4, 8, 16, 30, 60, 150) for _ in range(8)]
+    far += [10**160 + 3]
+    for n in [*near, *far]:
+        v = bounds.floor_sqrt_minus_power(n)
+        for w in (1, v - 1, v, v + 1):
+            got = bounds._sign_sqrt_expr(n, PAPER_C, PAPER_ALPHA, w)
+            assert got == bounds._cmp_sqrt_expr(n, PAPER_C, PAPER_ALPHA, w), (n, w)
 
 
 # -- parameter pack --

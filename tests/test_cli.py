@@ -338,24 +338,6 @@ def test_construct_random_delete_regime_error(capsys):
     assert doc["artifact"]["min_n_for_defaults"] == 2075
 
 
-def test_construct_random_delete_alpha_with_large_denominator(capsys):
-    # the exact floor once expanded lcm(2, b) binomial terms: 1/40001 ran past 60 s
-    start = time.monotonic()
-    code, doc = run_json(capsys, "construct", "random-delete", "--n", "100", "--k", "2", "--alpha", "1/40001")
-    assert time.monotonic() - start < 2
-    assert code == 0
-    assert doc["artifact"]["run"]["m"] == 3 and doc["artifact"]["run"]["alpha"] == "1/40001"
-
-
-def test_construct_random_delete_regime_beyond_plane_cap(capsys):
-    # at alpha = 49/99 the defaults need n with over 150 digits; no plane admits it
-    code, doc = run_json(capsys, "construct", "random-delete", "--n", "100", "--k", "2", "--alpha", "49/99")
-    assert code == 1
-    assert doc["artifact"]["reason"] == "AsymptoticRegimeNotReached"
-    assert "min_n_for_defaults" not in doc["artifact"]
-    assert "defaults need n above 16002" in doc["artifact"]["detail"]
-
-
 def test_search_exact_witness_and_exhaustion(capsys):
     code, doc = run_json(capsys, "search", "exact", "--k", "2", "--n", "3", "--N", "8")
     assert code == 0
@@ -413,8 +395,6 @@ def test_missing_file_exit_2(capsys, tmp_path, monkeypatch, argv):
         ["bounds", "--table", "7", "x", "3", "0.25"],
         ["bounds", "--n", "5", "--k", "3", "--q", "8", "--t", "2", "--eps", "1/0"],
         ["bounds", "--table", "7", "9", "3", "1/0"],
-        ["construct", "random-delete", "--n", "100", "--k", "2", "--alpha", "1/0"],
-        ["construct", "random-delete", "--n", "100", "--k", "2", "--m", "7", "--alpha", "bad"],
         ["construct", "er-subgraph", "--q", "4", "--order", "18", "--min-deg", "4", "--budget", "1e400"],
         ["construct", "er-subgraph", "--q", "4", "--order", "18", "--min-deg", "4", "--budget", "-1"],
         ["construct", "random-delete", "--n", "100", "--k", "2", "--m", "7", "--max-attempts", "0"],
@@ -440,7 +420,7 @@ def test_missing_file_exit_2(capsys, tmp_path, monkeypatch, argv):
         ["--format", "json", "bounds", "--n", "46", "--k", "400", "--q", "8", "--t", "6"],
     ],
     ids=["eps", "table", "eps-zero-denominator", "table-eps-zero-denominator",
-         "alpha-zero-denominator", "alpha", "budget-overflow", "budget-negative", "max-attempts-zero",
+         "budget-overflow", "budget-negative", "max-attempts-zero",
          "gq-budget-negative", "gq-budget-fraction", "gq-budget-not-whole",
          "max-attempts-not-whole", "gq-q-negative", "gq-q-zero", "gq-q-over-cap",
          "exact-n-zero", "exact-n-negative", "exact-k-zero", "verify-n-zero",
@@ -545,11 +525,14 @@ def test_help_at_every_level(capsys, path, flag):
         (["--form", "json", "bounds", "--n", "3", "--k", "2"], "unrecognized option --form"),
         (["search", "gq", "--q", "2", "--budget", "-1e3"], "argument --budget: must be >= 1, got '-1e3'"),
         (["search", "gq", "--q", "2", "--budget", "1.5"], "argument --budget: not a whole number"),
+        (["construct", "random-delete", "--n", "100", "--k", "2", "--c", "6"], "unrecognized option --c"),
+        (["construct", "random-delete", "--n", "100", "--k", "2", "--alpha", "1/3"],
+         "unrecognized option --alpha"),
     ],
     ids=["no-command", "no-subcommand", "unknown-command", "unknown-option", "missing-option",
          "missing-positional", "option-without-value", "table-short", "bad-int", "extra-positional",
          "flag-with-value", "format-xml", "global-option-after-command", "abbreviation",
-         "budget-negative-exponent", "budget-fraction"],
+         "budget-negative-exponent", "budget-fraction", "random-delete-c", "random-delete-alpha"],
 )
 def test_usage_error_exit_2_with_usage_line(capsys, argv, message):
     assert main(argv) == 2
@@ -593,9 +576,11 @@ def test_defaults_pass_through_the_converter():
     from fractions import Fraction
 
     _, args = _parse(["construct", "random-delete", "--n", "100", "--k", "2"])
-    assert (args.alpha, args.c_const, args.seed, args.m, args.max_attempts, args.out) == (
-        Fraction(21, 80), 6, 0, None, 1000, None
-    )
+    assert (args.seed, args.m, args.max_attempts, args.out) == (0, None, 1000, None)
+    _, args = _parse(["construct", "er-subgraph", "--q", "4", "--order", "18", "--min-deg", "4"])
+    assert args.budget == 10**7 and type(args.budget) is int
+    _, args = _parse(["search", "gq", "--q", "2"])
+    assert args.budget == 10**6 and type(args.budget) is int
     _, args = _parse(["bounds", "--n", "3", "--k", "2"])
     assert (args.eps, args.table, args.format, args.jobs) == (Fraction(1, 2), None, "table", 1)
 
@@ -604,23 +589,17 @@ def test_defaults_pass_through_the_converter():
     "argv, message",
     [
         (["bounds", "--n", "2", "--k", "100000000"], "k must be at most 1048576"),
-        (["construct", "random-delete", "--n", "100", "--k", "2", "--alpha", "1/10000000"],
-         "denominator must be at most 100000"),
         # n above 16 002 needs the prime 131, over the plane cap of 128: refused
         # before the default floor or the prime is computed
         (["construct", "random-delete", "--n", "16100", "--k", "2", "--m", "5"],
          "n=16100 needs a plane of order above 128"),
         (["construct", "random-delete", "--n", "16003", "--k", "2"],
          "n=16003 needs a plane of order above 128"),
-        (["construct", "random-delete", "--n", "16256", "--k", "2", "--alpha", "26251/100000"],
-         "n=16256 needs a plane of order above 128"),
         # a value that starts with "-" is a value, so its range is checked
-        (["construct", "random-delete", "--n", "100", "--k", "2", "--alpha", "-1/2"],
-         "alpha must lie strictly in (0, 1/2), got -1/2"),
+        (["bounds", "--n", "42", "--k", "3", "--q", "8", "--t", "2", "--eps", "-1/4"],
+         "eps must lie strictly in (0, 1), got -1/4"),
     ],
-    ids=["bounds-k", "random-delete-alpha-denominator", "random-delete-prime-over-cap",
-         "random-delete-default-floor-over-cap", "random-delete-slow-floor-over-cap",
-         "random-delete-alpha-negative"],
+    ids=["bounds-k", "random-delete-prime-over-cap", "random-delete-default-floor-over-cap", "eps-negative"],
 )
 def test_size_caps_refused_at_once_exit_2(capsys, argv, message):
     start = time.monotonic()
@@ -659,9 +638,13 @@ def test_bounds_refusals_exit_2(capsys, argv, message):
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_exit_2(capsys, jobs):
-    code = main(["--jobs", jobs, "search", "exact", "--k", "2", "--n", "3", "--N", "8"])
-    assert code == 2
-    assert "jobs must be >= 1" in capsys.readouterr().err
+    # refused for every command, not only the searches that start workers
+    for argv in (["search", "exact", "--k", "2", "--n", "3", "--N", "8"],
+                 ["bounds", "--n", "3", "--k", "2"],
+                 ["search", "gq", "--q", "2", "--budget", "100"]):
+        code = main(["--jobs", jobs, *argv])
+        assert code == 2, argv
+        assert "jobs must be >= 1" in capsys.readouterr().err
 
 
 def test_internal_inconsistency_exit_2(capsys, monkeypatch, c6_file):

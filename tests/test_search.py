@@ -186,8 +186,11 @@ def test_random_delete_target_order_below_one_rejected(n, k):
 
 
 def test_random_delete_default_regime_boundary():
+    # the default floor is the paper's floor(sqrt(n) - 6 n^(21/80)), and the
+    # record names those constants
     g, run, cert = cb.random_delete_construction(2075, 1, seed=3)
-    assert run.m == 1
+    assert run.m == oracles.floor_sqrt_minus_power_reference(2075, 6, Fraction(21, 80)) == 1
+    assert (run.alpha, run.c) == ("21/80", 6)
     assert min(g.degrees()) >= 1
     assert g.n == 2075 + run.m * 1 - (1 - 3) // 2 - 1
 

@@ -158,9 +158,11 @@ def test_er_loads_no_search_or_certificates():
 
 
 def test_random_delete_with_given_floor_loads_no_bounds():
-    # only the default floor m = floor(sqrt(n) - c n^alpha) needs bounds;
+    # only the default floor m = floor(sqrt(n) - 6 n^(21/80)) needs bounds;
     # the plane limit is decided from gf, which geometry loads anyway
     added = _modules_loaded("construct", "random-delete", "--n", "100", "--k", "2", "--m", "7")
+    # no option of the op takes a fraction, so none is built
+    assert not added & {"fractions", "decimal", "numbers"}
     # canon for the certificate's graph_hash, ramsey for the certificate
     assert _loaded(added, [f"c4book.{name}" for name in LAYERS]) == [
         "c4book._constructions",
@@ -242,8 +244,8 @@ def test_module_below_compile_memory_step(name, step):
     count = _parser_tokens(PACKAGE_DIR / name)
     assert count < step, (
         f"{name} has {count} parser tokens, at or past the {step}-token step where its "
-        f"compile peak RSS rises about 0.25 MiB on every op that loads it; split the "
-        f"module by route (ROADMAP item 6) instead of growing it"
+        f"compile peak RSS rises about 0.25 MiB on every op that loads it; shrink or split "
+        f"the module instead of growing it"
     )
 
 
