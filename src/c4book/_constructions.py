@@ -186,8 +186,7 @@ def random_delete_construction(
         m = floor_sqrt_minus_power(n)
         if m < 1:
             raise AsymptoticRegimeNotReached(
-                f"default degree floor is {m} at n={n}; defaults need n >= {MIN_N_DEFAULT}",
-                min_n=MIN_N_DEFAULT,
+                f"default degree floor is {m} at n={n}; defaults need n >= {MIN_N_DEFAULT}"
             )
     if m < 1:
         raise DomainError(f"degree floor m must be >= 1, got {m}")

@@ -1,10 +1,9 @@
 """Closed-form bounds for r(C4, B_n^(k)): every formula the toolkit evaluates.
 
 Every answer is exact: big integers everywhere, Fractions for the rational
-input eps and the threshold Q(k, eps), and one sign test for
-sqrt(n) - 6*n^(21/80) - v whose floating-point tier decides only outside
-its error bound, ahead of an exact integer bracket, so no floor is ever off
-by one.
+input eps and the threshold Q(k, eps), and the floor of sqrt(n) -
+6*n^(21/80) from an integer-root guess and one exact comparison, so no floor
+is ever off by one.
 """
 
 from __future__ import annotations
@@ -20,100 +19,48 @@ from .gf import iroot, is_prime_power, prime_power_decompose
 # -- exact floors of sqrt(n) - 6 * n^(21/80) --
 
 
-def _cmp_sqrt_expr(n: int, c: int, alpha: Fraction, v: int) -> int:
-    """Exact sign of (sqrt(n) - c*n^alpha) - v using only integer arithmetic.
+def _floor_at_least(n: int, v: int) -> bool:
+    """Whether sqrt(n) - 6*n^(21/80) >= v, exactly, in integer arithmetic.
 
-    With alpha = a/b both sides of sqrt(n) - v >= c*n^alpha are nonnegative
-    once sqrt(n) >= v, so comparing their b-th powers decides: (sqrt(n) - v)^b
-    against R = c^b * n^a.  A square n makes that an integer comparison, and
-    so does v = 0 after squaring.  Otherwise sqrt(n) - v is bracketed between
-    consecutive multiples of 2^-j, with j doubled until the bracket decides.
-    That ends, since (sqrt(n) - v)^b is irrational for a non-square n and
-    v != 0: were it rational, it would equal its conjugate (-sqrt(n) - v)^b,
-    forcing v = 0.
+    Both sides of sqrt(n) - v >= 6*n^(21/80) are nonnegative once sqrt(n) >= v,
+    so comparing 80th powers decides: (sqrt(n) - v)^80 against R = 6^80 * n^21.
+    A square n makes that an integer comparison, and so does v = 0 after
+    squaring.  Otherwise sqrt(n) - v is bracketed between consecutive
+    multiples of 2^-j, with j doubled until the bracket decides.  That ends,
+    since (sqrt(n) - v)^80 is irrational for a non-square n and v != 0: were
+    it rational, it would equal its conjugate (-sqrt(n) - v)^80, forcing v = 0.
     """
     if v > 0 and n < v * v:
-        return -1  # sqrt(n) - v < 0 <= c*n^alpha
-    b = alpha.denominator
-    rhs = c**b * n**alpha.numerator
+        return False  # sqrt(n) - v < 0 <= 6*n^(21/80)
+    rhs = 6**80 * n**21
     s = isqrt(n)
     if s * s == n:
-        diff = (s - v) ** b - rhs
-    elif v == 0:
-        diff = n**b - rhs * rhs  # sqrt(n)^(2b) against R^2
-    else:
-        j = 32
-        while True:
-            low = isqrt(n << 2 * j) - (v << j)  # floor(2^j * (sqrt(n) - v)) >= 0
-            scaled = rhs << j * b
-            if low**b >= scaled:
-                return 1
-            if (low + 1) ** b <= scaled:
-                return -1
-            j *= 2
-    return (diff > 0) - (diff < 0)
-
-
-def _sign_sqrt_expr(n: int, c: int, alpha: Fraction, v: int) -> int:
-    """Sign of sqrt(n) - c*n^alpha - v, as _cmp_sqrt_expr(n, c, alpha, v) gives it.
-
-    Tried first in floating point when n, c and v fit in 512 bits (so no
-    float overflows); a difference inside the error bound pays for the exact
-    bracket.  Each float step is correctly rounded or nearly so: with u the
-    unit roundoff and x = alpha ln n, sqrt(n), v and c*n^alpha carry
-    relative errors below 2u, u and (3x + 2)u, so a difference above
-    (4x + 16)u (sqrt(n) + |v| + c*n^alpha) has the computed sign.  A square
-    n or v = 0 can make the difference exactly 0, which no rounded test
-    decides; the bracket decides those with one integer comparison.
-    """
-    if max(n, c, abs(v)).bit_length() <= 512:
-        root = math.sqrt(n)
-        x = float(alpha) * math.log(n)
-        power = c * math.exp(x)
-        gap = root - v - power
-        if abs(gap) > (4 * x + 16) * 2.0**-50 * (root + abs(v) + power):
-            return 1 if gap > 0 else -1
-    return _cmp_sqrt_expr(n, c, alpha, v)
-
-
-def _rational(eps) -> Fraction:
-    """eps as an exact Fraction strictly inside (0, 1), the one reader of eps.
-
-    Floats are taken at their shortest decimal representation, so 0.3 means
-    exactly 3/10.
-    """
-    eps = Fraction(str(eps)) if isinstance(eps, float) else Fraction(eps)
-    if not 0 < eps < 1:
-        raise DomainError(f"eps must lie strictly in (0, 1), got {eps}")
-    return eps
-
-
-_ALPHA = Fraction(21, 80)
+        return (s - v) ** 80 >= rhs
+    if v == 0:
+        return n**80 >= rhs * rhs  # sqrt(n)^160 against R^2
+    j = 32
+    while True:
+        low = isqrt(n << 2 * j) - (v << j)  # floor(2^j * (sqrt(n) - v)) >= 0
+        scaled = rhs << j * 80
+        if low**80 >= scaled:
+            return True
+        if (low + 1) ** 80 <= scaled:
+            return False
+        j *= 2
 
 
 def floor_sqrt_minus_power(n: int) -> int:
     """floor(sqrt(n) - 6 * n^(21/80)), exact for every n >= 1.
 
-    The first guess is isqrt(n) - floor(6 * n^(21/80)) with the power taken
-    in floating point, as 2^(log2 6 + (21/80) log2 n), while that exponent
-    is below 40: its error there is under 10^-12 relative, so the guess is
-    off by at most two.  Above (n past about 2^142) it is isqrt(n) -
-    floor((6^80 * n^21)^(1/80)), which lies within one of sqrt(n) -
-    6*n^(21/80).  _sign_sqrt_expr, whose every answer is exact, then walks
-    the guess to the true floor in a few comparisons.
+    With x = sqrt(n) and y = 6*n^(21/80) = (6^80 * n^21)^(1/80), floor(x) -
+    floor(y) - 1 <= floor(x - y) <= floor(x) - floor(y).  So the guess
+    isqrt(n) - iroot(6^80 * n^21, 80) is the floor or one above it, and one
+    exact comparison decides which.
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    bits = math.log2(6) + 0.2625 * math.log2(n)
-    if bits < 40:
-        guess = isqrt(n) - math.floor(2.0**bits)
-    else:
-        guess = isqrt(n) - iroot(6**80 * n**21, 80)
-    while _sign_sqrt_expr(n, 6, _ALPHA, guess) < 0:
-        guess -= 1
-    while _sign_sqrt_expr(n, 6, _ALPHA, guess + 1) >= 0:
-        guess += 1
-    return guess
+    guess = isqrt(n) - iroot(6**80 * n**21, 80)
+    return guess if _floor_at_least(n, guess) else guess - 1
 
 
 # The least n with floor_sqrt_minus_power(n) >= 1.  sqrt(n) - 6*n^(21/80)
@@ -175,6 +122,18 @@ def g_sequence(n: int, k: int) -> GSequence:
 
 
 # -- the (k, q, t, eps) parameter pack --
+
+
+def _rational(eps) -> Fraction:
+    """eps as an exact Fraction strictly inside (0, 1), the one reader of eps.
+
+    Floats are taken at their shortest decimal representation, so 0.3 means
+    exactly 3/10.
+    """
+    eps = Fraction(str(eps)) if isinstance(eps, float) else Fraction(eps)
+    if not 0 < eps < 1:
+        raise DomainError(f"eps must lie strictly in (0, 1), got {eps}")
+    return eps
 
 
 def book_order_offset(k: int) -> int:

@@ -325,8 +325,10 @@ def _cmd_random_delete(args, run) -> tuple[int, dict, list[str]]:
         )
     except (AsymptoticRegimeNotReached, AttemptsExhausted) as exc:
         artifact = {"found": False, "reason": type(exc).__name__, "detail": str(exc)}
-        if isinstance(exc, AsymptoticRegimeNotReached) and exc.min_n is not None:
-            artifact["min_n_for_defaults"] = exc.min_n
+        if isinstance(exc, AsymptoticRegimeNotReached):
+            from . import bounds
+
+            artifact["min_n_for_defaults"] = bounds.MIN_N_DEFAULT
         return 1, artifact, [str(exc)]
     artifact = {"found": True, "run": record._asdict(), "certificate": cert._asdict()}
     run.attach_graph(artifact, sub, args.out)

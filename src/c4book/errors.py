@@ -56,12 +56,4 @@ class AttemptsExhausted(C4BookError):
 
 
 class AsymptoticRegimeNotReached(DomainError):
-    """Default constants give a degenerate parameter at this input size.
-
-    ``min_n`` (when known) is the least input size for which the defaults
-    become usable.
-    """
-
-    def __init__(self, message: str, min_n: int | None = None):
-        super().__init__(message)
-        self.min_n = min_n
+    """Default constants give a degenerate parameter at this input size."""

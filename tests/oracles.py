@@ -6,8 +6,9 @@ numbers use plain set arithmetic over combinations, common-neighbor
 counts test one vertex pair at a time, isomorphism classes come from
 minimizing over all vertex permutations, GF(p^e) arithmetic is
 polynomial multiplication and long division on coefficient tuples, prime
-powers come from trial division up to the square root, and equitable
-refinement rescans every cell for every splitter.  Five exceptions:
+powers come from trial division up to the square root, equitable
+refinement rescans every cell for every splitter, and floors of sqrt(n) -
+6 n^(21/80) come from decimal arithmetic.  Four exceptions:
 ``canonical_form_reference`` reuses ``canon._refine`` and
 ``canon._leaf_key`` so that it checks the search tree walk alone,
 ``children_reference`` labels with ``canon.canonical_form`` so that it
@@ -16,22 +17,20 @@ annealing probe with a loop per move in place of maintained masks, reusing
 ``_anneal._energy`` and the polarity-graph build so that it checks the
 masks alone, ``absolute_points_reference`` takes the field's modulus
 and the vertex order of the points from ``gf`` and ``geometry`` so that it
-checks which points are absolute alone, and
-``floor_sqrt_minus_power_reference`` walks with ``bounds._sign_sqrt_expr``
-from an integer-root first guess so that it checks the first guess alone.
+checks which points are absolute alone.
 ``refine_cells`` is no reference: it is ``canon._refine`` on a partition
 given as lists, the form the reference refinement and the tests use.
 """
 
 from collections import deque
+from decimal import ROUND_FLOOR, Decimal, localcontext
 from itertools import combinations, permutations
 from math import isqrt
 import random
 
-from c4book.bounds import _sign_sqrt_expr
 from c4book.canon import CanonicalForm, _leaf_key, _refine, canonical_form
 from c4book.geometry import projective_points
-from c4book.gf import field_new, iroot
+from c4book.gf import field_new
 from c4book.graphcore import Graph
 
 
@@ -795,18 +794,18 @@ def probe_reference(q: int, budget: int = 10**6, seed: int = 0):
     return None
 
 
-# -- the exact floor of sqrt(n) - c n^alpha before its floating-point guess --
+# -- the exact floor of sqrt(n) - 6 n^(21/80) --
 
 
-def floor_sqrt_minus_power_reference(n: int, c: int, alpha) -> int:
-    """floor(sqrt(n) - c n^alpha) from the guess isqrt(n) - floor((c^b n^a)^(1/b)).
+def floor_sqrt_minus_power_reference(n: int) -> int:
+    """floor(sqrt(n) - 6 n^(21/80)) in decimal arithmetic.
 
-    With alpha = a/b that guess is the floor or one above it; the exact sign
-    test walks it down, or up, to the floor.
+    At n's digit count plus 40 significant digits the computed difference,
+    of order sqrt(n), lies within 10^-40 of the true one.  At n = m^80 the
+    difference is the integer m^40 - 6 m^21, and decimal's square root and
+    power are exact there.
     """
-    guess = isqrt(n) - iroot(c**alpha.denominator * n**alpha.numerator, alpha.denominator)
-    while _sign_sqrt_expr(n, c, alpha, guess) < 0:
-        guess -= 1
-    while _sign_sqrt_expr(n, c, alpha, guess + 1) >= 0:
-        guess += 1
-    return guess
+    with localcontext() as ctx:
+        ctx.prec = len(str(n)) + 40
+        x = Decimal(n).sqrt() - 6 * Decimal(n) ** Decimal("0.2625")
+        return int(x.to_integral_value(ROUND_FLOOR))

@@ -115,8 +115,6 @@ def test_remark_cap_scalar_agreement():
 
 # -- exact floors of sqrt(n) - 6 n^(21/80) --
 
-PAPER_C, PAPER_ALPHA = 6, Fraction(21, 80)
-
 
 def test_floor_sqrt_minus_power_spot_values():
     # 6 * 10^1.575 = 225.50...; floor(1000 - that) = 774
@@ -124,11 +122,11 @@ def test_floor_sqrt_minus_power_spot_values():
     assert bounds.floor_sqrt_minus_power(100) == -11
     assert bounds.floor_sqrt_minus_power(2074) == 0
     assert bounds.floor_sqrt_minus_power(2075) == 1
-    # values from the float-seeded walk this replaced (7 s for the first one)
+    # a large n, and a square n with the n below it: both have one floor
     assert bounds.floor_sqrt_minus_power(10**40 + 12345) == 99999999810263340389
     assert bounds.floor_sqrt_minus_power((10**18 + 9) ** 2) == 999999983089702421
     assert bounds.floor_sqrt_minus_power((10**18 + 9) ** 2 - 1) == 999999983089702421
-    # past 2^142.5 the first guess is an integer root (values from 200-digit decimals)
+    # values from 200-digit decimals
     assert bounds.floor_sqrt_minus_power(2**143) == 3339217362088273379871
     assert bounds.floor_sqrt_minus_power(10**50 + 1) == 9999999999919988714070200
 
@@ -138,7 +136,8 @@ def test_floor_sqrt_minus_power_exact_integer_case():
     n = 2**80
     want = 2**40 - 6 * 2**21
     assert bounds.floor_sqrt_minus_power(n) == want
-    assert bounds._cmp_sqrt_expr(n, PAPER_C, PAPER_ALPHA, want) == 0
+    assert bounds._floor_at_least(n, want)
+    assert not bounds._floor_at_least(n, want + 1)
 
 
 def test_floor_sqrt_minus_power_against_high_precision():
@@ -150,32 +149,37 @@ def test_floor_sqrt_minus_power_against_high_precision():
         assert bounds.floor_sqrt_minus_power(n) == int(x.to_integral_value("ROUND_FLOOR"))
 
 
-def test_floor_sqrt_minus_power_first_guess_against_the_integer_root():
-    # the floating-point first guess below 2^40 (n below about 2^142.5), the
-    # integer root above: both walk to the floor the integer-root guess walks to
+def test_floor_sqrt_minus_power_against_the_decimal_reference():
+    # every n up to 2 999 (the least n of the default floor among them), the
+    # plane cap, random n up to 10^200, squares and their neighbours, and the
+    # exact ties at 2^80 and 3^80
     rng = random.Random(24)
-    small = list(range(1, 120)) + [2074, 2075, 16002, 16256] + [rng.randrange(2, 10**6) for _ in range(20)]
-    large = [rng.randrange(10**9, 10**k) for k in (12, 20, 40, 90) for _ in range(4)]
+    small = list(range(1, 3000)) + [16002, 16256] + [rng.randrange(2, 10**6) for _ in range(20)]
+    large = [rng.randrange(10**9, 10**k) for k in (12, 20, 40, 90, 200) for _ in range(4)]
     large += [s * s + d for s in (10**6 + 3, 2**40, 10**18 + 9) for d in (-1, 0, 1)]
-    large += [2**80, 2**142, 2**143 + 1, 10**200 + 7]
+    large += [2**80, 3**80, 2**142, 2**143 + 1, 10**200 + 7]
     for n in small + large:
-        assert bounds.floor_sqrt_minus_power(n) == oracles.floor_sqrt_minus_power_reference(
-            n, PAPER_C, PAPER_ALPHA
-        ), n
+        assert bounds.floor_sqrt_minus_power(n) == oracles.floor_sqrt_minus_power_reference(n), n
 
 
 def test_sqrt_comparator_ties():
-    # sqrt(8) = 2 * 8^(1/6): a tie at a non-square n, decided from squares
-    assert bounds._cmp_sqrt_expr(8, 2, Fraction(1, 6), 0) == 0
-    assert oracles.floor_sqrt_minus_power_reference(8, 2, Fraction(1, 6)) == 0
-    # sqrt(64) - 2 * 64^(1/6) = 4 at a square n
-    assert bounds._cmp_sqrt_expr(64, 2, Fraction(1, 6), 4) == 0
-    assert bounds._cmp_sqrt_expr(64, 2, Fraction(1, 6), 5) == -1
+    # at n = m^80, sqrt(n) - 6 n^(21/80) is the integer m^40 - 6 m^21
+    for m in (2, 3):
+        n, v = m**80, m**40 - 6 * m**21
+        assert bounds._floor_at_least(n, v)
+        assert not bounds._floor_at_least(n, v + 1)
+        assert oracles.floor_sqrt_minus_power_reference(n) == v
+    # a square n that is no 80th power: 1000 - 225.50...
+    assert bounds._floor_at_least(10**6, 774)
+    assert not bounds._floor_at_least(10**6, 775)
+    # v = 0, decided from squares: the floor is 0 at n = 2 000, -1 at 1 800
+    assert bounds._floor_at_least(2000, 0)
+    assert not bounds._floor_at_least(1800, 0)
 
 
 def test_sqrt_comparator_below_v_squared():
-    # n < v^2 puts sqrt(n) - v below 0 <= c*n^alpha before any power is built
-    assert bounds._cmp_sqrt_expr(3, 1, Fraction(1, 4), 2) == -1
+    # n < v^2 puts sqrt(n) - v below 0 <= 6 n^(21/80) before any power is built
+    assert not bounds._floor_at_least(3, 2)
 
 
 def test_floats_read_at_their_shortest_decimal():
@@ -200,21 +204,6 @@ def test_min_n_default_regime_boundary():
     assert mn == 2075
     assert all(bounds.floor_sqrt_minus_power(n) < 1 for n in range(1, mn))
     assert all(bounds.floor_sqrt_minus_power(n) >= 1 for n in range(mn, 16003))
-
-
-def test_sign_above_one_matches_exact_comparison():
-    # the floating-point tier decides only where it agrees with the exact
-    # sign: next to the least n, at v = 1 and on both sides of the floor
-    # from the smallest n up to past 512 bits, where the tier no longer runs
-    rng = random.Random(7)
-    near = range(bounds.MIN_N_DEFAULT - 3, bounds.MIN_N_DEFAULT + 4)
-    far = [rng.randrange(2, 10**e) for e in (2, 4, 8, 16, 30, 60, 150) for _ in range(8)]
-    far += [10**160 + 3]
-    for n in [*near, *far]:
-        v = bounds.floor_sqrt_minus_power(n)
-        for w in (1, v - 1, v, v + 1):
-            got = bounds._sign_sqrt_expr(n, PAPER_C, PAPER_ALPHA, w)
-            assert got == bounds._cmp_sqrt_expr(n, PAPER_C, PAPER_ALPHA, w), (n, w)
 
 
 # -- parameter pack --

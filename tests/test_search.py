@@ -1,15 +1,15 @@
 """Construction searches and the isomorph-free enumeration engine."""
 
 import inspect
+import pickle
 import random
-from fractions import Fraction
 from functools import partial
 from types import SimpleNamespace
 
 import pytest
 
 import c4book as cb
-from c4book import _anneal, _constructions, _orderly, canon, ramsey, search
+from c4book import _anneal, _constructions, _orderly, bounds, canon, ramsey, search
 from c4book.canon import canonical_form
 from c4book.cli import main
 from c4book.errors import (
@@ -170,7 +170,9 @@ def test_random_delete_validation():
         cb.random_delete_construction(100, 0, seed=1, m=7)
     with pytest.raises(AsymptoticRegimeNotReached) as err:
         cb.random_delete_construction(100, 2, seed=1)
-    assert err.value.min_n == 2075
+    assert str(err.value) == "default degree floor is -11 at n=100; defaults need n >= 2075"
+    assert bounds.MIN_N_DEFAULT == 2075
+    assert pickle.loads(pickle.dumps(err.value)).args == err.value.args
     with pytest.raises(DomainError):
         cb.random_delete_construction(100, 2, seed=1, m=0)
     for attempts in (0, -2):
@@ -189,7 +191,7 @@ def test_random_delete_default_regime_boundary():
     # the default floor is the paper's floor(sqrt(n) - 6 n^(21/80)), and the
     # record names those constants
     g, run, cert = cb.random_delete_construction(2075, 1, seed=3)
-    assert run.m == oracles.floor_sqrt_minus_power_reference(2075, 6, Fraction(21, 80)) == 1
+    assert run.m == oracles.floor_sqrt_minus_power_reference(2075) == 1
     assert (run.alpha, run.c) == ("21/80", 6)
     assert min(g.degrees()) >= 1
     assert g.n == 2075 + run.m * 1 - (1 - 3) // 2 - 1
