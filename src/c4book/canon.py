@@ -2,10 +2,12 @@
 
 Self-contained: equitable partition refinement, individualization on the
 first largest non-singleton cell, and a search over the refinement tree
-keeping the lexicographically largest adjacency encoding.  Automorphisms
-discovered from equal leaves prune sibling branches; pruning only skips
-subtrees that a known automorphism maps onto an explored one, so the
-canonical form itself is exact.
+keeping the leaf with the largest ``_leaf_key``, the relabeled graph's
+lower rows as a list.  The key is the graph6 encoding of that canonical
+graph, so ``graph_digest`` is its sha256.  Automorphisms discovered from
+equal leaves prune sibling branches; pruning only skips subtrees that a
+known automorphism maps onto an explored one, so the canonical form
+itself is exact.
 
 A leaf equal to the incumbent also backjumps (McKay 1981; McKay & Piperno
 2014).  If the two leaves' individualized prefixes agree on their first j
@@ -66,7 +68,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .graphcore import Graph, _bits, _g6_body, _g6_order_bytes
+from .graphcore import Graph, _bits, _g6
 
 
 def _refine(rows, cmask, cell_of, active, splitter=None):
@@ -156,52 +158,33 @@ def _refine(rows, cmask, cell_of, active, splitter=None):
     return active
 
 
-def _pack_chunks(chunks):
-    """Concatenate (value, width) bit chunks MSB-first, tree-wise.
-
-    Pairwise combining keeps every bigint shift proportional to the final
-    size times log(#chunks) instead of quadratic in it.
-    """
-    if not chunks:
-        return 0
-    while len(chunks) > 1:
-        nxt = []
-        for a in range(0, len(chunks) - 1, 2):
-            v1, w1 = chunks[a]
-            v2, w2 = chunks[a + 1]
-            nxt.append((v1 << w2 | v2, w1 + w2))
-        if len(chunks) % 2:
-            nxt.append(chunks[-1])
-        chunks = nxt
-    return chunks[0][0]
-
-
 def _leaf_key(rows, order):
-    """Adjacency of the relabeled graph packed column-major into an int.
+    """The lower rows of the graph relabeled by order, the list leaves compare by.
 
-    Column j (position in the new labeling) contributes a j-bit chunk of
-    its adjacencies to earlier positions; chunks are concatenated in column
-    order, so the first C(t,2) bits depend only on the first t positions.
+    Entry j - 1 is column j (position j in the new labeling): bit i is set
+    iff positions i < j are adjacent.  Column j always has j bits, so the
+    lists compare as the columns concatenated in order would, and the first
+    t - 1 entries depend only on the first t positions.
     """
     pos = [0] * len(rows)
     for i, v in enumerate(order):
         pos[v] = i
-    chunks = []
+    cols = []
     before = 0  # the vertices at positions < j
     for j in range(1, len(order)):
         before |= 1 << order[j - 1]
         row = rows[order[j]] & before
-        chunk = 0
+        col = 0
         while row:
             low = row & -row
-            chunk |= 1 << pos[low.bit_length() - 1]
+            col |= 1 << pos[low.bit_length() - 1]
             row ^= low
-        chunks.append((chunk, j))
-    return _pack_chunks(chunks)
+        cols.append(col)
+    return cols
 
 
 class CanonicalForm(NamedTuple):
-    key: bytes            # order byte(s) + packed canonical adjacency
+    key: bytes            # graph6 of the canonical graph
     order: tuple          # order[i] = vertex at canonical position i
     generators: tuple     # known or discovered automorphisms (not always the
                           # full group; the backjump skips leaves that would add more)
@@ -223,11 +206,11 @@ def _orbits(mask, gens):
 
 
 def _search(rows, known, root):
-    """``(key, order, generators)`` of the search below ``root``, the key an int."""
+    """``(key, order, generators)`` of the search below ``root``, the key a ``_leaf_key``."""
     n = len(rows)
     gens = list(known)
     # the incumbent's key, order and individualized vertices
-    best_key, best_order, best_prefix = -1, None, None
+    best_key = best_order = best_prefix = None
 
     def descend(cmask, cell_of, active, prefix):
         """Explore the subtree at ``prefix``; return the depth to resume at.
@@ -242,7 +225,7 @@ def _search(rows, known, root):
         if not active:
             order = [m.bit_length() - 1 for m in cmask]
             key = _leaf_key(rows, order)
-            if key > best_key:
+            if best_order is None or key > best_key:
                 best_key, best_order, best_prefix = key, order, prefix
             elif key == best_key:
                 g = [0] * n
@@ -319,42 +302,14 @@ def canonical_form(g: Graph, known=(), root=None) -> CanonicalForm:
     orbit pruning; ``root``, when given, is ``_root(g.rows)``, which is then
     not computed again.  Neither changes the key or the order.
     """
-    n = g.n
-    if n == 0:
-        return CanonicalForm(b"\x00", (), ())
+    if g.n == 0:
+        return CanonicalForm(b"?", (), ())
     key, order, gens = _search(g.rows, known, root or _root(g.rows))
-    nbits = n * (n - 1) // 2
-    key = n.to_bytes(8, "big") + key.to_bytes((nbits + 7) // 8 or 1, "big")
-    return CanonicalForm(key, order, gens)
+    return CanonicalForm(_g6(g.n, key), order, gens)
 
 
 def graph_digest(g: Graph) -> str:
-    """Hex sha256 of the canonical graph6 encoding; isomorphism invariant.
-
-    Canonical column j of the graph6 bit stream is the key's j-bit chunk
-    reversed, so the encoding is read off the key a piece at a time and no
-    canonical ``Graph`` is built.
-    """
+    """Hex sha256 of the canonical graph6 encoding, the key; isomorphism invariant."""
     import hashlib  # imported here: it loads OpenSSL, which only digests need
 
-    digest = hashlib.sha256(_g6_order_bytes(g.n))
-    for piece in _g6_body(_key_columns(g.n, canonical_form(g).key)):
-        digest.update(piece)
-    return digest.hexdigest()
-
-
-def _key_columns(n, key):
-    """Columns 1..n-1 of the canonical graph6 bit stream, read off the key.
-
-    The key's adjacency bytes are read 2 KiB at a time, which covers a whole
-    column up to order 16 385, so the working strings stay small.
-    """
-    bits, off, j = "", 8 * (len(key) - 8) - n * (n - 1) // 2, 1  # off skips the leading pad
-    for start in range(8, len(key), 2048):
-        raw = key[start : start + 2048]
-        bits = (bits + format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b"))[off:]
-        off = 0
-        while j < n and off + j <= len(bits):
-            yield bits[off : off + j][::-1]
-            off += j
-            j += 1
+    return hashlib.sha256(canonical_form(g).key).hexdigest()

@@ -276,30 +276,34 @@ def _g6_pack(bits: str) -> bytes:
     return binascii.b2a_base64(raw, newline=False).translate(_B64_TO_G6)
 
 
-def _g6_body(columns) -> Iterator[bytes]:
-    """graph6 edge bytes of the columns' '0'/'1' strings, one piece at a time.
+def _g6(n: int, lower) -> bytes:
+    """graph6 bytes of the graph on n vertices whose rows below the diagonal are ``lower``.
 
-    Column v = 1..n-1 holds rows u = 0..v-1, row 0 first.
+    ``lower`` yields, for v = 1..n-1, row v masked to the vertices u < v: bit u
+    is set iff u ~ v.  Column v of the graph6 bit stream lists rows
+    u = 0..v-1, row 0 first, so it is that row's v low bits reversed: the
+    binary digits of ``low | 1 << v`` after the ``0b1``, read backwards.
+    The columns are packed one piece at a time.
     """
-    cols, width = [], 0
-    for col in columns:
-        cols.append(col)
-        width += len(col)
+    pieces, cols, width = [_g6_order_bytes(n)], [], 0
+    for v, low in enumerate(lower, 1):
+        cols.append(bin(low | 1 << v)[:2:-1])
+        width += v
         if width >= 6 * _G6_PIECE:
             bits = "".join(cols)
             cut = width - width % 24
-            yield _g6_pack(bits[:cut])
+            pieces.append(_g6_pack(bits[:cut]))
             cols, width = [bits[cut:]], width - cut
     cols.append("0" * (-width % 24))
-    yield _g6_pack("".join(cols))[: (width + 5) // 6]
+    pieces.append(_g6_pack("".join(cols))[: (width + 5) // 6])
+    return b"".join(pieces)
 
 
 def g6_encode(g: Graph) -> bytes:
     if g.n > GRAPH6_MAX_ORDER:
         raise ValueError(f"order {g.n} exceeds graph6 limit")
     rows = g.rows
-    cols = (format(rows[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, g.n))
-    return _g6_order_bytes(g.n) + b"".join(_g6_body(cols))
+    return _g6(g.n, (rows[v] & ((1 << v) - 1) for v in range(1, g.n)))
 
 
 def g6_decode(data: bytes) -> Graph:

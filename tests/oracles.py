@@ -9,8 +9,8 @@ polynomial multiplication and long division on coefficient tuples, prime
 powers come from trial division up to the square root, equitable
 refinement rescans every cell for every splitter, and floors of sqrt(n) -
 6 n^(21/80) come from decimal arithmetic.  Four exceptions:
-``canonical_form_reference`` reuses ``canon._refine`` and
-``canon._leaf_key`` so that it checks the search tree walk alone,
+``canonical_form_reference`` reuses ``canon._refine``, ``canon._leaf_key``
+and ``g6_encode`` so that it checks the search tree walk alone,
 ``children_reference`` labels with ``canon.canonical_form`` so that it
 checks the augmentation rule alone, ``probe_reference`` is the
 annealing probe with a loop per move in place of maintained masks, reusing
@@ -31,7 +31,7 @@ import random
 from c4book.canon import CanonicalForm, _leaf_key, _refine, canonical_form
 from c4book.geometry import projective_points
 from c4book.gf import field_new
-from c4book.graphcore import Graph
+from c4book.graphcore import Graph, g6_encode
 
 
 def naive_is_c4_free(g: Graph) -> bool:
@@ -596,14 +596,13 @@ def canonical_form_reference(g: Graph) -> CanonicalForm:
     already fall below the incumbent, and it scans every other sibling below
     an automorphism leaf.
     ``canon.canonical_form`` must return the same key and order; its
-    generators may be fewer.
+    generators may be fewer.  The key is ``g6_encode`` of the canonical graph.
     """
     n = g.n
     if n == 0:
-        return CanonicalForm(b"\x00", (), ())
+        return CanonicalForm(b"?", (), ())
     rows = g.rows
-    nbits = n * (n - 1) // 2
-    best = {"key": -1, "order": None}
+    best = {"key": None, "order": None}
     gens = []
 
     def beaten(cells):
@@ -615,13 +614,13 @@ def canonical_form_reference(g: Graph) -> CanonicalForm:
         t = len(fixed)
         if t < 2:
             return False
-        return _leaf_key(rows, fixed) < best["key"] >> (nbits - t * (t - 1) // 2)
+        return _leaf_key(rows, fixed) < best["key"][: t - 1]
 
     def descend(cells, prefix):
         if all(len(c) == 1 for c in cells):
             order = [c[0] for c in cells]
             key = _leaf_key(rows, order)
-            if key > best["key"]:
+            if best["order"] is None or key > best["key"]:
                 best["key"], best["order"] = key, order
             elif key == best["key"]:
                 gen = [0] * n
@@ -654,8 +653,25 @@ def canonical_form_reference(g: Graph) -> CanonicalForm:
             tried.append(v)
 
     descend(refine_cells(rows, [list(range(n))]), [])
-    key = n.to_bytes(8, "big") + best["key"].to_bytes((nbits + 7) // 8 or 1, "big")
+    position = [0] * n
+    for i, v in enumerate(best["order"]):
+        position[v] = i
+    key = g6_encode(relabeled(g, position))
     return CanonicalForm(key, tuple(best["order"]), tuple(tuple(x) for x in gens))
+
+
+def packed_key_reference(cols) -> int:
+    """A ``_leaf_key`` list packed into one int, column 1 in the top bits.
+
+    Column j takes the next j bits, most significant first.  The canonical
+    orders, and with them every ``graph_hash``, are those of the largest
+    packed int, so the search's list comparison must order leaves as these
+    ints do.
+    """
+    key = 0
+    for j, col in enumerate(cols, 1):
+        key = key << j | col
+    return key
 
 
 # -- the annealing probe before its maintained masks --

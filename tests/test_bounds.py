@@ -141,12 +141,13 @@ def test_floor_sqrt_minus_power_exact_integer_case():
 
 
 def test_floor_sqrt_minus_power_against_high_precision():
-    from decimal import Decimal, getcontext
+    from decimal import Decimal, localcontext
 
-    getcontext().prec = 450
-    for n in (10, 97, 1024, 4096, 50000, 123456, 10**6, 10**8 + 7, 10**44, 10**60, 10**400):
-        x = Decimal(n).sqrt() - 6 * (Decimal(n) ** (Decimal(21) / Decimal(80)))
-        assert bounds.floor_sqrt_minus_power(n) == int(x.to_integral_value("ROUND_FLOOR"))
+    with localcontext() as ctx:
+        ctx.prec = 450
+        for n in (10, 97, 1024, 4096, 50000, 123456, 10**6, 10**8 + 7, 10**44, 10**60, 10**400):
+            x = Decimal(n).sqrt() - 6 * (Decimal(n) ** (Decimal(21) / Decimal(80)))
+            assert bounds.floor_sqrt_minus_power(n) == int(x.to_integral_value("ROUND_FLOOR"))
 
 
 def test_floor_sqrt_minus_power_against_the_decimal_reference():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import c4book as cb
-from c4book import canon
+from c4book import canon, graphcore
 from c4book.canon import canonical_form, graph_digest
 from c4book.geometry import er_graph
 from c4book.graphcore import Graph, g6_encode, induced_subgraph
@@ -20,6 +20,7 @@ from oracles import (
     line_graph_of_petersen,
     mask_cells,
     orbits_reference,
+    packed_key_reference,
     path_graph,
     petersen_graph,
     perm_canonical_mask,
@@ -82,8 +83,8 @@ def test_canonical_form_labeling_consistency():
     g = cycle_graph(6)
     form = canonical_form(g)
     assert sorted(form.order) == list(range(6))
-    # the graph relabeled by the order is the one the key packs
-    assert canon._leaf_key(canonical_graph(g).rows, range(6)) == int.from_bytes(form.key[8:], "big")
+    # the graph relabeled by the order is the one the key encodes
+    assert form.key == g6_encode(canonical_graph(g))
 
 
 def test_generators_are_automorphisms():
@@ -183,14 +184,51 @@ def test_family_witness_pinned_digest(q, digest):
     assert graph_digest(family_witness(q)) == digest
 
 
-def test_digest_is_sha256_of_canonical_graph6():
-    # graph_digest reads the encoding off the key; n >= 63 takes the 4-byte order header
+def test_digest_is_sha256_of_canonical_graph6(monkeypatch):
+    # the key is g6_encode of the canonical graph and graph_digest its sha256;
+    # n >= 63 takes the 4-byte order header, and a 4-byte piece (24 bits)
+    # makes columns straddle the encoder's piece borders
     rng = random.Random(16)
     graphs = [Graph.empty(0), Graph.empty(1), Graph.empty(2), Graph.from_edges(2, [(0, 1)])]
     graphs += [random_graph(rng, n, rng.random()) for n in range(3, 71)]
-    graphs += [er_graph(q) for q in (2, 3, 7, 8, 16)]
-    for g in graphs:
-        assert graph_digest(g) == hashlib.sha256(g6_encode(canonical_graph(g))).hexdigest(), g
+    graphs += [er_graph(q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17)]
+    for piece in (graphcore._G6_PIECE, 4):
+        monkeypatch.setattr(graphcore, "_G6_PIECE", piece)
+        for g in graphs:
+            key = canonical_form(g).key
+            assert key == g6_encode(canonical_graph(g)), g
+            assert graph_digest(g) == hashlib.sha256(key).hexdigest(), g
+
+
+def test_digest_of_the_empty_orders():
+    # sha256(b"?") and sha256(b"@"): certificates carry graph_hash, so these stay
+    assert canonical_form(Graph.empty(0)).key == b"?"
+    assert graph_digest(Graph.empty(0)) == "8a8de823d5ed3e12746a62ef169bcf372be0ca44f0a1236abc35df05d96928e1"
+    assert graph_digest(Graph.empty(1)) == "c3641f8544d7c02f3580b07c0f9887f0c6a27ff5ab1d4a3e29caf197cfc299ae"
+
+
+def test_leaf_key_lists_compare_as_packed_ints():
+    # every canonical order is frozen, and it was defined by the packed ints:
+    # list order must be their order, also for the reference's pruning, which
+    # compares a prefix of t positions with the incumbent's first t - 1
+    # columns, the packed int's top C(t, 2) bits
+    rng = random.Random(20)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        g = random_graph(rng, n, rng.choice([0.0, 1.0, rng.random()]))
+        nbits = n * (n - 1) // 2
+        a, b = list(range(n)), list(range(n))
+        rng.shuffle(a)
+        rng.shuffle(b)
+        ka, kb = canon._leaf_key(g.rows, a), canon._leaf_key(g.rows, b)
+        pa, pb = packed_key_reference(ka), packed_key_reference(kb)
+        assert (ka < kb, ka == kb) == (pa < pb, pa == pb)
+        for t in range(2, n + 1):
+            prefix = canon._leaf_key(g.rows, a[:t])
+            assert prefix == ka[: t - 1]
+            top = pb >> (nbits - t * (t - 1) // 2)
+            packed = packed_key_reference(prefix)
+            assert (prefix < kb[: t - 1], prefix == kb[: t - 1]) == (packed < top, packed == top)
 
 
 def test_polarity_graph_pinned_generator_count():
