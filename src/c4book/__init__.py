@@ -44,15 +44,9 @@ _EXPORTS = {
         "complement_book_number",
         "is_ramsey_witness",
     ),
-    "search": (
-        "DeletionRun",
-        "ExhaustionProof",
-        "enumerate_c4_free",
-        "exhaust_ramsey",
-        "greedy_min_degree_subgraph",
-        "probe_script_Gq",
-        "random_delete_construction",
-    ),
+    "_orderly": ("ExhaustionProof", "enumerate_c4_free", "exhaust_ramsey"),
+    "_constructions": ("DeletionRun", "greedy_min_degree_subgraph", "random_delete_construction"),
+    "_anneal": ("probe_script_Gq",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -45,16 +45,12 @@ their order and their keys are those of ``tests/oracles.children_reference``.
   isomorphism invariant on the children it sees.  ``exhaust_ramsey``'s
   rejects a child whose complement holds the book: a one-vertex extension
   keeps every book of the complement, so a rejected graph has only rejected
-  completions.  Every child it sees extends a parent that it passed, or the
-  one-vertex seed, whose complement has no book.  So a book in the child's
-  complement uses the new vertex v.  If v is a spine vertex, the others are
-  not adjacent to it, as a spine is independent in the child; if v is a
-  page, no spine vertex is adjacent to it, as pages are common
-  non-neighbors of the spine.  Either way the spine lies in
-  {v} | non-nbrs(v).  The pruner searches only those spines
-  (``ramsey._extension_book_free``); the visitor, which decides the
-  witness, searches every spine.  Neither runs a C4 test, as every child is
-  C4-free by construction.
+  completions.  Every graph on any level extends a parent that the pruner
+  passed, or the one-vertex seed, whose complement has no book, so one
+  predicate decides every level and the visitor is the pruner:
+  ``ramsey._extension_book_free`` searches only the spines of books through
+  the new vertex (the argument is ``ramsey.complement_book_number``'s).  It
+  runs no C4 test, as every child is C4-free by construction.
 """
 
 from __future__ import annotations
@@ -274,11 +270,9 @@ def exhaust_ramsey(order: int, k: int, n: int, jobs: int = 1):
         raise DomainError(f"k must be >= 1, got {k}")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    from .ramsey import _book_free, _extension_book_free
+    from .ramsey import _extension_book_free
 
-    # See the module docstring: the visitor checks every spine, the pruner
-    # only the spines of books through the new vertex.
-    pruner = partial(_extension_book_free, k=k, n=n)
-    result = _enumerate(order, pruner, partial(_book_free, k=k, n=n), jobs, EXHAUSTION_ORDER_CAP)
+    book_free = partial(_extension_book_free, k=k, n=n)  # pruner and visitor: see the module docstring
+    result = _enumerate(order, book_free, book_free, jobs, EXHAUSTION_ORDER_CAP)
     return result._replace(k=k, n=n) if isinstance(result, ExhaustionProof) else result
 

@@ -249,6 +249,8 @@ def _cmd_bounds(args, run) -> tuple[int, dict, list[str]]:
     from . import bounds
 
     if args.table:
+        if {args.n, args.k, args.q, args.t, args.eps} != {None}:
+            raise C4BookError("bounds --table takes no --n, --k, --q, --t or --eps")
         qmin, qmax, k, eps = args.table
         rows = bounds.theorem15_table(qmin, qmax, k, eps)
         artifact = {"table": rows, "k": k, "eps": str(eps)}
@@ -261,7 +263,10 @@ def _cmd_bounds(args, run) -> tuple[int, dict, list[str]]:
         raise C4BookError("bounds needs --n and --k (or --table)")
     if (args.q is None) != (args.t is None):
         raise C4BookError("bounds needs both --q and --t, or neither")
-    params = None if args.q is None else bounds.bounds_params(args.k, args.q, args.t, args.eps)
+    if args.q is None and args.eps is not None:
+        raise C4BookError("bounds --eps needs --q and --t")
+    eps = "1/2" if args.eps is None else args.eps
+    params = None if args.q is None else bounds.bounds_params(args.k, args.q, args.t, eps)
     if params is not None and params.n != args.n:
         raise C4BookError(f"--q {args.q} --t {args.t} describe n = {params.n}, not --n {args.n}")
     report = bounds.bound_report(args.n, args.k)
@@ -340,10 +345,8 @@ def _cmd_random_delete(args, run) -> tuple[int, dict, list[str]]:
 
 def _cmd_search_exact(args, run) -> tuple[int, dict, list[str]]:
     from . import search
-    # canon and ramsey are compiled inside the enumeration.  Imported here
-    # instead, they no longer lower the op's peak RSS, now that search
-    # compiles no other route: medians of 24 alternating runs at N = 11 and
-    # 10 were 15 722 and 15 732 KiB imported here, 15 704 and 15 728 KiB not.
+    # canon and ramsey are compiled inside the enumeration: importing them
+    # here first does not lower the op's peak RSS
     from .graphcore import Graph
 
     result = search.exhaust_ramsey(args.order, args.k, args.n, jobs=args.jobs)
@@ -416,7 +419,7 @@ _COMMANDS = {
     "certify": (_cmd_certify, "lower-bound certificate for FILE", _FILE, _opt("--k")),
     "bounds": (_cmd_bounds, "bound report; --table lists predicted r = q^2 + t over admissible (q, t)",
                *(_opt(flag, int, None) for flag in ("--n", "--k", "--q", "--t")),
-               _opt("--eps", _fraction, "1/2"), _opt("--table", _table, None, "QMIN QMAX K EPS")),
+               _opt("--eps", _fraction, None), _opt("--table", _table, None, "QMIN QMAX K EPS")),
     "construct": (None, "build extremal graphs"),
     "construct er-subgraph": (_cmd_er_subgraph, "induced subgraph of ER_q with a degree floor",
                               _opt("--q"), _opt("--order"), _opt("--min-deg"),

@@ -174,8 +174,8 @@ def certify_lower_bound(g: Graph, k: int, note: str = "") -> LowerBoundCertifica
     n* = N - k(delta+1) + C(k,2) + 1, and max(n*, 1) is certified.  An
     independent k-set has at most n* - 1 common non-neighbors, so when
     n* <= 0 there is none: the complement has no K_k, hence no B_1^(k).
-    For N <= 80 the certificate is cross-validated against the exhaustive
-    book number (the certified value minus 1 must be an upper bound for it).
+    For N <= 80 the certificate is cross-validated by the exact book
+    search: the complement must hold no B_{n*}^(k).
     """
     from .canon import graph_digest  # imported here, so that checking a graph loads no canon
 
@@ -196,10 +196,6 @@ def certify_lower_bound(g: Graph, k: int, note: str = "") -> LowerBoundCertifica
         implied_bound=f"r(C4, B_{n_star}^({k})) >= {g.n + 1}",
         construction_note=note,
     )
-    if g.n <= 80 and k <= g.n:
-        nmax, _ = complement_book_number(g, k, c4_free=True)
-        if n_star - 1 < nmax:
-            raise InternalInconsistency(
-                f"certificate unsound: n*-1 = {n_star - 1} < book number {nmax}"
-            )
+    if g.n <= 80 and not _book_free(g, k, n_star):
+        raise InternalInconsistency(f"certificate unsound: the complement holds B_{n_star}^({k})")
     return cert

@@ -1,4 +1,4 @@
-"""The search routes' public names; a call compiles only the module of its route.
+"""The search routes' call entry points; a call compiles only the module of its route.
 
 * ``_orderly``: isomorph-free enumeration of C4-free graphs and
   ``exhaust_ramsey``, which decides small Ramsey values exactly;
@@ -6,34 +6,21 @@
   thinning of ER_p;
 * ``_anneal``: the simulated-annealing witness probe.
 
-The four entry points are functions of this module, with their route's
-signature.  ``ExhaustionProof``, ``DeletionRun``, ``enumerate_c4_free`` and
-``count_c4_free_classes`` resolve on first use (PEP 562).
+Each function here has its route's signature, and the command line calls
+it, so a traced run (``perfbench/trace_op.py``) times every search as a
+``search.*`` span.  The routes' other names, ``ExhaustionProof`` and
+``DeletionRun`` among them, live in the route modules and resolve from the
+package (``c4book._EXPORTS``).
 """
 
 from __future__ import annotations
 
-from importlib import import_module
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from ._constructions import DeletionRun
     from .graphcore import Graph
     from .ramsey import LowerBoundCertificate
-
-_HOME = {
-    "ExhaustionProof": "_orderly",
-    "enumerate_c4_free": "_orderly",
-    "count_c4_free_classes": "_orderly",
-    "DeletionRun": "_constructions",
-}
-
-
-def __getattr__(name):
-    module = _HOME.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f"{__package__}.{module}"), name)
 
 
 def exhaust_ramsey(order: int, k: int, n: int, jobs: int = 1):

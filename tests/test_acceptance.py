@@ -66,7 +66,7 @@ def test_criterion_02_star_values():
     assert cert.implied_bound == "r(C4, B_10^(1)) >= 14"
     # (b) upper side: exhaustion at 7 for n=4
     proof = search.exhaust_ramsey(7, 1, 4)
-    assert isinstance(proof, search.ExhaustionProof) and proof.all_rejected
+    assert isinstance(proof, cb.ExhaustionProof) and proof.all_rejected
     # enumeration reproduces the oracle's exact values
     assert oracle_ramsey_value(1, 2, max_order=5) == 4
     assert isinstance(search.exhaust_ramsey(3, 1, 2), Graph)
@@ -85,7 +85,7 @@ def test_criterion_03_book3_spine2_is_9():
     assert isinstance(witness, Graph)
     assert cb.is_ramsey_witness(witness, 2, 3)
     proof = search.exhaust_ramsey(9, 2, 3)
-    assert isinstance(proof, search.ExhaustionProof)
+    assert isinstance(proof, cb.ExhaustionProof)
     assert proof.all_rejected
     elapsed = time.monotonic() - t0
     assert elapsed < 900.0

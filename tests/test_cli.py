@@ -573,8 +573,6 @@ def test_budget_int_is_exact(text, value):
 
 
 def test_defaults_pass_through_the_converter():
-    from fractions import Fraction
-
     _, args = _parse(["construct", "random-delete", "--n", "100", "--k", "2"])
     assert (args.seed, args.m, args.max_attempts, args.out) == (0, None, 1000, None)
     _, args = _parse(["construct", "er-subgraph", "--q", "4", "--order", "18", "--min-deg", "4"])
@@ -582,7 +580,7 @@ def test_defaults_pass_through_the_converter():
     _, args = _parse(["search", "gq", "--q", "2"])
     assert args.budget == 10**6 and type(args.budget) is int
     _, args = _parse(["bounds", "--n", "3", "--k", "2"])
-    assert (args.eps, args.table, args.format, args.jobs) == (Fraction(1, 2), None, "table", 1)
+    assert (args.eps, args.table, args.format, args.jobs) == (None, None, "table", 1)
 
 
 @pytest.mark.parametrize(
@@ -626,9 +624,14 @@ def test_usage_error_exit_2(capsys):
         (["--n", "46", "--k", "3", "--q", "8", "--t", "2"], "describe n = 42, not --n 46"),
         (["--n", "46", "--k", "3", "--q", "8", "--t", "6", "--eps", "-1/4"],
          "eps must lie strictly in (0, 1), got -1/4"),
+        # an option the command would not read is refused, not ignored
+        (["--n", "3", "--k", "2", "--eps", "7"], "--eps needs --q and --t"),
+        (["--table", "7", "9", "3", "0.25", "--eps", "9"], "--table takes no --n, --k, --q, --t or --eps"),
+        (["--table", "7", "9", "3", "0.25", "--n", "5"], "--table takes no --n, --k, --q, --t or --eps"),
     ],
     ids=["q-alone", "t-alone", "table-over-cap", "table-far-over-cap", "table-k2-no-prime-power",
-         "table-eps-empty-range", "undecided-prime-power", "q-t-other-n", "eps-negative"],
+         "table-eps-empty-range", "undecided-prime-power", "q-t-other-n", "eps-negative",
+         "eps-without-q-t", "table-with-eps", "table-with-n"],
 )
 def test_bounds_refusals_exit_2(capsys, argv, message):
     assert main(["bounds", *argv]) == 2
@@ -648,8 +651,8 @@ def test_jobs_below_one_exit_2(capsys, jobs):
 
 
 def test_internal_inconsistency_exit_2(capsys, monkeypatch, c6_file):
-    # a book number above n* - 1 contradicts the counting lemma
-    monkeypatch.setattr(ramsey, "complement_book_number", lambda g, k, c4_free: (g.n, None))
+    # a B_{n*}^(k) in the complement contradicts the counting lemma
+    monkeypatch.setattr(ramsey, "_book_free", lambda g, k, n: False)
     code = main(["certify", c6_file, "--k", "1"])
     assert code == 2
     assert "certificate unsound" in capsys.readouterr().err

@@ -213,7 +213,7 @@ KNOWN_ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 
 def test_c4_free_counts_match_brute_classifier():
     for n in range(1, 7):
-        assert search.count_c4_free_classes(n) == classify_c4_free(n)
+        assert _orderly.count_c4_free_classes(n) == classify_c4_free(n)
 
 
 def test_all_graph_counts_match_brute_classifier(enumerate_graphs):
@@ -226,7 +226,7 @@ def test_all_graph_counts_match_brute_classifier(enumerate_graphs):
 
 def test_c4_free_counts_known_values():
     for n, want in KNOWN_C4_FREE_COUNTS.items():
-        assert search.count_c4_free_classes(n) == want
+        assert _orderly.count_c4_free_classes(n) == want
 
 
 def test_enumerated_graphs_are_c4_free_and_pairwise_nonisomorphic():
@@ -302,10 +302,12 @@ def test_exhaustion_labelling_count(monkeypatch):
     # last canonical vertex is not the new one, takes 6 612 labellings.  Orbit
     # pruning and the parent check's shortcuts leave 2 289; the degree test,
     # the pruner and the root partition's degree test before labelling leave
-    # 219.  The book checks are pinned too, split into the pruner's (spines
-    # through the new vertex) and the visitor's (every spine):
-    # the size bound must not change what they see.  Both search seams are
-    # the layer modules' own names, which the lazy imports read at each call.
+    # 219.  The book checks are pinned too, split into the pruner's (below
+    # the searched order) and the visitor's (at it; none at 11, where the
+    # pruner leaves no graph, and the witness alone at 10), both searching
+    # only the spines through the new vertex: the size bound must not change
+    # what they see.  Both search seams are the layer modules' own names,
+    # which the lazy imports read at each call.
     labellings, pruned, visited, built, leaves, refinements = [], [], [], [], [], []
     labelled, book_free, with_vertex = canon.canonical_form, ramsey._book_free, Graph.with_vertex
     leaf_key, refine = canon._leaf_key, canon._refine
@@ -324,12 +326,9 @@ def test_exhaustion_labelling_count(monkeypatch):
         return refine(rows, cmask, cell_of, active, splitter)
 
     def checking(g, k, n, spines=-1):
-        if spines == -1:
-            visited.append(g.n)
-        else:
-            # the pruner: spines in {v} | non-nbrs(v) of the new vertex v
-            assert spines == ~g.rows[-1], g6_encode(g)
-            pruned.append(g.n)
+        # spines in {v} | non-nbrs(v) of the new vertex v, at every level
+        assert spines == ~g.rows[-1], g6_encode(g)
+        (visited if g.n == order else pruned).append(g.n)
         return book_free(g, k, n, spines)
 
     def building(g, mask):
@@ -343,9 +342,10 @@ def test_exhaustion_labelling_count(monkeypatch):
     monkeypatch.setattr(canon, "_refine", refining)
     monkeypatch.setattr(ramsey, "_book_free", checking)
     monkeypatch.setattr(Graph, "with_vertex", building)
-    proof = search.exhaust_ramsey(11, 2, 4)
-    assert isinstance(proof, search.ExhaustionProof) and proof.all_rejected
-    assert (len(labellings), len(pruned), len(visited), len(built)) == (219, 336, 5, 514)
+    order = 11
+    proof = search.exhaust_ramsey(order, 2, 4)
+    assert isinstance(proof, cb.ExhaustionProof) and proof.all_rejected
+    assert (len(labellings), len(pruned), len(visited), len(built)) == (219, 341, 0, 514)
     # the cost of those labellings: each child's labelling starts from the
     # parent generators that fix its mask (641 leaves and 1 320 refinements
     # without them)
@@ -354,9 +354,10 @@ def test_exhaustion_labelling_count(monkeypatch):
     # other automorphisms moves this count
     assert sum(labellings) == 422
     del labellings[:], pruned[:], visited[:], built[:], leaves[:], refinements[:]
-    witness = search.exhaust_ramsey(10, 2, 4)
+    order = 10
+    witness = search.exhaust_ramsey(order, 2, 4)
     assert g6_encode(witness) == b"I?qbCdWLG"
-    assert (len(labellings), len(pruned), len(visited), len(built)) == (52, 108, 6, 154)
+    assert (len(labellings), len(pruned), len(visited), len(built)) == (52, 113, 1, 154)
     assert (len(leaves), len(refinements)) == (100, 207)
     assert sum(labellings) == 94
 
@@ -381,7 +382,7 @@ def test_exhaustion_above_the_enumeration_cap():
     assert oracles.naive_is_c4_free(witness)
     assert naive_complement_book_number(witness, 4) < 2
     proof = search.exhaust_ramsey(16, 4, 2)
-    assert isinstance(proof, search.ExhaustionProof)
+    assert isinstance(proof, cb.ExhaustionProof)
     assert proof.all_rejected and (proof.order, proof.k, proof.n) == (16, 4, 2)
 
 
@@ -395,7 +396,7 @@ def test_exhaustion_decides_r_c4_b4_3():
     assert oracles.naive_is_c4_free(witness)
     assert naive_complement_book_number(witness, 3) < 4
     proof = search.exhaust_ramsey(16, 3, 4)
-    assert isinstance(proof, search.ExhaustionProof) and proof.all_rejected
+    assert isinstance(proof, cb.ExhaustionProof) and proof.all_rejected
 
 
 def test_exhaust_ramsey_small_star_case():
@@ -404,7 +405,7 @@ def test_exhaust_ramsey_small_star_case():
     assert isinstance(witness, Graph)
     assert cb.is_ramsey_witness(witness, 1, 4)
     proof = search.exhaust_ramsey(7, 1, 4)
-    assert isinstance(proof, search.ExhaustionProof)
+    assert isinstance(proof, cb.ExhaustionProof)
     assert proof.all_rejected and proof.k == 1 and proof.n == 4
 
 
@@ -422,6 +423,17 @@ def test_exhaust_ramsey_pruned_and_unpruned_agree():
     assert a.graphs_examined <= b.graphs_examined
 
 
+@pytest.mark.parametrize("order, k, n, examined", [(9, 1, 6, 2), (10, 3, 1, 1)])
+def test_exhaustion_checks_books_on_the_last_level(order, k, n, examined):
+    # the only small proofs found whose last level holds graphs that the
+    # pruner passed on the level below: the book check at the last level
+    # rejects them, so a search that pruned the last level would examine 0
+    assert _unpruned(order, k, n).all_rejected
+    for jobs in (1, 2):
+        proof = search.exhaust_ramsey(order, k, n, jobs=jobs)
+        assert proof == cb.ExhaustionProof(order, examined, True, "orderly-v1", k, n)
+
+
 def test_exhaust_ramsey_witness_deterministic_and_lexfirst():
     w1 = search.exhaust_ramsey(8, 2, 3)
     w2 = search.exhaust_ramsey(8, 2, 3)
@@ -437,7 +449,7 @@ def test_jobs_parallel_matches_sequential():
     seq_wit = search.exhaust_ramsey(8, 2, 3)
     par_wit = search.exhaust_ramsey(8, 2, 3, jobs=2)
     assert seq_wit == par_wit
-    assert search.count_c4_free_classes(7, jobs=2) == 117
+    assert _orderly.count_c4_free_classes(7, jobs=2) == 117
 
 
 def test_one_usable_worker_starts_no_process(monkeypatch):
@@ -491,7 +503,7 @@ def test_oracle_ramsey_values_match_enumeration():
     witness3 = search.exhaust_ramsey(3, 1, 2)
     assert isinstance(witness3, Graph)
     proof4 = search.exhaust_ramsey(4, 1, 2)
-    assert isinstance(proof4, search.ExhaustionProof) and proof4.all_rejected
+    assert isinstance(proof4, cb.ExhaustionProof) and proof4.all_rejected
 
 
 def test_pruner_only_cuts_rejectable_branches():
@@ -712,13 +724,19 @@ def test_search_delegate_matches_its_route(name, route):
 
 
 def test_search_serves_only_public_names():
-    # a patch of a route's helper, constant or prime search must go to the
-    # route module; on search it fails loudly instead of reaching nothing
-    assert search.ExhaustionProof is _orderly.ExhaustionProof
-    assert search.DeletionRun is _constructions.DeletionRun
-    assert search.enumerate_c4_free is _orderly.enumerate_c4_free
-    assert search.count_c4_free_classes is _orderly.count_c4_free_classes
-    stale = ("_c4_extension_masks", "_energy", "GQ_Q_CAP", "ENUMERATION_ORDER_CAP", "smallest_admissible_prime")
+    # search defines the four delegates and nothing else public; the routes'
+    # other names resolve from the package, and a patch of a route's helper,
+    # constant or prime search must go to the route module: on search it
+    # fails loudly instead of reaching nothing
+    public = {name for name in vars(search) if not name.startswith("_")}
+    assert public - {"annotations", "TYPE_CHECKING"} == set(DELEGATES)
+    assert cb.ExhaustionProof is _orderly.ExhaustionProof
+    assert cb.DeletionRun is _constructions.DeletionRun
+    assert cb.enumerate_c4_free is _orderly.enumerate_c4_free
+    stale = (
+        "ExhaustionProof", "DeletionRun", "enumerate_c4_free", "count_c4_free_classes",
+        "_c4_extension_masks", "_energy", "GQ_Q_CAP", "ENUMERATION_ORDER_CAP", "smallest_admissible_prime",
+    )
     for name in stale:
         with pytest.raises(AttributeError, match=name):
             getattr(search, name)
